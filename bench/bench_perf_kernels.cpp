@@ -1,7 +1,7 @@
 // Performance microbenchmarks (google-benchmark): throughput of the hot
-// kernels — FFT, Viterbi, frame build/decode, and one full end-to-end frame
-// exchange. Not a paper figure; used to keep the simulator fast enough for
-// the R3-R8 sweeps.
+// kernels — FFT, Viterbi, frame build/decode, one full end-to-end frame
+// exchange, and one scale-DES trial. Not a paper figure; used to keep the
+// simulator fast enough for the R3-R8 sweeps and the R23 scale runs.
 #include <benchmark/benchmark.h>
 
 #include "mmtag/core/link_simulator.hpp"
@@ -12,6 +12,9 @@
 #include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/frame.hpp"
+#include "mmtag/scale/des_engine.hpp"
+#include "mmtag/scale/phy_table.hpp"
+#include "mmtag/scale/topology.hpp"
 
 #include "bench_util.hpp"
 
@@ -146,6 +149,39 @@ void bm_obs_trace_emit_inactive(benchmark::State& state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(bm_obs_trace_emit_inactive);
+
+/// One scale-DES trial: 10k tags on 16 APs (grid layout, 10% faulted),
+/// 5 rounds, against a coarse phy_table calibrated once, outside the timed
+/// loop. Items are DES events, so items/s reads as events/s.
+void bm_des_trial(benchmark::State& state)
+{
+    struct fixture {
+        scale::scale_config cfg;
+        scale::deployment topo;
+        scale::phy_table table;
+    };
+    static const fixture des = [] {
+        scale::scale_config cfg;
+        cfg.topology.tag_count = 10'000;
+        cfg.topology.ap_count = 16;
+        cfg.frames = 5;
+        cfg.faulted = 1'000;
+        cfg.phy.frames_per_point = 4;
+        cfg.phy.scenario = cfg.scenario;
+        cfg.phy.payload_bytes = cfg.payload_bytes;
+        auto topo = scale::make_deployment(cfg.topology, cfg.scenario);
+        auto table = scale::phy_table::generate(cfg.phy, 2);
+        return fixture{cfg, std::move(topo), std::move(table)};
+    }();
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        const auto trial = scale::run_scale_trial(des.cfg, des.topo, des.table, 0, nullptr);
+        events += trial.events;
+        benchmark::DoNotOptimize(trial.event_log_hash);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(bm_des_trial)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -97,16 +97,17 @@ int main(int argc, char** argv)
     }
     out.print();
 
-    std::size_t tasks = 0;
-    for (const std::size_t tags : tag_counts) tasks += trials * (1 + tags / 1000);
+    const std::size_t total_trials = trials * tag_counts.size();
+    std::uint64_t total_events = 0;
+    for (const auto& r : results_per_point) total_events += r.events;
     const auto written =
         results.write(opts.json_path, wall_s, jobs_used,
-                      wall_s > 0.0 ? static_cast<double>(tasks) / wall_s : 0.0);
+                      wall_s > 0.0 ? static_cast<double>(total_trials) / wall_s : 0.0);
     if (!opts.csv) {
-        std::printf("\n%s\n",
-                    runtime::summary_line(tag_counts.size(), trials * tag_counts.size(),
-                                          wall_s, jobs_used)
-                        .c_str());
+        std::printf("\n%s, %.0f events/s\n",
+                    runtime::summary_line(tag_counts.size(), total_trials, wall_s, jobs_used)
+                        .c_str(),
+                    wall_s > 0.0 ? static_cast<double>(total_events) / wall_s : 0.0);
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;

@@ -471,8 +471,9 @@ int run_scale(const option_set& options)
                 static_cast<unsigned long long>(result.readmissions),
                 result.readmit_latency_mean_rounds,
                 static_cast<unsigned long long>(result.readmit_latency_max_rounds));
-    std::printf("  runtime: %zu trials in %.2f s wall (%zu jobs)\n", cfg.trials,
-                wall_s, result.jobs);
+    std::printf("  runtime: %zu trials in %.2f s wall (%zu jobs, %.0f events/s)\n",
+                cfg.trials, wall_s, result.jobs,
+                wall_s > 0.0 ? static_cast<double>(result.events) / wall_s : 0.0);
 
     if (!json_path.empty()) {
         write_text_file(json_path, result.to_json().dump(2));

@@ -28,12 +28,26 @@ fault_injector::fault_injector(fault_schedule schedule)
 {
 }
 
+void fault_injector::attach_metrics(obs::metrics_registry* metrics)
+{
+    metrics_ = metrics;
+    kind_counters_ = {};
+    impaired_windows_ = nullptr;
+    lo_relocks_ = nullptr;
+}
+
+obs::counter& fault_injector::cached_counter(obs::counter*& slot, const char* name) const
+{
+    if (slot == nullptr) slot = &metrics_->get_counter(std::string("fault/") + name);
+    return *slot;
+}
+
 impairment fault_injector::at(double start_s, double duration_s) const
 {
     impairment out;
     double blockage_db = 0.0;
     double dropout_db = 0.0;
-    for (const auto& event : schedule_.active(start_s, start_s + duration_s)) {
+    schedule_.visit_active(start_s, start_s + duration_s, [&](const fault_event& event) {
         switch (event.kind) {
         case fault_kind::blockage:
             blockage_db = std::max(blockage_db, event.magnitude);
@@ -51,17 +65,17 @@ impairment fault_injector::at(double start_s, double duration_s) const
             break; // persistent: handled below from the full history
         }
         if (metrics_ != nullptr) {
-            metrics_
-                ->get_counter(std::string("fault/") + fault_kind_name(event.kind))
+            cached_counter(kind_counters_[static_cast<std::size_t>(event.kind)],
+                           fault_kind_name(event.kind))
                 .add();
         }
-    }
+    });
     if (blockage_db > 0.0) out.tag_amplitude = db_to_amplitude(-blockage_db);
     if (dropout_db > 0.0) out.carrier_amplitude = db_to_amplitude(-dropout_db);
     out.lo_offset_hz = lo_offset_hz(start_s + duration_s);
 
     if (out.any()) {
-        if (metrics_ != nullptr) metrics_->get_counter("fault/impaired_windows").add();
+        if (metrics_ != nullptr) cached_counter(impaired_windows_, "impaired_windows").add();
         if (obs::tracer::active()) {
             char args[96];
             std::snprintf(args, sizeof args,
@@ -77,20 +91,25 @@ double fault_injector::lo_offset_hz(double time_s) const
 {
     // Latest step that has fired and has not been cleared by a re-lock. The
     // synthesizer holds the detuned frequency, so duration is irrelevant.
-    double offset = 0.0;
-    for (const auto& event : schedule_.events()) {
-        if (event.kind != fault_kind::lo_step) continue;
-        if (event.start_s > time_s) break;
-        if (event.start_s <= lo_cleared_until_s_) continue;
-        offset = event.magnitude;
+    // Steps are sorted by start: if the latest fired step was cleared, so
+    // was every earlier one.
+    if (!schedule_.has_lo_steps()) return 0.0;
+    const auto& events = schedule_.events();
+    auto it = std::upper_bound(
+        events.begin(), events.end(), time_s,
+        [](double t, const fault_event& event) { return t < event.start_s; });
+    while (it != events.begin()) {
+        --it;
+        if (it->kind != fault_kind::lo_step) continue;
+        return it->start_s > lo_cleared_until_s_ ? it->magnitude : 0.0;
     }
-    return offset;
+    return 0.0;
 }
 
 void fault_injector::clear_lo_steps(double time_s)
 {
     lo_cleared_until_s_ = std::max(lo_cleared_until_s_, time_s);
-    if (metrics_ != nullptr) metrics_->get_counter("fault/lo_relocks").add();
+    if (metrics_ != nullptr) cached_counter(lo_relocks_, "lo_relocks").add();
     if (obs::tracer::active()) {
         char args[48];
         std::snprintf(args, sizeof args, "{\"time_s\": %.6f}", time_s);

@@ -7,11 +7,13 @@
 // nobody is supervising the link.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "mmtag/fault/fault_schedule.hpp"
 
 namespace mmtag::obs {
+class counter;
 class metrics_registry;
 }
 
@@ -41,10 +43,14 @@ public:
     /// Attaches an observability registry: each at() query that sees an
     /// impairment bumps a per-kind "fault/..." counter (and emits a
     /// fault.window trace instant when a trace session is active). Not
-    /// owned; nullptr detaches.
-    void attach_metrics(obs::metrics_registry* metrics) { metrics_ = metrics; }
+    /// owned; nullptr detaches. Counters are cached once resolved, so
+    /// re-attach after clearing the registry.
+    void attach_metrics(obs::metrics_registry* metrics);
 
     /// Impairment seen by a frame occupying [start_s, start_s + duration_s).
+    /// Allocation-free and O(log n) plus the events near the window: it
+    /// runs once per slot in the scale DES, against schedules of hundreds
+    /// of events.
     [[nodiscard]] impairment at(double start_s, double duration_s) const;
 
     /// Re-lock after acquisition: forgets every LO step that started at or
@@ -55,8 +61,18 @@ public:
     [[nodiscard]] double lo_offset_hz(double time_s) const;
 
 private:
+    /// The attached registry's counter "fault/<name>", resolved on first use
+    /// and cached in `slot` (the registry's map keeps it at a stable
+    /// address). Resolving lazily keeps counters that never fire out of the
+    /// snapshot.
+    obs::counter& cached_counter(obs::counter*& slot, const char* name) const;
+
     fault_schedule schedule_;
     obs::metrics_registry* metrics_ = nullptr; ///< observer only, never read
+    /// "fault/<kind>" counters, one per fault_kind, indexed by its value.
+    mutable std::array<obs::counter*, 5> kind_counters_{};
+    mutable obs::counter* impaired_windows_ = nullptr;
+    obs::counter* lo_relocks_ = nullptr;
     double lo_cleared_until_s_ = 0.0;
 };
 

@@ -81,6 +81,7 @@ fault_schedule::fault_schedule(const config& cfg, std::uint64_t seed)
         events_.push_back(event);
         t += gap(rng);
     }
+    summarize();
 }
 
 fault_schedule::fault_schedule(double horizon_s, std::vector<fault_event> events)
@@ -96,6 +97,17 @@ fault_schedule::fault_schedule(double horizon_s, std::vector<fault_event> events
         if (event.start_s >= horizon_s) {
             throw std::invalid_argument("fault_schedule: event starts beyond horizon");
         }
+    }
+    summarize();
+}
+
+void fault_schedule::summarize()
+{
+    max_duration_s_ = 0.0;
+    has_lo_steps_ = false;
+    for (const auto& event : events_) {
+        max_duration_s_ = std::max(max_duration_s_, event.duration_s);
+        has_lo_steps_ = has_lo_steps_ || event.kind == fault_kind::lo_step;
     }
 }
 
@@ -147,13 +159,19 @@ std::vector<fault_event> fault_schedule::normalize(std::vector<fault_event> even
     return merged;
 }
 
+std::vector<fault_event>::const_iterator fault_schedule::first_candidate(double t0) const
+{
+    const double earliest = t0 - 2.0 * max_duration_s_;
+    return std::partition_point(events_.begin(), events_.end(),
+                                [earliest](const fault_event& e) {
+                                    return e.start_s < earliest;
+                                });
+}
+
 std::vector<fault_event> fault_schedule::active(double t0, double t1) const
 {
     std::vector<fault_event> out;
-    for (const auto& event : events_) {
-        if (event.start_s >= t1) break; // sorted by construction
-        if (event.overlaps(t0, t1)) out.push_back(event);
-    }
+    visit_active(t0, t1, [&out](const fault_event& event) { out.push_back(event); });
     return out;
 }
 

@@ -91,13 +91,36 @@ public:
     /// Events overlapping the window [t0, t1).
     [[nodiscard]] std::vector<fault_event> active(double t0, double t1) const;
 
+    /// Calls `visit(event)` for each event overlapping [t0, t1), in schedule
+    /// order, without allocating. No event lasts longer than the schedule's
+    /// longest duration, so every overlapping event starts inside
+    /// [t0 - 2 * max_duration, t1); a binary search finds that window (the
+    /// factor 2 leaves room for rounding in t0 - max_duration) and the exact
+    /// overlaps() test filters it: O(log n + events in the window).
+    template <typename Visit>
+    void visit_active(double t0, double t1, Visit&& visit) const
+    {
+        for (auto it = first_candidate(t0); it != events_.end() && it->start_s < t1; ++it) {
+            if (it->overlaps(t0, t1)) visit(*it);
+        }
+    }
+
+    /// True when the schedule holds at least one lo_step event.
+    [[nodiscard]] bool has_lo_steps() const { return has_lo_steps_; }
+
     /// Number of scheduled events of one kind.
     [[nodiscard]] std::size_t count(fault_kind kind) const;
 
 private:
+    [[nodiscard]] std::vector<fault_event>::const_iterator first_candidate(double t0) const;
+    /// Derives the O(1) lookup summary below from events_.
+    void summarize();
+
     config cfg_;
     std::uint64_t seed_;
     std::vector<fault_event> events_; ///< sorted by start_s
+    double max_duration_s_ = 0.0;
+    bool has_lo_steps_ = false;
 };
 
 } // namespace mmtag::fault

@@ -8,7 +8,8 @@ namespace mmtag::fault {
 
 multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_count,
                                std::size_t faulted_count, std::uint64_t seed)
-    : cfg_(cfg), faulted_count_(faulted_count), shared_(cfg.horizon_s, {})
+    : cfg_(cfg), tag_count_(tag_count), faulted_count_(faulted_count),
+      shared_(cfg.horizon_s, {})
 {
     if (tag_count == 0) throw std::invalid_argument("multi_tag_plan: no tags");
     if (faulted_count > tag_count) {
@@ -61,6 +62,11 @@ multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_coun
     if (cfg.brownout_period_s > 0.0 && cfg.brownout_duration_s > 0.0) {
         for (std::size_t tag = 0; tag < faulted_count; ++tag) {
             double onset = static_cast<double>(tag) * cfg.brownout_stagger_s;
+            if (onset < active_end) {
+                events[tag].reserve(events[tag].size() + 1 +
+                                    static_cast<std::size_t>((active_end - onset) /
+                                                             cfg.brownout_period_s));
+            }
             for (; onset < active_end; onset += cfg.brownout_period_s) {
                 fault_event dip;
                 dip.kind = fault_kind::brownout;
@@ -84,7 +90,8 @@ multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_coun
             background.interferer_weight = 0.0;
             const fault_schedule drawn(background,
                                        seed * 0x2545F4914F6CDD1DULL + tag + 1);
-            for (const auto& event : drawn.events()) events[tag].push_back(event);
+            events[tag].insert(events[tag].end(), drawn.events().begin(),
+                               drawn.events().end());
         }
     }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mmtag/fault/fault_schedule.hpp"
@@ -64,13 +65,20 @@ public:
                    std::size_t faulted_count, std::uint64_t seed);
 
     [[nodiscard]] const multi_tag_config& parameters() const { return cfg_; }
-    [[nodiscard]] std::size_t tag_count() const { return per_tag_.size(); }
+    [[nodiscard]] std::size_t tag_count() const { return tag_count_; }
     [[nodiscard]] std::size_t faulted_count() const { return faulted_count_; }
 
     /// Shared-channel timeline (the persistent interferer).
     [[nodiscard]] const fault_schedule& shared() const { return shared_; }
     /// Per-tag timelines; healthy tags hold empty schedules.
     [[nodiscard]] const std::vector<fault_schedule>& per_tag() const { return per_tag_; }
+    /// Moves the per-tag timelines out (per_tag() is empty afterwards), so a
+    /// simulator can hand each to its own fault_injector without copying the
+    /// event lists (over 100 MB at 10^5 tags, 10% faulted).
+    [[nodiscard]] std::vector<fault_schedule> take_per_tag()
+    {
+        return std::exchange(per_tag_, {});
+    }
 
     /// Latest end over every scheduled event (shared and per-tag) — the
     /// instant after which the whole network is physically healthy again.
@@ -78,6 +86,7 @@ public:
 
 private:
     multi_tag_config cfg_;
+    std::size_t tag_count_;
     std::size_t faulted_count_;
     fault_schedule shared_;
     std::vector<fault_schedule> per_tag_;

@@ -1,6 +1,5 @@
 #include "mmtag/net/network_supervisor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "mmtag/obs/metrics_registry.hpp"
@@ -14,32 +13,48 @@ network_supervisor::network_supervisor(const supervisor_config& cfg,
     if (tag_ids_.empty()) {
         throw std::invalid_argument("network_supervisor: no tags");
     }
-    // Sorted (tag id -> session index) side table: record_data/record_probe
-    // fire once per slot per round, so the lookup must be O(log n), not a
-    // scan — at thousands of tags per AP a scan turns each round quadratic.
-    index_.reserve(tag_ids_.size());
-    for (std::size_t i = 0; i < tag_ids_.size(); ++i) {
-        index_.emplace_back(tag_ids_[i], i);
+    // Hashed (tag id -> session index) side table: record_data/record_probe
+    // fire once per slot per round, so the lookup must not grow with the
+    // cell — at ~10^4 tags per AP even a binary search shows per slot.
+    if (tag_ids_.size() >= (std::size_t{1} << 31)) {
+        throw std::invalid_argument("network_supervisor: too many tags");
     }
-    std::sort(index_.begin(), index_.end());
-    for (std::size_t i = 1; i < index_.size(); ++i) {
-        if (index_[i].first == index_[i - 1].first) {
-            throw std::invalid_argument("network_supervisor: duplicate tag id");
+    std::size_t buckets = 2;
+    index_shift_ = 63;
+    while (buckets < 2 * tag_ids_.size()) {
+        buckets *= 2;
+        --index_shift_;
+    }
+    index_.assign(buckets, 0);
+    for (std::size_t i = 0; i < tag_ids_.size(); ++i) {
+        const std::uint32_t id = tag_ids_[i];
+        std::size_t bucket = home_bucket(id);
+        for (; index_[bucket] != 0; bucket = (bucket + 1) & (buckets - 1)) {
+            if ((index_[bucket] >> 32) == id) {
+                throw std::invalid_argument("network_supervisor: duplicate tag id");
+            }
         }
+        index_[bucket] = (std::uint64_t{id} << 32) | (i + 1);
     }
     sessions_.reserve(tag_ids_.size());
     for (const std::uint32_t id : tag_ids_) sessions_.emplace_back(id, cfg.session);
 }
 
+std::size_t network_supervisor::home_bucket(std::uint32_t tag_id) const
+{
+    // Fibonacci hashing: the top bits of id * 2^64/phi spread consecutive
+    // ids evenly over the table.
+    return static_cast<std::size_t>((tag_id * 0x9E3779B97F4A7C15ULL) >> index_shift_);
+}
+
 std::size_t network_supervisor::session_index(std::uint32_t tag_id) const
 {
-    const auto it = std::lower_bound(
-        index_.begin(), index_.end(),
-        std::pair<std::uint32_t, std::size_t>{tag_id, 0});
-    if (it == index_.end() || it->first != tag_id) {
-        throw std::invalid_argument("network_supervisor: unknown tag id");
+    for (std::size_t bucket = home_bucket(tag_id);;
+         bucket = (bucket + 1) & (index_.size() - 1)) {
+        const std::uint64_t entry = index_[bucket];
+        if (entry == 0) throw std::invalid_argument("network_supervisor: unknown tag id");
+        if ((entry >> 32) == tag_id) return static_cast<std::size_t>(entry & 0xffffffffULL) - 1;
     }
-    return it->second;
 }
 
 const tag_session& network_supervisor::session(std::uint32_t tag_id) const
@@ -49,7 +64,13 @@ const tag_session& network_supervisor::session(std::uint32_t tag_id) const
 
 tag_session& network_supervisor::session_mut(std::uint32_t tag_id)
 {
-    return sessions_[session_index(tag_id)];
+    // Outcomes arrive in the order the plan dealt the slots, which walks
+    // sessions_ in index order: try the session after the last one recorded
+    // before hashing, and the lookup reads tag_ids_ sequentially.
+    std::size_t idx = record_cursor_;
+    if (idx >= tag_ids_.size() || tag_ids_[idx] != tag_id) idx = session_index(tag_id);
+    record_cursor_ = idx + 1;
+    return sessions_[idx];
 }
 
 std::size_t network_supervisor::healthy_count() const

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mmtag/mac/tdma.hpp"
@@ -73,6 +72,7 @@ public:
 
 private:
     [[nodiscard]] tag_session& session_mut(std::uint32_t tag_id);
+    [[nodiscard]] std::size_t home_bucket(std::uint32_t tag_id) const;
     [[nodiscard]] std::size_t session_index(std::uint32_t tag_id) const;
     [[nodiscard]] std::size_t current_round() const;
     void note_transitions(const tag_session& session, std::size_t before) const;
@@ -80,8 +80,12 @@ private:
     supervisor_config cfg_;
     std::vector<std::uint32_t> tag_ids_;
     std::vector<tag_session> sessions_;
-    /// Sorted (tag id, sessions_ index) for O(log n) session lookup.
-    std::vector<std::pair<std::uint32_t, std::size_t>> index_;
+    /// Open-addressing hash table, tag id -> sessions_ index, for O(1)
+    /// session lookup: entries pack (id << 32 | index + 1), 0 marks an empty
+    /// bucket, and the table is at most half full so probes stay short.
+    std::vector<std::uint64_t> index_;
+    unsigned index_shift_ = 0; ///< 64 - log2(index_.size())
+    std::size_t record_cursor_ = 0; ///< sessions_ index the next record likely hits
     std::size_t round_ = 0;
     std::size_t rotation_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "mmtag/scale/des_engine.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -28,33 +29,132 @@ const char* event_kind_name(event_kind kind)
     return "?";
 }
 
-namespace {
-
-/// Min-heap order on (time, seq): `a` sorts after `b` when it happens later
-/// or — at the exact same time — was pushed later.
-bool event_after(const des_event& a, const des_event& b)
+bool event_queue::head_before(std::uint32_t a, std::uint32_t b) const
 {
-    if (a.time_s != b.time_s) return a.time_s > b.time_s;
-    return a.seq > b.seq;
+    const des_event& x = log_[runs_[a].head];
+    const des_event& y = log_[runs_[b].head];
+    if (x.time_s != y.time_s) return x.time_s < y.time_s;
+    return x.seq < y.seq;
 }
 
-} // namespace
+void event_queue::sift_up(std::size_t pos)
+{
+    const std::uint32_t r = heap_[pos];
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / 2;
+        if (!head_before(r, heap_[parent])) break;
+        heap_[pos] = heap_[parent];
+        pos = parent;
+    }
+    heap_[pos] = r;
+}
+
+void event_queue::sift_down(std::size_t pos)
+{
+    const std::uint32_t r = heap_[pos];
+    const std::size_t n = heap_.size();
+    for (;;) {
+        std::size_t child = 2 * pos + 1;
+        if (child >= n) break;
+        if (child + 1 < n && head_before(heap_[child + 1], heap_[child])) ++child;
+        if (!head_before(heap_[child], r)) break;
+        heap_[pos] = heap_[child];
+        pos = child;
+    }
+    heap_[pos] = r;
+}
 
 std::uint64_t event_queue::push(des_event event)
 {
     event.seq = next_seq_++;
-    heap_.push_back(event);
-    std::push_heap(heap_.begin(), heap_.end(), event_after);
+    if (open_ != no_run && event.time_s >= log_.back().time_s) {
+        log_.push_back(event);
+        ++runs_[open_].end;
+    } else {
+        std::uint32_t r = 0;
+        if (free_runs_.empty()) {
+            if (runs_.size() >= no_run) {
+                throw std::length_error("event_queue: too many pending runs");
+            }
+            r = static_cast<std::uint32_t>(runs_.size());
+            runs_.emplace_back();
+        } else {
+            r = free_runs_.back();
+            free_runs_.pop_back();
+        }
+        runs_[r] = {log_.size(), log_.size() + 1};
+        log_.push_back(event);
+        heap_.push_back(r);
+        sift_up(heap_.size() - 1);
+        open_ = r;
+    }
+    ++size_;
     return event.seq;
 }
 
 des_event event_queue::pop()
 {
-    if (heap_.empty()) throw std::logic_error("event_queue: pop on empty queue");
-    std::pop_heap(heap_.begin(), heap_.end(), event_after);
-    const des_event event = heap_.back();
-    heap_.pop_back();
+    if (size_ == 0) throw std::logic_error("event_queue: pop on empty queue");
+    const std::uint32_t r = heap_.front();
+    run& top = runs_[r];
+    const des_event event = log_[top.head++];
+    if (top.head == top.end) {
+        heap_.front() = heap_.back();
+        heap_.pop_back();
+        free_runs_.push_back(r);
+        if (open_ == r) open_ = no_run;
+    }
+    if (!heap_.empty()) sift_down(0);
+    --size_;
+    // Amortised O(1): a compaction copies size_ entries and runs only after
+    // more than size_ pops since the last one.
+    constexpr std::size_t compact_slack = 4096;
+    if (++popped_in_log_ > size_ + compact_slack) compact();
     return event;
+}
+
+void event_queue::compact()
+{
+    std::vector<std::uint32_t> order(heap_);
+    std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
+        return runs_[a].head < runs_[b].head;
+    });
+    std::size_t write = 0;
+    for (const std::uint32_t r : order) {
+        run& live = runs_[r];
+        std::copy(log_.begin() + static_cast<std::ptrdiff_t>(live.head),
+                  log_.begin() + static_cast<std::ptrdiff_t>(live.end),
+                  log_.begin() + static_cast<std::ptrdiff_t>(write));
+        live.end = write + (live.end - live.head);
+        live.head = write;
+        write = live.end;
+    }
+    log_.resize(write);
+    popped_in_log_ = 0;
+}
+
+std::size_t format_event_line(const des_event& event, int outcome,
+                              char (&out)[event_line_capacity])
+{
+    // The capacity fits every finite time, so no conversion can run short.
+    char* const end = out + event_line_capacity;
+    char* p = std::to_chars(out, end, event.seq).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, event.time_s, std::chars_format::fixed, 9).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, event.ap).ptr;
+    *p++ = ' ';
+    for (const char* name = event_kind_name(event.kind); *name != '\0'; ++name) {
+        *p++ = *name;
+    }
+    *p++ = ' ';
+    p = std::to_chars(p, end, event.tag).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, event.mcs).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, outcome).ptr;
+    *p++ = '\n';
+    return static_cast<std::size_t>(p - out);
 }
 
 namespace {
@@ -100,6 +200,17 @@ std::uint16_t pick_mcs(double sinr_db, double margin_db)
     return best;
 }
 
+/// Per-tag state of the slot path, kept together so a slot touches one
+/// cache line of it instead of one per array.
+struct slot_tag_state {
+    double sinr_lin = 0.0; ///< static topology SINR, linear
+    /// to_db(sinr_lin): an unimpaired slot's effective SINR is
+    /// to_db(s_lin * 1 / 1), so it is computed once per tag with the same bits.
+    double clean_sinr_db = 0.0;
+    std::uint64_t attempts = 0;
+    std::uint64_t delivered = 0;
+};
+
 /// Uniform [0, 1) draw keyed by the event's global sequence number.
 double event_uniform(std::uint64_t draw_seed, std::uint64_t seq)
 {
@@ -129,8 +240,11 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
         slot_airtime_s(ladder.front(), probe_payload_bytes, cfg.scenario.symbol_rate_hz,
                        mac);
     std::vector<std::uint16_t> tag_mcs(n);
+    std::vector<slot_tag_state> tag_state(n);
     for (std::size_t t = 0; t < n; ++t) {
         tag_mcs[t] = pick_mcs(topo.tags[t].sinr_db, cfg.margin_db);
+        tag_state[t].sinr_lin = from_db(topo.tags[t].sinr_db);
+        tag_state[t].clean_sinr_db = to_db(tag_state[t].sinr_lin);
     }
 
     // The simulated duration spans three orders of magnitude as the tag
@@ -156,11 +270,18 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     faults.interferer_duration_s = 0.3 * nominal_duration_s;
 
     const std::size_t faulted = std::min(cfg.faulted, n);
-    const fault::multi_tag_plan plan(faults, n, faulted, fault_seed);
-    fault::fault_injector shared_injector(plan.shared());
+    fault::multi_tag_plan plan(faults, n, faulted, fault_seed);
+    const fault::fault_injector shared_injector(plan.shared());
+    // Only tags [0, faulted) carry a timeline; the plan leaves the rest
+    // empty, so they see no impairment and get no injector.
     std::vector<fault::fault_injector> tag_injectors;
-    tag_injectors.reserve(n);
-    for (const auto& schedule : plan.per_tag()) tag_injectors.emplace_back(schedule);
+    tag_injectors.reserve(faulted);
+    {
+        std::vector<fault::fault_schedule> schedules = plan.take_per_tag();
+        for (std::size_t t = 0; t < faulted; ++t) {
+            tag_injectors.emplace_back(std::move(schedules[t]));
+        }
+    }
 
     // One unmodified network_supervisor per non-empty cell.
     std::vector<std::unique_ptr<net::network_supervisor>> supervisors(topo.aps.size());
@@ -179,8 +300,6 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     }
 
     scale_trial_result result;
-    result.attempts_per_tag.assign(n, 0);
-    result.delivered_per_tag.assign(n, 0);
     result.event_log_hash = 0xcbf29ce484222325ULL;
 
     obs::histogram* sinr_hist =
@@ -205,7 +324,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
         queue.push(begin);
     }
 
-    char line[160];
+    char line[event_line_capacity];
     while (!queue.empty()) {
         const des_event ev = queue.pop();
         int outcome = -1;
@@ -254,7 +373,9 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             }
         } else {
             const auto shared_imp = shared_injector.at(ev.time_s, ev.duration_s);
-            const auto tag_imp = tag_injectors[ev.tag].at(ev.time_s, ev.duration_s);
+            const fault::impairment tag_imp =
+                ev.tag < faulted ? tag_injectors[ev.tag].at(ev.time_s, ev.duration_s)
+                                 : fault::impairment{};
             const bool powered = shared_imp.tag_powered && tag_imp.tag_powered;
             // Mirror the sample-accurate impairment application: blockage
             // shadows the tag path both ways (power x a^4), a dropout scales
@@ -264,11 +385,15 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             const double c = shared_imp.carrier_amplitude * tag_imp.carrier_amplitude;
             const double rel_db =
                 std::max(shared_imp.interferer_rel_db, tag_imp.interferer_rel_db);
-            const double s_lin = from_db(topo.tags[ev.tag].sinr_db);
-            const double signal_factor = a * a * a * a * c * c;
-            const double denom =
-                1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
-            const double sinr_eff_db = to_db(s_lin * signal_factor / denom);
+            slot_tag_state& tag = tag_state[ev.tag];
+            double sinr_eff_db = tag.clean_sinr_db;
+            if (a != 1.0 || c != 1.0 || rel_db > interferer_floor_db) {
+                const double s_lin = tag.sinr_lin;
+                const double signal_factor = a * a * a * a * c * c;
+                const double denom =
+                    1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
+                sinr_eff_db = to_db(s_lin * signal_factor / denom);
+            }
             if (sinr_hist != nullptr) sinr_hist->observe(sinr_eff_db);
 
             bool delivered = false;
@@ -287,25 +412,27 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             } else {
                 ++result.data_slots;
                 if (sup.record_data(ev.tag, delivered)) {
-                    ++result.attempts_per_tag[ev.tag];
+                    ++tag.attempts;
                     if (delivered) {
-                        ++result.delivered_per_tag[ev.tag];
+                        ++tag.delivered;
                         ++result.delivered;
                     }
                 }
             }
         }
 
-        const int length = std::snprintf(
-            line, sizeof line, "%llu %.9f %u %s %u %u %d\n",
-            static_cast<unsigned long long>(ev.seq), ev.time_s, ev.ap,
-            event_kind_name(ev.kind), ev.tag, ev.mcs, outcome);
-        result.event_log_hash =
-            fnv1a64_line(result.event_log_hash, line, static_cast<std::size_t>(length));
-        if (cfg.record_event_log) result.event_log.append(line);
+        const std::size_t length = format_event_line(ev, outcome, line);
+        result.event_log_hash = fnv1a64_line(result.event_log_hash, line, length);
+        if (cfg.record_event_log) result.event_log.append(line, length);
     }
 
     result.events = queue.pushed();
+    result.attempts_per_tag.resize(n);
+    result.delivered_per_tag.resize(n);
+    for (std::size_t t = 0; t < n; ++t) {
+        result.attempts_per_tag[t] = tag_state[t].attempts;
+        result.delivered_per_tag[t] = tag_state[t].delivered;
+    }
     result.sim_time_s = *std::max_element(cell_end_s.begin(), cell_end_s.end());
     for (std::size_t t = 0; t < n; ++t) {
         const auto& sup = supervisors[topo.tags[t].ap];

@@ -55,22 +55,67 @@ struct des_event {
     double duration_s = 0.0;  ///< slot window (fault query span)
 };
 
-/// Binary-heap event queue with stable tie-breaking: events at equal times
-/// pop in push order (ascending sequence number), never in heap order.
+/// Event queue with stable tie-breaking: events at equal times pop in push
+/// order (ascending sequence number), never in heap order.
+///
+/// Events are stored in push order in one log. A push whose time is not
+/// earlier than the previous push's extends the current *run*; any other
+/// push opens a new run. A run is therefore sorted by (time, seq), and the
+/// queue's minimum is the smallest run head, found through a small binary
+/// heap of runs. A DES round pushes its slots in time order, so one AP round
+/// is one run: pops cost O(log runs) with runs ~ APs instead of O(log
+/// events), and both ends of every run are read sequentially. Any push order
+/// stays correct; in the worst case (falling times) each run holds one event
+/// and this is an ordinary binary heap. Popped entries are compacted out of
+/// the log once they outnumber the pending ones, so memory stays
+/// proportional to the queue's peak depth.
 class event_queue {
 public:
     /// Stamps the event with the next global sequence number and enqueues
     /// it; returns the assigned sequence.
     std::uint64_t push(des_event event);
     [[nodiscard]] des_event pop();
-    [[nodiscard]] bool empty() const { return heap_.empty(); }
-    [[nodiscard]] std::size_t size() const { return heap_.size(); }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
 
 private:
-    std::vector<des_event> heap_;
+    /// Pending events log_[head, end), sorted by (time, seq).
+    struct run {
+        std::size_t head = 0;
+        std::size_t end = 0;
+    };
+    static constexpr std::uint32_t no_run = 0xffffffffu;
+
+    /// (time, seq) order of two runs' head events.
+    [[nodiscard]] bool head_before(std::uint32_t a, std::uint32_t b) const;
+    void sift_up(std::size_t pos);
+    void sift_down(std::size_t pos);
+    /// Drops popped entries from log_, keeping runs in log order.
+    void compact();
+
+    std::vector<des_event> log_;
+    std::vector<run> runs_;
+    std::vector<std::uint32_t> free_runs_;
+    std::vector<std::uint32_t> heap_; ///< live runs, min-heap on head event
+    std::uint32_t open_ = no_run;     ///< live run ending at log_.size()
+    std::size_t size_ = 0;
+    std::size_t popped_in_log_ = 0;
     std::uint64_t next_seq_ = 0;
 };
+
+/// Buffer size format_event_line needs: room for the longest line any
+/// finite time can produce.
+inline constexpr std::size_t event_line_capacity = 384;
+
+/// Writes the event-log line of `event` with packet outcome `outcome` (-1
+/// for round events) into `out` and returns its length. The bytes equal
+/// printf("%llu %.9f %u %s %u %u %d\n", seq, time_s, ap, kind, tag, mcs,
+/// outcome): std::to_chars in fixed notation with precision 9 prints the
+/// exact decimal expansion of the double correctly rounded (ties to even),
+/// which is what glibc's printf prints too.
+std::size_t format_event_line(const des_event& event, int outcome,
+                              char (&out)[event_line_capacity]);
 
 struct scale_config {
     topology_config topology{};

@@ -1,13 +1,22 @@
 // Discrete-event engine determinism: identical seeds replay byte-identically
 // across --jobs 1 vs 8 (event logs, hashes, and emitted JSON), the event
-// queue breaks time ties by creation order, and the accounting invariants
-// (frame conservation, event counts) hold under faults.
+// queue breaks time ties by creation order and pops in (time, seq) order
+// under any push pattern, the accounting invariants (frame conservation,
+// event counts) hold under faults, event-log lines equal their printf
+// reference byte for byte, and two configs reproduce golden output hashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mmtag/obs/metrics_registry.hpp"
@@ -52,6 +61,31 @@ scale_config small_config()
     return cfg;
 }
 
+/// A faulted 2k-tag / 4-AP network: large enough that cells hold hundreds
+/// of tags, faulted tags carry long fault timelines and the shared
+/// interferer drives whole cells through quarantine and re-admission.
+scale_config faulted_2k_config()
+{
+    scale_config cfg = small_config();
+    cfg.topology.tag_count = 2000;
+    cfg.topology.ap_count = 4;
+    cfg.frames = 30;
+    cfg.faulted = 200;
+    cfg.trials = 2;
+    cfg.record_event_log = false;
+    return cfg;
+}
+
+std::uint64_t fnv1a64(const std::string& text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char ch : text) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
 TEST(ScaleDes, EventQueueBreaksTiesByCreationOrder)
 {
     event_queue queue;
@@ -90,6 +124,52 @@ TEST(ScaleDes, EventQueueSequenceIsMonotonic)
     EXPECT_LT(first, second);
     EXPECT_EQ(queue.pop().seq, second); // earlier time pops first
     EXPECT_EQ(queue.pop().seq, first);
+}
+
+TEST(ScaleDes, EventQueuePopsInTimeSeqOrderUnderRandomUse)
+{
+    // Reference: a sorted list of (time, seq). The mix covers rising runs
+    // (the DES pattern), falling and equal times (one-event runs, ties),
+    // bursts that keep ~10^4 events pending and drains that empty the queue,
+    // so runs are opened, extended, exhausted and compacted many times.
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    event_queue queue;
+    std::vector<std::pair<double, std::uint64_t>> pending;
+    double now = 0.0;
+    std::size_t popped = 0;
+    for (int step = 0; step < 200000; ++step) {
+        const double u = unit(rng);
+        const bool filling = (step / 20000) % 2 == 0;
+        const bool push = pending.empty() || (filling ? u < 0.6 : u < 0.4);
+        if (push) {
+            des_event ev;
+            const double v = unit(rng);
+            if (v < 0.5) ev.time_s = now + static_cast<double>(step % 97) * 1e-3; // rising
+            else if (v < 0.7) ev.time_s = now + 1.0; // equal times
+            else ev.time_s = now + unit(rng) * 2.0;  // arbitrary
+            ev.tag = static_cast<std::uint32_t>(queue.pushed()); // the seq it gets
+            const std::uint64_t seq = queue.push(ev);
+            pending.emplace(std::upper_bound(pending.begin(), pending.end(),
+                                             std::make_pair(ev.time_s, seq)),
+                            ev.time_s, seq);
+        } else {
+            const des_event ev = queue.pop();
+            ASSERT_EQ(ev.time_s, pending.front().first) << "pop " << popped;
+            ASSERT_EQ(ev.seq, pending.front().second) << "pop " << popped;
+            ASSERT_EQ(ev.tag, static_cast<std::uint32_t>(ev.seq)) << "payload follows its key";
+            pending.erase(pending.begin());
+            now = ev.time_s;
+            ++popped;
+        }
+        ASSERT_EQ(queue.size(), pending.size());
+    }
+    while (!queue.empty()) {
+        ASSERT_EQ(queue.pop().seq, pending.front().second);
+        pending.erase(pending.begin());
+    }
+    EXPECT_TRUE(pending.empty());
+    EXPECT_THROW((void)queue.pop(), std::logic_error);
 }
 
 TEST(ScaleDes, JobsDoNotChangeResults)
@@ -181,6 +261,120 @@ TEST(ScaleDes, RejectsZeroTrials)
     cfg.trials = 0;
     EXPECT_THROW((void)scale::run_scale(cfg, 1, nullptr, shared_cache_dir()),
                  std::invalid_argument);
+}
+
+std::string printf_line(const des_event& ev, int outcome)
+{
+    char line[512];
+    const int length = std::snprintf(line, sizeof line, "%llu %.9f %u %s %u %u %d\n",
+                                     static_cast<unsigned long long>(ev.seq), ev.time_s,
+                                     ev.ap, scale::event_kind_name(ev.kind), ev.tag, ev.mcs,
+                                     outcome);
+    return std::string(line, static_cast<std::size_t>(length));
+}
+
+std::string formatted_line(const des_event& ev, int outcome)
+{
+    char line[scale::event_line_capacity];
+    return std::string(line, scale::format_event_line(ev, outcome, line));
+}
+
+TEST(ScaleDes, EventLineMatchesPrintfByteForByte)
+{
+    std::mt19937_64 rng(5);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::vector<double> times = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 0.0009765625,      // 2^-10: exact tie at the 10th digit
+                                 0.0029296875,      // 3 * 2^-10: tie rounding up to even
+                                 1e-10,
+                                 4.9999999995e-10,
+                                 123456.7890123455,
+                                 1e15 + 0.5,
+                                 1.7976931348623157e308,
+                                 -2.5e-9};
+    for (int i = 0; i < 200000; ++i) {
+        const double u = unit(rng);
+        times.push_back(i % 2 == 0 ? u * 30.0 : std::ldexp(u, static_cast<int>(rng() % 80) - 40));
+    }
+    const event_kind kinds[] = {event_kind::round_begin, event_kind::data_slot,
+                                event_kind::probe_slot};
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        des_event ev;
+        ev.seq = i % 3 == 0 ? rng() : i;
+        ev.time_s = times[i];
+        ev.kind = kinds[i % 3];
+        ev.ap = static_cast<std::uint32_t>(i % 7 == 0 ? rng() : i % 16);
+        ev.tag = static_cast<std::uint32_t>(rng());
+        ev.mcs = static_cast<std::uint16_t>(rng());
+        const int outcome = static_cast<int>(i % 3) - 1;
+        ASSERT_EQ(formatted_line(ev, outcome), printf_line(ev, outcome)) << "time " << times[i];
+    }
+}
+
+TEST(ScaleDes, RecordedEventLogMatchesPrintfReference)
+{
+    auto cfg = small_config();
+    cfg.trials = 1;
+    cfg.frames = 3;
+    const scale_result r = scale::run_scale(cfg, 1, nullptr, shared_cache_dir());
+    ASSERT_EQ(r.event_logs.size(), 1u);
+    // Re-read every logged field and print it again with printf: the text
+    // must come back byte for byte. A 9-decimal time of a few seconds has at
+    // most 15 significant digits, so it survives the parse exactly.
+    std::istringstream log(r.event_logs[0]);
+    std::string line;
+    std::string reprinted;
+    std::size_t lines = 0;
+    while (std::getline(log, line)) {
+        std::istringstream fields(line);
+        unsigned long long seq = 0;
+        std::string time_text;
+        std::string kind;
+        des_event ev;
+        unsigned mcs = 0;
+        int outcome = 0;
+        fields >> seq >> time_text >> ev.ap >> kind >> ev.tag >> mcs >> outcome;
+        ASSERT_FALSE(fields.fail()) << line;
+        ev.seq = seq;
+        ev.time_s = std::strtod(time_text.c_str(), nullptr);
+        ev.mcs = static_cast<std::uint16_t>(mcs);
+        ev.kind = kind == "round" ? event_kind::round_begin
+                  : kind == "data" ? event_kind::data_slot
+                                   : event_kind::probe_slot;
+        reprinted += printf_line(ev, outcome);
+        ++lines;
+    }
+    EXPECT_EQ(lines, r.events);
+    EXPECT_EQ(reprinted, r.event_logs[0]);
+}
+
+// Golden outputs: literals captured from the snprintf-formatted,
+// linear-scan engine. Any change to the per-event path must leave the event
+// stream, every random draw and every emitted byte exactly as they were.
+TEST(ScaleDes, GoldenOutputSmallConfig)
+{
+    const auto cfg = small_config();
+    obs::metrics_registry metrics;
+    const scale_result r = scale::run_scale(cfg, 2, &metrics, shared_cache_dir());
+    EXPECT_EQ(r.event_log_hash, 0x92fa038f196049d6ULL);
+    EXPECT_EQ(fnv1a64(r.to_json().dump()), 0x33771497b8458f33ULL);
+    EXPECT_EQ(fnv1a64(metrics.to_json_string(obs::metric_view::deterministic)), 0x160811f96ca9d868ULL);
+    ASSERT_EQ(r.event_logs.size(), cfg.trials);
+    EXPECT_EQ(fnv1a64(r.event_logs[0]), 0x46081a7d1cd57c3fULL);
+}
+
+TEST(ScaleDes, GoldenOutputFaulted2k)
+{
+    const auto cfg = faulted_2k_config();
+    obs::metrics_registry metrics;
+    const scale_result r = scale::run_scale(cfg, 2, &metrics, shared_cache_dir());
+    EXPECT_EQ(r.event_log_hash, 0xfdf72bb8fde252eeULL);
+    EXPECT_EQ(fnv1a64(r.to_json().dump()), 0xd8430b5caba47dffULL);
+    EXPECT_EQ(fnv1a64(metrics.to_json_string(obs::metric_view::deterministic)), 0x5e32d833331c8325ULL);
+    EXPECT_GT(r.readmissions, 0u);
+    EXPECT_GT(r.brownout_losses, 0u);
 }
 
 } // namespace
