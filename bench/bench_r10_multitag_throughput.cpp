@@ -258,7 +258,7 @@ int main(int argc, char** argv)
     const std::size_t trials = analytic_out.trials + sampled_out.trials;
     const auto written =
         results.write(opts.json_path, wall_s, sampled_out.jobs,
-                      wall_s > 0.0 ? static_cast<double>(trials) / wall_s : 0.0);
+                      runtime::per_second(trials, wall_s));
     if (!opts.csv) {
         std::printf("\n%s\n",
                     runtime::summary_line(std::size(kAnalyticPopulations) +

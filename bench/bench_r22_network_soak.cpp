@@ -114,7 +114,7 @@ int main(int argc, char** argv)
     const std::size_t tasks = 2 * trials * (max_faulted + 1);
     const auto written =
         results.write(opts.json_path, wall_s, pool.jobs(),
-                      wall_s > 0.0 ? static_cast<double>(tasks) / wall_s : 0.0);
+                      runtime::per_second(tasks, wall_s));
     if (!opts.csv) {
         std::printf("\n%s\n",
                     runtime::summary_line(max_faulted + 1, tasks, wall_s, pool.jobs())

@@ -102,12 +102,12 @@ int main(int argc, char** argv)
     for (const auto& r : results_per_point) total_events += r.events;
     const auto written =
         results.write(opts.json_path, wall_s, jobs_used,
-                      wall_s > 0.0 ? static_cast<double>(total_trials) / wall_s : 0.0);
+                      runtime::per_second(total_trials, wall_s));
     if (!opts.csv) {
         std::printf("\n%s, %.0f events/s\n",
                     runtime::summary_line(tag_counts.size(), total_trials, wall_s, jobs_used)
                         .c_str(),
-                    wall_s > 0.0 ? static_cast<double>(total_events) / wall_s : 0.0);
+                    runtime::per_second(total_events, wall_s));
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;

@@ -38,9 +38,6 @@ public:
     /// Convolves input with the (time-varying) channel impulse response.
     [[nodiscard]] cvec apply(std::span<const cf64> input);
 
-    /// Current tap coefficients, for inspection/equalizer benchmarks.
-    [[nodiscard]] const cvec& tap_coefficients() const { return coefficients_; }
-
     /// RMS delay spread of the configured power-delay profile [s].
     [[nodiscard]] double rms_delay_spread_s() const;
 

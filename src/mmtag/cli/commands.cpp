@@ -97,6 +97,32 @@ void write_text_file(const std::string& path, const std::string& text)
     std::printf("wrote %s\n", path.c_str());
 }
 
+/// --metrics: prints the deterministic snapshot after the report, or writes
+/// it to FILE for --metrics=FILE. Does nothing without --metrics.
+void emit_metrics(const obs_options& obs_opts, const obs::metrics_registry& registry)
+{
+    if (!obs_opts.metrics) return;
+    const std::string snapshot =
+        registry.to_json_string(obs::metric_view::deterministic, 2);
+    if (obs_opts.metrics_path.empty()) {
+        std::printf("metrics:\n%s\n", snapshot.c_str());
+    } else {
+        write_text_file(obs_opts.metrics_path, snapshot);
+    }
+}
+
+/// --scheme/--fec: sets the uplink frame format, which the receiver shares.
+void apply_frame_options(const option_set& options, core::system_config& cfg)
+{
+    if (options.has("scheme")) {
+        cfg.modulator.frame.scheme = parse_modulation(options.get_string("scheme", ""));
+    }
+    if (options.has("fec")) {
+        cfg.modulator.frame.fec = parse_fec(options.get_string("fec", ""));
+    }
+    cfg.receiver.frame = cfg.modulator.frame;
+}
+
 } // namespace
 
 int run_link(const option_set& options)
@@ -109,13 +135,7 @@ int run_link(const option_set& options)
     else throw std::invalid_argument("--preset must be default, warehouse, or wearable");
     cfg.distance_m = options.get_double("distance", cfg.distance_m);
     cfg.tag_incidence_rad = deg_to_rad(options.get_double("angle", 0.0));
-    if (options.has("scheme")) {
-        cfg.modulator.frame.scheme = parse_modulation(options.get_string("scheme", ""));
-    }
-    if (options.has("fec")) {
-        cfg.modulator.frame.fec = parse_fec(options.get_string("fec", ""));
-    }
-    cfg.receiver.frame = cfg.modulator.frame;
+    apply_frame_options(options, cfg);
     cfg.seed = options.get_uint("seed", 1);
     cfg.rician_k_db = options.get_double("k-factor", 100.0);
     const std::string reflector = options.get_string("reflector", "van-atta");
@@ -331,17 +351,9 @@ int run_faults(const option_set& options)
     std::printf("  runtime: %zu tasks in %.2f s wall (%zu jobs)\n", 2 * trials,
                 wall_s, pool.jobs());
 
-    if (obs_opts.metrics) {
-        obs::metrics_registry merged;
-        for (const auto& registry : task_metrics) merged.merge(registry);
-        const std::string snapshot =
-            merged.to_json_string(obs::metric_view::deterministic, 2);
-        if (obs_opts.metrics_path.empty()) {
-            std::printf("metrics:\n%s\n", snapshot.c_str());
-        } else {
-            write_text_file(obs_opts.metrics_path, snapshot);
-        }
-    }
+    obs::metrics_registry merged;
+    for (const auto& registry : task_metrics) merged.merge(registry);
+    emit_metrics(obs_opts, merged);
     // Exit 3: the supervisor saw outages but never completed a recovery —
     // the resilience machinery itself failed, which is worse than merely
     // losing the goodput comparison (exit 2).
@@ -406,15 +418,7 @@ int run_soak(const option_set& options)
     if (!json_path.empty()) {
         write_text_file(json_path, report.to_json().dump(2));
     }
-    if (obs_opts.metrics) {
-        const std::string snapshot =
-            metrics.to_json_string(obs::metric_view::deterministic, 2);
-        if (obs_opts.metrics_path.empty()) {
-            std::printf("metrics:\n%s\n", snapshot.c_str());
-        } else {
-            write_text_file(obs_opts.metrics_path, snapshot);
-        }
-    }
+    emit_metrics(obs_opts, metrics);
     return report.all_passed() ? 0 : 3;
 }
 
@@ -473,20 +477,12 @@ int run_scale(const option_set& options)
                 static_cast<unsigned long long>(result.readmit_latency_max_rounds));
     std::printf("  runtime: %zu trials in %.2f s wall (%zu jobs, %.0f events/s)\n",
                 cfg.trials, wall_s, result.jobs,
-                wall_s > 0.0 ? static_cast<double>(result.events) / wall_s : 0.0);
+                runtime::per_second(result.events, wall_s));
 
     if (!json_path.empty()) {
         write_text_file(json_path, result.to_json().dump(2));
     }
-    if (obs_opts.metrics) {
-        const std::string snapshot =
-            metrics.to_json_string(obs::metric_view::deterministic, 2);
-        if (obs_opts.metrics_path.empty()) {
-            std::printf("metrics:\n%s\n", snapshot.c_str());
-        } else {
-            write_text_file(obs_opts.metrics_path, snapshot);
-        }
-    }
+    emit_metrics(obs_opts, metrics);
     return 0;
 }
 
@@ -522,13 +518,7 @@ int run_sweep(const option_set& options)
     const obs_options obs_opts = parse_obs_options(options);
 
     auto cfg = cli_scenario();
-    if (options.has("scheme")) {
-        cfg.modulator.frame.scheme = parse_modulation(options.get_string("scheme", ""));
-    }
-    if (options.has("fec")) {
-        cfg.modulator.frame.fec = parse_fec(options.get_string("fec", ""));
-    }
-    cfg.receiver.frame = cfg.modulator.frame;
+    apply_frame_options(options, cfg);
     reject_leftovers(options);
     if (points == 0) throw std::invalid_argument("--points must be >= 1");
     if (trials == 0) throw std::invalid_argument("--trials must be >= 1");

@@ -202,10 +202,4 @@ void link_simulator::set_rate(phy::modulation scheme, phy::fec_mode fec)
     receiver_ = ap::ap_receiver(cfg_.receiver, cfg_.seed * 104729 + 2);
 }
 
-cvec link_simulator::capture_symbols(std::span<const std::uint8_t> payload)
-{
-    const frame_result result = run_frame(payload);
-    return result.rx.symbols;
-}
-
 } // namespace mmtag::core

@@ -64,11 +64,6 @@ public:
     /// and aggregates the metrics.
     [[nodiscard]] link_report run_trials(std::size_t frames, std::size_t payload_bytes);
 
-    /// Raw access for microbenchmarks: the receiver's view of one frame
-    /// without decoding (normalized symbols after sync), or empty when sync
-    /// fails.
-    [[nodiscard]] cvec capture_symbols(std::span<const std::uint8_t> payload);
-
 private:
     system_config cfg_;
     channel::backscatter_channel channel_;

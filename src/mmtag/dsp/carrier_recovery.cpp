@@ -4,58 +4,6 @@
 
 namespace mmtag::dsp {
 
-psk_carrier_recovery::psk_carrier_recovery(const config& cfg) : cfg_(cfg)
-{
-    if (cfg_.modulation_order < 2) {
-        throw std::invalid_argument("psk_carrier_recovery: modulation order must be >= 2");
-    }
-    if (!(cfg_.loop_bandwidth > 0.0 && cfg_.loop_bandwidth < 0.5)) {
-        throw std::invalid_argument("psk_carrier_recovery: loop bandwidth must be in (0, 0.5)");
-    }
-    const double bn = cfg_.loop_bandwidth;
-    const double zeta = cfg_.damping;
-    const double theta = bn / (zeta + 1.0 / (4.0 * zeta));
-    const double denom = 1.0 + 2.0 * zeta * theta + theta * theta;
-    kp_ = 4.0 * zeta * theta / denom;
-    ki_ = 4.0 * theta * theta / denom;
-}
-
-cvec psk_carrier_recovery::process(std::span<const cf64> symbols)
-{
-    cvec out;
-    out.reserve(symbols.size());
-    const double m = static_cast<double>(cfg_.modulation_order);
-    const double sector = two_pi / m;
-    for (cf64 x : symbols) {
-        const cf64 rotated = x * std::polar(1.0, -phase_);
-        out.push_back(rotated);
-        if (std::abs(rotated) < 1e-12) continue;
-        // Decision-directed error: distance to the nearest M-PSK phase.
-        const double angle = std::arg(rotated);
-        const double nearest = std::round(angle / sector) * sector;
-        const double error = wrap_phase(angle - nearest);
-        frequency_ += ki_ * error;
-        phase_ = wrap_phase(phase_ + kp_ * error + frequency_);
-    }
-    return out;
-}
-
-void psk_carrier_recovery::reset()
-{
-    phase_ = 0.0;
-    frequency_ = 0.0;
-}
-
-double estimate_phase_offset(std::span<const cf64> received, std::span<const cf64> pilots)
-{
-    if (received.size() != pilots.size() || received.empty()) {
-        throw std::invalid_argument("estimate_phase_offset: size mismatch or empty input");
-    }
-    cf64 acc{};
-    for (std::size_t i = 0; i < received.size(); ++i) acc += received[i] * std::conj(pilots[i]);
-    return std::arg(acc);
-}
-
 double estimate_frequency_offset(std::span<const cf64> received, std::span<const cf64> pilots)
 {
     if (received.size() != pilots.size() || received.size() < 2) {

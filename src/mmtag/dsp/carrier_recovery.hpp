@@ -1,47 +1,12 @@
-// Carrier phase/frequency recovery: decision-directed PLL for M-PSK and a
-// data-aided phase estimator for preamble-equipped bursts.
+// Carrier recovery: a data-aided frequency estimator for preamble-equipped
+// bursts.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "mmtag/common.hpp"
 
 namespace mmtag::dsp {
-
-/// Decision-directed carrier recovery for M-PSK symbol streams. The phase
-/// detector raises ambiguity-free error from the nearest constellation point;
-/// a 2nd-order PI loop tracks both residual frequency and phase.
-class psk_carrier_recovery {
-public:
-    struct config {
-        std::size_t modulation_order = 4; // M in M-PSK
-        double loop_bandwidth = 0.02;     // normalized to symbol rate
-        double damping = 0.7071;
-    };
-
-    explicit psk_carrier_recovery(const config& cfg);
-
-    /// De-rotates a block of symbol-rate samples in place of returning them.
-    [[nodiscard]] cvec process(std::span<const cf64> symbols);
-
-    [[nodiscard]] double frequency_estimate() const { return frequency_; }
-    [[nodiscard]] double phase_estimate() const { return phase_; }
-
-    void reset();
-
-private:
-    config cfg_;
-    double kp_ = 0.0;
-    double ki_ = 0.0;
-    double phase_ = 0.0;
-    double frequency_ = 0.0;
-};
-
-/// Data-aided estimate of a constant phase offset given known pilot symbols:
-/// angle of sum(received * conj(pilot)).
-[[nodiscard]] double estimate_phase_offset(std::span<const cf64> received,
-                                           std::span<const cf64> pilots);
 
 /// Data-aided estimate of a constant frequency offset (cycles/sample at the
 /// symbol rate) from pilot phase slope via linear regression.

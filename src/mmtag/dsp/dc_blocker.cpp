@@ -33,13 +33,6 @@ void dc_blocker::reset()
     previous_output_ = cf64{};
 }
 
-double dc_blocker::magnitude_response(double frequency_norm) const
-{
-    const cf64 z = std::polar(1.0, two_pi * frequency_norm);
-    const cf64 response = (1.0 - 1.0 / z) / (1.0 - pole_ / z);
-    return std::abs(response);
-}
-
 cvec remove_mean(std::span<const cf64> input)
 {
     if (input.empty()) return {};

@@ -19,9 +19,6 @@ public:
     [[nodiscard]] cvec process(std::span<const cf64> input);
     void reset();
 
-    /// Magnitude response at a normalized frequency (cycles/sample).
-    [[nodiscard]] double magnitude_response(double frequency_norm) const;
-
 private:
     double pole_;
     cf64 previous_input_{};

@@ -91,24 +91,6 @@ cvec ifft(std::span<const cf64> input)
     return out;
 }
 
-cvec fft_convolve(std::span<const cf64> a, std::span<const cf64> b)
-{
-    if (a.empty() || b.empty()) return {};
-    const std::size_t full = a.size() + b.size() - 1;
-    const std::size_t padded = next_power_of_two(full);
-    cvec fa(a.begin(), a.end());
-    cvec fb(b.begin(), b.end());
-    fa.resize(padded);
-    fb.resize(padded);
-    const fft_plan plan(padded);
-    plan.forward(fa);
-    plan.forward(fb);
-    for (std::size_t i = 0; i < padded; ++i) fa[i] *= fb[i];
-    plan.inverse(fa);
-    fa.resize(full);
-    return fa;
-}
-
 rvec power_spectrum(std::span<const cf64> input)
 {
     if (input.empty()) return {};

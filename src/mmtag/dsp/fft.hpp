@@ -46,9 +46,6 @@ private:
 /// One-shot inverse FFT (normalized); input length must be a power of two.
 [[nodiscard]] cvec ifft(std::span<const cf64> input);
 
-/// Linear convolution of two sequences via zero-padded FFT.
-[[nodiscard]] cvec fft_convolve(std::span<const cf64> a, std::span<const cf64> b);
-
 /// Power spectrum |X[k]|^2 / N of `input` (zero-padded to a power of two).
 [[nodiscard]] rvec power_spectrum(std::span<const cf64> input);
 

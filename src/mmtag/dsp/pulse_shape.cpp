@@ -4,71 +4,6 @@
 
 namespace mmtag::dsp {
 
-rvec root_raised_cosine(std::size_t samples_per_symbol, double beta, std::size_t span_symbols)
-{
-    if (samples_per_symbol < 2) {
-        throw std::invalid_argument("root_raised_cosine: samples_per_symbol must be >= 2");
-    }
-    if (!(beta >= 0.0 && beta <= 1.0)) {
-        throw std::invalid_argument("root_raised_cosine: beta must be in [0, 1]");
-    }
-    if (span_symbols == 0) {
-        throw std::invalid_argument("root_raised_cosine: span_symbols must be >= 1");
-    }
-    const std::size_t half = span_symbols * samples_per_symbol;
-    const std::size_t taps = 2 * half + 1;
-    rvec h(taps);
-    const double sps = static_cast<double>(samples_per_symbol);
-    for (std::size_t n = 0; n < taps; ++n) {
-        // Time in symbols relative to the pulse center.
-        const double t = (static_cast<double>(n) - static_cast<double>(half)) / sps;
-        double value = 0.0;
-        const double four_bt = 4.0 * beta * t;
-        if (std::abs(t) < 1e-9) {
-            value = 1.0 + beta * (4.0 / pi - 1.0);
-        } else if (beta > 0.0 && std::abs(std::abs(four_bt) - 1.0) < 1e-9) {
-            const double a = (1.0 + 2.0 / pi) * std::sin(pi / (4.0 * beta));
-            const double b = (1.0 - 2.0 / pi) * std::cos(pi / (4.0 * beta));
-            value = beta / std::sqrt(2.0) * (a + b);
-        } else {
-            const double numerator =
-                std::sin(pi * t * (1.0 - beta)) + four_bt * std::cos(pi * t * (1.0 + beta));
-            const double denominator = pi * t * (1.0 - four_bt * four_bt);
-            value = numerator / denominator;
-        }
-        h[n] = value;
-    }
-    double energy = 0.0;
-    for (double tap : h) energy += tap * tap;
-    const double scale = 1.0 / std::sqrt(energy);
-    for (auto& tap : h) tap *= scale;
-    return h;
-}
-
-rvec rectangular_pulse(std::size_t samples_per_symbol)
-{
-    if (samples_per_symbol == 0) {
-        throw std::invalid_argument("rectangular_pulse: samples_per_symbol must be >= 1");
-    }
-    return rvec(samples_per_symbol, 1.0);
-}
-
-cvec shape_symbols(std::span<const cf64> symbols, std::span<const double> pulse,
-                   std::size_t samples_per_symbol)
-{
-    if (samples_per_symbol == 0) {
-        throw std::invalid_argument("shape_symbols: samples_per_symbol must be >= 1");
-    }
-    if (pulse.empty()) throw std::invalid_argument("shape_symbols: empty pulse");
-    const std::size_t out_len = symbols.size() * samples_per_symbol + pulse.size() - 1;
-    cvec out(out_len, cf64{});
-    for (std::size_t s = 0; s < symbols.size(); ++s) {
-        const std::size_t start = s * samples_per_symbol;
-        for (std::size_t k = 0; k < pulse.size(); ++k) out[start + k] += symbols[s] * pulse[k];
-    }
-    return out;
-}
-
 cvec integrate_and_dump(std::span<const cf64> samples, std::size_t samples_per_symbol,
                         std::size_t offset)
 {

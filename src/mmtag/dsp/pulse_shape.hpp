@@ -1,4 +1,4 @@
-// Root-raised-cosine pulse shaping and matched filtering.
+// Matched filtering for the rectangular pulses a switching tag produces.
 #pragma once
 
 #include <cstddef>
@@ -7,23 +7,6 @@
 #include "mmtag/common.hpp"
 
 namespace mmtag::dsp {
-
-/// Root-raised-cosine impulse response.
-///
-/// `samples_per_symbol` >= 2, `beta` (roll-off) in [0, 1], `span_symbols` is
-/// the filter half-support in symbols on each side. Taps are normalized to
-/// unit energy so that TX RRC + RX RRC gives unity gain at the symbol centers.
-[[nodiscard]] rvec root_raised_cosine(std::size_t samples_per_symbol, double beta,
-                                      std::size_t span_symbols);
-
-/// Rectangular (boxcar) pulse of one symbol, unit amplitude — the shape a
-/// switching backscatter tag actually produces.
-[[nodiscard]] rvec rectangular_pulse(std::size_t samples_per_symbol);
-
-/// Upsamples symbols by `samples_per_symbol` (impulse train) and shapes with
-/// `pulse` taps.
-[[nodiscard]] cvec shape_symbols(std::span<const cf64> symbols, std::span<const double> pulse,
-                                 std::size_t samples_per_symbol);
 
 /// Integrate-and-dump matched filter for rectangular pulses: averages each
 /// symbol period starting at `offset` samples.

@@ -6,64 +6,6 @@
 
 namespace mmtag::dsp {
 
-gardner_timing_recovery::gardner_timing_recovery(const config& cfg) : cfg_(cfg)
-{
-    if (cfg_.samples_per_symbol < 2) {
-        throw std::invalid_argument("gardner: samples_per_symbol must be >= 2");
-    }
-    if (!(cfg_.loop_bandwidth > 0.0 && cfg_.loop_bandwidth < 0.5)) {
-        throw std::invalid_argument("gardner: loop bandwidth must be in (0, 0.5)");
-    }
-    // Standard 2nd-order loop gain derivation from bandwidth and damping.
-    const double bn = cfg_.loop_bandwidth;
-    const double zeta = cfg_.damping;
-    const double theta = bn / (zeta + 1.0 / (4.0 * zeta));
-    const double denom = 1.0 + 2.0 * zeta * theta + theta * theta;
-    kp_ = 4.0 * zeta * theta / denom;
-    ki_ = 4.0 * theta * theta / denom;
-}
-
-cf64 gardner_timing_recovery::interpolate(std::span<const cf64> samples, double index) const
-{
-    const auto i0 = static_cast<std::size_t>(index);
-    const double frac = index - static_cast<double>(i0);
-    if (i0 + 1 >= samples.size()) return samples[samples.size() - 1];
-    return samples[i0] * (1.0 - frac) + samples[i0 + 1] * frac;
-}
-
-cvec gardner_timing_recovery::process(std::span<const cf64> samples)
-{
-    cvec symbols;
-    const double sps = static_cast<double>(cfg_.samples_per_symbol);
-    const double half = sps / 2.0;
-    double index = next_index_;
-    while (index + sps < static_cast<double>(samples.size())) {
-        const cf64 mid = interpolate(samples, index + half);
-        const cf64 current = interpolate(samples, index + sps);
-        // Gardner TED: error = Re{ (current - previous) * conj(mid) }.
-        const double error =
-            (current.real() - previous_symbol_.real()) * mid.real() +
-            (current.imag() - previous_symbol_.imag()) * mid.imag();
-        integrator_ += ki_ * error;
-        const double correction = kp_ * error + integrator_;
-        mu_ = correction;
-        symbols.push_back(current);
-        previous_symbol_ = current;
-        index += sps - correction;
-    }
-    next_index_ = index - static_cast<double>(samples.size());
-    if (next_index_ < 0.0) next_index_ = 0.0;
-    return symbols;
-}
-
-void gardner_timing_recovery::reset()
-{
-    mu_ = 0.0;
-    integrator_ = 0.0;
-    next_index_ = 0.0;
-    previous_symbol_ = cf64{};
-}
-
 std::size_t best_symbol_offset(std::span<const cf64> samples, std::size_t samples_per_symbol)
 {
     if (samples_per_symbol == 0) {

@@ -1,5 +1,4 @@
-// Symbol timing recovery (Gardner detector with a proportional-integral loop)
-// and a max-energy brute-force timing search for burst frames.
+// Burst-mode symbol timing: a max-energy brute-force offset search.
 #pragma once
 
 #include <cstddef>
@@ -8,39 +7,6 @@
 #include "mmtag/common.hpp"
 
 namespace mmtag::dsp {
-
-/// Gardner timing-error-detector loop. Consumes oversampled baseband (with
-/// `samples_per_symbol` >= 2) and emits one symbol-rate sample per recovered
-/// symbol, interpolating linearly between input samples.
-class gardner_timing_recovery {
-public:
-    struct config {
-        std::size_t samples_per_symbol = 8;
-        double loop_bandwidth = 0.01; // normalized to symbol rate
-        double damping = 0.7071;
-    };
-
-    explicit gardner_timing_recovery(const config& cfg);
-
-    /// Processes a block; returns symbol-rate outputs.
-    [[nodiscard]] cvec process(std::span<const cf64> samples);
-
-    /// Current fractional timing phase in samples, for diagnostics.
-    [[nodiscard]] double timing_phase() const { return mu_; }
-
-    void reset();
-
-private:
-    [[nodiscard]] cf64 interpolate(std::span<const cf64> samples, double index) const;
-
-    config cfg_;
-    double kp_ = 0.0;
-    double ki_ = 0.0;
-    double mu_ = 0.0;        // fractional interval
-    double integrator_ = 0.0;
-    double next_index_ = 0.0;
-    cf64 previous_symbol_{};
-};
 
 /// Burst-mode timing search: picks the sampling offset in [0, sps) that
 /// maximizes average symbol energy after integrate-and-dump. Returns the

@@ -18,20 +18,6 @@ std::array<std::uint8_t, 256> make_crc8_table()
     return table;
 }
 
-std::array<std::uint16_t, 256> make_crc16_table()
-{
-    std::array<std::uint16_t, 256> table{};
-    for (unsigned i = 0; i < 256; ++i) {
-        std::uint16_t value = static_cast<std::uint16_t>(i << 8);
-        for (int bit = 0; bit < 8; ++bit) {
-            value = static_cast<std::uint16_t>((value & 0x8000u) ? (value << 1) ^ 0x1021u
-                                                                 : (value << 1));
-        }
-        table[i] = value;
-    }
-    return table;
-}
-
 std::array<std::uint32_t, 256> make_crc32_table()
 {
     std::array<std::uint32_t, 256> table{};
@@ -52,16 +38,6 @@ std::uint8_t crc8(std::span<const std::uint8_t> data)
     static const auto table = make_crc8_table();
     std::uint8_t crc = 0;
     for (std::uint8_t byte : data) crc = table[crc ^ byte];
-    return crc;
-}
-
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data)
-{
-    static const auto table = make_crc16_table();
-    std::uint16_t crc = 0xFFFF;
-    for (std::uint8_t byte : data) {
-        crc = static_cast<std::uint16_t>((crc << 8) ^ table[((crc >> 8) ^ byte) & 0xFFu]);
-    }
     return crc;
 }
 

@@ -1,5 +1,5 @@
 // Table-driven cyclic redundancy checks used by the mmtag frame format:
-// CRC-8 (header), CRC-16-CCITT (short payloads), CRC-32 (payload).
+// CRC-8 (header) and CRC-32 (payload).
 #pragma once
 
 #include <array>
@@ -11,9 +11,6 @@ namespace mmtag::fec {
 
 /// CRC-8/ATM (polynomial 0x07, init 0x00, no reflection).
 [[nodiscard]] std::uint8_t crc8(std::span<const std::uint8_t> data);
-
-/// CRC-16/CCITT-FALSE (polynomial 0x1021, init 0xFFFF, no reflection).
-[[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data);
 
 /// CRC-32/ISO-HDLC (polynomial 0x04C11DB7 reflected, init/xorout 0xFFFFFFFF)
 /// — the Ethernet/zlib CRC.

@@ -16,11 +16,10 @@ namespace mmtag::runtime {
 std::string summary_line(std::size_t points, std::size_t trials, double wall_s,
                          std::size_t jobs)
 {
-    const double rate = wall_s > 0.0 ? static_cast<double>(trials) / wall_s : 0.0;
     char buffer[160];
     std::snprintf(buffer, sizeof buffer,
                   "sweep: %zu points, %zu trials in %.2f s wall (%zu jobs, %.0f trials/s)",
-                  points, trials, wall_s, jobs, rate);
+                  points, trials, wall_s, jobs, per_second(trials, wall_s));
     return buffer;
 }
 

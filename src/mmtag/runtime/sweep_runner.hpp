@@ -40,6 +40,14 @@ struct sweep_options {
     std::function<void(std::size_t, std::size_t)> progress;
 };
 
+/// Wall-clock throughput: `count` per second of `wall_s`, or 0 when no time
+/// elapsed. The trials/s, tasks/s and events/s that the runtime, the benches
+/// and the CLI report are all computed here.
+[[nodiscard]] inline double per_second(std::uint64_t count, double wall_s)
+{
+    return wall_s > 0.0 ? static_cast<double>(count) / wall_s : 0.0;
+}
+
 template <typename Aggregate>
 struct sweep_point_outcome {
     Aggregate aggregate{};   ///< ordered fold of the point's trials
@@ -53,10 +61,7 @@ struct sweep_outcome {
     std::size_t jobs = 1;    ///< executors actually used
     std::size_t trials = 0;  ///< points x trials_per_point
 
-    [[nodiscard]] double trials_per_s() const
-    {
-        return wall_s > 0.0 ? static_cast<double>(trials) / wall_s : 0.0;
-    }
+    [[nodiscard]] double trials_per_s() const { return per_second(trials, wall_s); }
 };
 
 /// One-line human summary of a finished sweep: wall time, jobs, trial rate.

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "mmtag/antenna/array.hpp"
 #include "mmtag/antenna/element.hpp"
 #include "mmtag/antenna/termination.hpp"
 #include "mmtag/antenna/van_atta.hpp"
@@ -33,40 +32,6 @@ TEST(element, horn_gain_beamwidth_product)
     EXPECT_NEAR(horn.gain(bw / 2.0) / horn.peak_gain(), 0.5, 1e-6);
     // 20 dBi symmetric beam: ~0.35 rad (20 degrees).
     EXPECT_NEAR(bw, std::sqrt(4.0 * pi / 100.0), 1e-9);
-}
-
-TEST(ula, boresight_gain_is_n_times_element)
-{
-    const auto iso = std::make_shared<isotropic_element>();
-    uniform_linear_array array(8, 0.5, iso);
-    EXPECT_NEAR(array.gain(0.0), 8.0, 1e-9);
-}
-
-TEST(ula, steering_moves_main_lobe)
-{
-    const auto iso = std::make_shared<isotropic_element>();
-    uniform_linear_array array(16, 0.5, iso);
-    const double target = deg_to_rad(25.0);
-    array.steer(target);
-    EXPECT_NEAR(array.gain(target), 16.0, 1e-9);
-    EXPECT_LT(array.gain(0.0), 2.0); // old boresight now in a sidelobe region
-}
-
-TEST(ula, beamwidth_shrinks_with_elements)
-{
-    const auto iso = std::make_shared<isotropic_element>();
-    uniform_linear_array small(4, 0.5, iso);
-    uniform_linear_array large(32, 0.5, iso);
-    EXPECT_GT(small.half_power_beamwidth(), large.half_power_beamwidth() * 4.0);
-}
-
-TEST(ula, pattern_sampling)
-{
-    const auto iso = std::make_shared<isotropic_element>();
-    uniform_linear_array array(8, 0.5, iso);
-    const rvec pattern = array.pattern(181);
-    EXPECT_EQ(pattern.size(), 181u);
-    EXPECT_NEAR(pattern[90], 8.0, 1e-9); // broadside sample
 }
 
 TEST(termination, canonical_loads)

@@ -7,6 +7,7 @@
 
 #include "mmtag/cli/commands.hpp"
 #include "mmtag/cli/options.hpp"
+#include "mmtag/runtime/json_io.hpp"
 
 #include "json_checker.hpp"
 
@@ -307,6 +308,44 @@ TEST(commands, soak_rejects_bad_arguments_with_exit_1)
     EXPECT_EQ(dispatch(4, zero), 1);
     const char* lopsided[] = {"mmtag_sim", "soak", "--tags", "2", "--faulted", "3"};
     EXPECT_EQ(dispatch(6, lopsided), 1);
+}
+
+TEST(commands, scale_writes_result_and_one_metrics_snapshot)
+{
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() / "mmtag_cli_scale_test";
+    fs::create_directories(dir);
+    const std::string json_arg = "--json=" + (dir / "scale.json").string();
+    const std::string metrics_arg = "--metrics=" + (dir / "metrics.json").string();
+    const char* to_file[] = {"mmtag_sim", "scale", "--tags", "200", "--aps", "2",
+                             "--trials", "1", "--jobs", "2", json_arg.c_str(),
+                             metrics_arg.c_str()};
+    EXPECT_EQ(dispatch(12, to_file), 0);
+
+    const auto result_text = runtime::read_text_file((dir / "scale.json").string());
+    ASSERT_TRUE(result_text.has_value());
+    EXPECT_TRUE(testutil::json_checker(*result_text).valid()) << *result_text;
+    EXPECT_NE(result_text->find("mmtag.scale.result/1"), std::string::npos);
+
+    const auto metrics_text = runtime::read_text_file((dir / "metrics.json").string());
+    ASSERT_TRUE(metrics_text.has_value());
+    EXPECT_TRUE(testutil::json_checker(*metrics_text).valid()) << *metrics_text;
+    EXPECT_NE(metrics_text->find("scale/delivered"), std::string::npos);
+
+    // A bare --metrics prints the very snapshot --metrics=FILE writes (the
+    // file ends in the newline the printed copy carries).
+    const char* to_stdout[] = {"mmtag_sim", "scale", "--tags", "200", "--aps", "2",
+                               "--trials", "1", "--jobs", "2", "--metrics"};
+    testing::internal::CaptureStdout();
+    const int code = dispatch(11, to_stdout);
+    const std::string printed = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(printed.find("metrics:\n" + *metrics_text), std::string::npos)
+        << printed;
+
+    const char* typo[] = {"mmtag_sim", "scale", "--tgs", "200"};
+    EXPECT_EQ(dispatch(4, typo), 1);
+    fs::remove_all(dir);
 }
 
 TEST(commands, link_plate_at_angle_fails_gracefully)

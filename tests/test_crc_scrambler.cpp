@@ -19,11 +19,6 @@ TEST(crc, crc32_check_value)
     EXPECT_EQ(crc32(check_string()), 0xCBF43926u);
 }
 
-TEST(crc, crc16_ccitt_false_check_value)
-{
-    EXPECT_EQ(crc16_ccitt(check_string()), 0x29B1u);
-}
-
 TEST(crc, crc8_check_value)
 {
     // CRC-8/SMBUS (poly 0x07, init 0) check value.

@@ -5,7 +5,6 @@
 #include "mmtag/fec/convolutional.hpp"
 #include "mmtag/fec/hamming.hpp"
 #include "mmtag/fec/interleaver.hpp"
-#include "mmtag/fec/repetition.hpp"
 #include "mmtag/phy/bitio.hpp"
 
 namespace mmtag::fec {
@@ -189,35 +188,6 @@ TEST(interleaver, pads_to_block)
     const block_interleaver interleaver(3, 5);
     const auto out = interleaver.interleave(random_bits(7, 41));
     EXPECT_EQ(out.size(), 15u);
-}
-
-TEST(repetition, round_trip_with_majority)
-{
-    const auto bits = random_bits(50, 43);
-    auto coded = repetition_encode(bits, 5);
-    EXPECT_EQ(coded.size(), 250u);
-    // One flip per group cannot beat the majority.
-    for (std::size_t g = 0; g < 50; ++g) coded[g * 5 + 2] ^= 1;
-    EXPECT_EQ(repetition_decode(coded, 5), bits);
-}
-
-TEST(repetition, soft_combining)
-{
-    const std::vector<std::uint8_t> bits{1, 0};
-    const auto coded = repetition_encode(bits, 3);
-    // Soft values: one strong wrong observation vs two weak right ones.
-    const std::vector<double> soft{-0.4, -0.4, +0.5, /*bit0*/ +0.3, +0.3, -0.5 /*bit1*/};
-    const auto decoded = repetition_decode_soft(soft, 3);
-    EXPECT_EQ(decoded[0], 1);
-    EXPECT_EQ(decoded[1], 0);
-}
-
-TEST(repetition, validation)
-{
-    EXPECT_THROW((void)repetition_decode(std::vector<std::uint8_t>(4, 0), 2),
-                 std::invalid_argument); // even factor
-    EXPECT_THROW((void)repetition_decode(std::vector<std::uint8_t>(4, 0), 3),
-                 std::invalid_argument); // bad length
 }
 
 } // namespace

@@ -86,21 +86,6 @@ TEST_P(fft_roundtrip, parseval_energy_preserved)
 INSTANTIATE_TEST_SUITE_P(sizes, fft_roundtrip,
                          ::testing::Values(1, 2, 4, 8, 32, 128, 1024, 4096));
 
-TEST(fft, convolution_matches_direct)
-{
-    const cvec a = random_signal(20, 1);
-    const cvec b = random_signal(7, 2);
-    const cvec fast = fft_convolve(a, b);
-    ASSERT_EQ(fast.size(), a.size() + b.size() - 1);
-    for (std::size_t n = 0; n < fast.size(); ++n) {
-        cf64 direct{};
-        for (std::size_t k = 0; k < b.size(); ++k) {
-            if (n >= k && n - k < a.size()) direct += a[n - k] * b[k];
-        }
-        EXPECT_NEAR(std::abs(fast[n] - direct), 0.0, 1e-9);
-    }
-}
-
 TEST(fft, power_spectrum_total_equals_signal_power)
 {
     const cvec x = random_signal(128, 3);

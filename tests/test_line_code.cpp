@@ -95,6 +95,10 @@ TEST(line_code, dc_suppression_ordering)
     const double miller4 = dc_power_fraction(line_code::miller4, 0.01);
     EXPECT_LT(fm0, nrz / 5.0);
     EXPECT_LT(miller4, fm0);
+    // Absolute levels within +-1% of the chip rate: NRZ keeps a DC share the
+    // notch would cut, Miller-4 leaves almost nothing there.
+    EXPECT_GT(nrz, 0.01);
+    EXPECT_LT(miller4, 1e-3);
 }
 
 TEST(line_code, transition_cost_ordering)

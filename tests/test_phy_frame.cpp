@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "mmtag/phy/bitio.hpp"
@@ -110,6 +111,14 @@ struct frame_case {
     fec_mode fec;
     std::size_t payload_bytes;
 };
+
+/// Names the case in test output. Without it gtest prints the raw bytes,
+/// padding included, so the test names changed from one run to the next.
+void PrintTo(const frame_case& c, std::ostream* os)
+{
+    *os << modulation_name(c.scheme) << ' ' << fec_mode_name(c.fec) << ' '
+        << c.payload_bytes << " B";
+}
 
 class frame_round_trip : public ::testing::TestWithParam<frame_case> {};
 

@@ -8,61 +8,19 @@
 namespace mmtag::dsp {
 namespace {
 
-TEST(pulse_shape, rrc_unit_energy)
+/// Rectangular pulse shaping: each symbol held for `sps` samples, the
+/// waveform a switching tag produces.
+cvec hold_symbols(const cvec& symbols, std::size_t sps)
 {
-    const rvec h = root_raised_cosine(8, 0.35, 6);
-    double energy = 0.0;
-    for (double t : h) energy += t * t;
-    EXPECT_NEAR(energy, 1.0, 1e-12);
-}
-
-TEST(pulse_shape, rrc_symmetric)
-{
-    const rvec h = root_raised_cosine(4, 0.5, 5);
-    for (std::size_t i = 0; i < h.size(); ++i) {
-        EXPECT_NEAR(h[i], h[h.size() - 1 - i], 1e-12);
-    }
-}
-
-TEST(pulse_shape, tx_rx_rrc_cascade_is_isi_free)
-{
-    // The raised cosine (RRC * RRC) must have (near-)zero crossings at all
-    // nonzero symbol multiples.
-    constexpr std::size_t sps = 8;
-    const rvec h = root_raised_cosine(sps, 0.35, 8);
-    rvec rc(2 * h.size() - 1, 0.0);
-    for (std::size_t i = 0; i < h.size(); ++i) {
-        for (std::size_t j = 0; j < h.size(); ++j) rc[i + j] += h[i] * h[j];
-    }
-    const std::size_t center = h.size() - 1;
-    const double peak = rc[center];
-    for (int k = 1; k <= 6; ++k) {
-        EXPECT_LT(std::abs(rc[center + static_cast<std::size_t>(k) * sps]) / peak, 1e-3)
-            << "symbol offset " << k;
-    }
-}
-
-TEST(pulse_shape, rrc_validation)
-{
-    EXPECT_THROW((void)root_raised_cosine(1, 0.3, 4), std::invalid_argument);
-    EXPECT_THROW((void)root_raised_cosine(8, 1.5, 4), std::invalid_argument);
-    EXPECT_THROW((void)root_raised_cosine(8, 0.3, 0), std::invalid_argument);
-}
-
-TEST(pulse_shape, shape_symbols_rectangular)
-{
-    const cvec symbols{{1.0, 0.0}, {-1.0, 0.0}};
-    const rvec pulse = rectangular_pulse(4);
-    const cvec shaped = shape_symbols(symbols, pulse, 4);
-    ASSERT_EQ(shaped.size(), 2 * 4 + 4 - 1);
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(shaped[i].real(), 1.0);
-    for (std::size_t i = 4; i < 8; ++i) EXPECT_DOUBLE_EQ(shaped[i].real(), -1.0);
+    cvec out;
+    for (const cf64 s : symbols) out.insert(out.end(), sps, s);
+    return out;
 }
 
 TEST(pulse_shape, integrate_and_dump_recovers_symbols)
 {
     const cvec symbols{{1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0}, {0.0, -1.0}};
-    const cvec shaped = shape_symbols(symbols, rectangular_pulse(10), 10);
+    const cvec shaped = hold_symbols(symbols, 10);
     const cvec recovered = integrate_and_dump(std::span<const cf64>{shaped.data(), 40}, 10);
     ASSERT_EQ(recovered.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -84,7 +42,7 @@ TEST(timing, best_symbol_offset_finds_shift)
     std::uniform_int_distribution<int> bit(0, 1);
     cvec symbols(64);
     for (auto& s : symbols) s = {bit(rng) ? 1.0 : -1.0, 0.0};
-    const cvec shaped = shape_symbols(symbols, rectangular_pulse(sps), sps);
+    const cvec shaped = hold_symbols(symbols, sps);
 
     for (std::size_t shift : {0u, 3u, 7u}) {
         cvec delayed(shift, cf64{});
@@ -92,44 +50,6 @@ TEST(timing, best_symbol_offset_finds_shift)
         const std::size_t found = best_symbol_offset(delayed, sps);
         EXPECT_EQ(found, shift % sps);
     }
-}
-
-TEST(timing, gardner_tracks_static_offset)
-{
-    // NRZ (rectangular) BPSK — the waveform a switching tag produces — with a
-    // 3-sample static timing offset. After convergence the loop must emit
-    // symbol-spaced samples sitting on the flat tops (amplitude ~ 1), not on
-    // the transitions.
-    constexpr std::size_t sps = 8;
-    std::mt19937_64 rng(9);
-    std::uniform_int_distribution<int> bit(0, 1);
-    cvec symbols(512);
-    for (auto& s : symbols) s = {bit(rng) ? 1.0 : -1.0, 0.0};
-    const cvec shaped = shape_symbols(symbols, rectangular_pulse(sps), sps);
-    cvec delayed(3, cf64{});
-    delayed.insert(delayed.end(), shaped.begin(), shaped.end());
-
-    gardner_timing_recovery::config cfg;
-    cfg.samples_per_symbol = sps;
-    cfg.loop_bandwidth = 0.02;
-    gardner_timing_recovery loop(cfg);
-    const cvec recovered = loop.process(delayed);
-    ASSERT_GT(recovered.size(), 300u);
-    std::size_t consistent = 0;
-    const std::size_t tail_start = recovered.size() - 200;
-    for (std::size_t i = tail_start; i < recovered.size(); ++i) {
-        if (std::abs(std::abs(recovered[i].real()) - 1.0) < 0.3) ++consistent;
-    }
-    EXPECT_GT(consistent, 180u);
-    // One output per symbol (within loop slew).
-    EXPECT_NEAR(static_cast<double>(recovered.size()), 512.0, 16.0);
-}
-
-TEST(timing, gardner_validation)
-{
-    gardner_timing_recovery::config cfg;
-    cfg.samples_per_symbol = 1;
-    EXPECT_THROW(gardner_timing_recovery{cfg}, std::invalid_argument);
 }
 
 } // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "mmtag/antenna/termination.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/tag/controller.hpp"
 #include "mmtag/tag/energy_model.hpp"
@@ -75,6 +78,45 @@ TEST(termination_bank, loss_appears_in_evm)
     termination_bank b(lossy);
     EXPECT_LT(a.constellation_evm(), 1e-9);
     EXPECT_GT(b.constellation_evm(), 0.05);
+}
+
+/// Gamma of data state p before any fabrication error.
+cf64 ideal_gamma(std::size_t p, std::size_t m, double stub_loss_db)
+{
+    const double target = two_pi * static_cast<double>(p) / static_cast<double>(m);
+    return antenna::line_transform_lossy(antenna::gamma_short(),
+                                         wrap_phase(pi - target) / 2.0, stub_loss_db);
+}
+
+TEST(termination_bank, zero_tolerance_yields_ideal_gammas)
+{
+    termination_bank::config cfg;
+    cfg.scheme = phy::modulation::psk8;
+    cfg.phase_error_rms_rad = 0.0;
+    const termination_bank bank(cfg);
+    for (std::size_t p = 0; p < bank.state_count(); ++p) {
+        EXPECT_EQ(bank.gammas()[p], ideal_gamma(p, bank.state_count(), cfg.stub_loss_db))
+            << "state " << p;
+    }
+}
+
+TEST(termination_bank, tolerance_draws_match_a_scaled_normal)
+{
+    // The per-tag phase errors must stay the N(0, rms) stream they always were.
+    termination_bank::config cfg;
+    cfg.scheme = phy::modulation::psk16;
+    cfg.phase_error_seed = 7;
+    for (const double rms : {0.01, 0.05, 0.3}) {
+        cfg.phase_error_rms_rad = rms;
+        const termination_bank bank(cfg);
+        std::mt19937_64 rng(cfg.phase_error_seed);
+        std::normal_distribution<double> gaussian(0.0, rms);
+        for (std::size_t p = 0; p < bank.state_count(); ++p) {
+            cf64 expected = ideal_gamma(p, bank.state_count(), cfg.stub_loss_db);
+            expected *= std::polar(1.0, gaussian(rng));
+            EXPECT_EQ(bank.gammas()[p], expected) << "rms " << rms << " state " << p;
+        }
+    }
 }
 
 backscatter_modulator::config modulator_config()
