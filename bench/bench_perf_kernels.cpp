@@ -16,8 +16,6 @@
 #include "mmtag/scale/phy_table.hpp"
 #include "mmtag/scale/topology.hpp"
 
-#include "bench_util.hpp"
-
 using namespace mmtag;
 
 namespace {
@@ -76,7 +74,7 @@ BENCHMARK(bm_frame_decode);
 
 void bm_full_link_frame(benchmark::State& state)
 {
-    core::link_simulator sim(bench::bench_scenario());
+    core::link_simulator sim(core::fast_scenario());
     const auto payload = phy::random_bytes(32, 11);
     for (auto _ : state) {
         auto result = sim.run_frame(payload);
@@ -90,7 +88,7 @@ BENCHMARK(bm_full_link_frame)->Unit(benchmark::kMillisecond);
 // compare against bm_full_link_frame (< 3% is the acceptance bar).
 void bm_full_link_frame_with_metrics(benchmark::State& state)
 {
-    core::link_simulator sim(bench::bench_scenario());
+    core::link_simulator sim(core::fast_scenario());
     obs::metrics_registry metrics;
     sim.attach_metrics(&metrics);
     const auto payload = phy::random_bytes(32, 11);

@@ -38,7 +38,7 @@ int main(int argc, char** argv)
     bench::table out({"modulation", "snr_dB", "evm_dB", "evm_pct", "crc"}, csv);
     for (auto scheme : {phy::modulation::bpsk, phy::modulation::qpsk, phy::modulation::psk8,
                         phy::modulation::psk16}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.modulator.frame.scheme = scheme;
         cfg.modulator.frame.fec = phy::fec_mode::uncoded;
         cfg.receiver.frame = cfg.modulator.frame;

@@ -19,7 +19,7 @@ int main(int argc, char** argv)
                       "rx_power_dBm", "per"},
                      csv);
     for (double distance : {0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.distance_m = distance;
         const core::link_budget budget(cfg);
         const auto entry = budget.at(distance);

@@ -51,7 +51,7 @@ int main(int argc, char** argv)
 
     const auto outcome = runtime::run_sweep<core::link_report>(
         sweep, point_count, [&](std::size_t point, std::size_t, std::uint64_t seed) {
-            auto cfg = bench::bench_scenario();
+            auto cfg = core::fast_scenario();
             cfg.distance_m = kDistances[point / rate_count];
             const auto& rate = kRates[point % rate_count];
             cfg.modulator.frame.scheme = rate.scheme;

@@ -34,7 +34,7 @@ int main(int argc, char** argv)
                      csv);
     const ap::rate_adapter adapter(2.0);
     for (double distance : {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.distance_m = distance;
 
         // Probe SNR with the robust rate, then adapt.

@@ -18,7 +18,7 @@ int main(int argc, char** argv)
                       "plate_per"},
                      csv);
     for (double deg : {0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.tag_incidence_rad = deg_to_rad(deg);
 
         cfg.reflector = core::reflector_kind::van_atta;

@@ -35,7 +35,7 @@ int main(int argc, char** argv)
         for (auto mode : {ap::cancellation_mode::off, ap::cancellation_mode::dc_notch,
                           ap::cancellation_mode::mean_subtract,
                           ap::cancellation_mode::background_subtract}) {
-            auto cfg = bench::bench_scenario();
+            auto cfg = core::fast_scenario();
             cfg.tx_leakage_db = leakage;
             cfg.receiver.canceller.mode = mode;
             core::link_simulator sim(cfg);

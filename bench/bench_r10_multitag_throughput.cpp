@@ -96,7 +96,7 @@ throughput_aggregate analytic_trial(std::size_t tag_count, std::uint64_t seed)
     for (std::uint32_t i = 0; i < tag_count; ++i) {
         tags.push_back({i, range(rng), deg_to_rad(angle(rng))});
     }
-    const core::network net(bench::bench_scenario(), tags);
+    const core::network net(core::fast_scenario(), tags);
     const auto report = net.run(runtime::substream(seed, 1));
 
     throughput_aggregate agg;
@@ -114,7 +114,7 @@ throughput_aggregate analytic_trial(std::size_t tag_count, std::uint64_t seed)
 
 throughput_aggregate sampled_trial(std::size_t tag_count, std::uint64_t seed)
 {
-    auto cfg = bench::bench_scenario();
+    auto cfg = core::fast_scenario();
     cfg.seed = seed;
     core::multitag_simulator sim(cfg, spread_tags(tag_count));
 

@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "mmtag/fec/convolutional.hpp"
 #include "mmtag/phy/bitio.hpp"
+#include "mmtag/phy/frame.hpp"
 #include "mmtag/phy/modulation.hpp"
 
 using namespace mmtag;

@@ -18,7 +18,7 @@ int main(int argc, char** argv)
 
     bench::table out({"rise_fall_ns", "max_sym_rate_Msps", "snr_dB", "evm_dB", "per"}, csv);
     for (double rise_ns : {0.0, 2.0, 10.0, 25.0, 50.0, 80.0}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.modulator.rf_switch.rise_fall_time_s = rise_ns * 1e-9;
         const rf::rf_switch device(
             [&] {
@@ -39,7 +39,7 @@ int main(int argc, char** argv)
 
     if (!csv) {
         std::printf("\nDevice ceiling check: a 1 us switch cannot run 5 Msym/s — ");
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.modulator.rf_switch.rise_fall_time_s = 1e-6;
         try {
             core::link_simulator sim(cfg);

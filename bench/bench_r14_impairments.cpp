@@ -19,7 +19,7 @@ int main(int argc, char** argv)
     if (!csv) std::printf("ADC resolution (static interference / tag ~ 30 dB):\n");
     bench::table adc({"adc_bits", "snr_dB", "per"}, csv);
     for (unsigned bits : {6u, 8u, 10u, 12u, 14u, 16u}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.receiver.adc.bits = bits;
         core::link_simulator sim(cfg);
         const auto report = sim.run_trials(4, 32);
@@ -31,7 +31,7 @@ int main(int argc, char** argv)
     if (!csv) std::printf("\nLO phase-noise linewidth (self-coherent RX):\n");
     bench::table pn({"linewidth_Hz", "snr_dB", "per"}, csv);
     for (double linewidth : {0.0, 100.0, 1e3, 10e3, 100e3, 1e6}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.transmitter.lo_linewidth_hz = linewidth;
         core::link_simulator sim(cfg);
         const auto report = sim.run_trials(4, 32);
@@ -43,7 +43,7 @@ int main(int argc, char** argv)
     if (!csv) std::printf("\nLNA noise figure at 6 m (thermal-limited range):\n");
     bench::table nf({"nf_dB", "snr_dB", "per"}, csv);
     for (double noise_figure : {1.0, 3.5, 6.0, 9.0, 12.0}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.distance_m = 6.0;
         cfg.receiver.lna.noise_figure_db = noise_figure;
         core::link_simulator sim(cfg);

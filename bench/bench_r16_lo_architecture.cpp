@@ -44,7 +44,7 @@ int main(int argc, char** argv)
 
     bench::table out({"configuration", "snr_dB", "per"}, csv);
     for (const auto& test_case : cases) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.transmitter.lo_linewidth_hz = test_case.tx_linewidth_hz;
         cfg.receiver.lo = test_case.mode;
         cfg.receiver.independent_linewidth_hz = test_case.rx_linewidth_hz;

@@ -23,7 +23,7 @@ int main(int argc, char** argv)
                       "arq_delivery", "arq_tx_per_frame"},
                      csv);
     for (double k_db : {100.0, 10.0, 6.0, 3.0, 0.0, -10.0}) {
-        auto cfg = bench::bench_scenario();
+        auto cfg = core::fast_scenario();
         cfg.distance_m = 6.0;
         cfg.rician_k_db = k_db;
         core::link_simulator sim(cfg);

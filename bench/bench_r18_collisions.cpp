@@ -16,7 +16,7 @@ int main(int argc, char** argv)
     const bool csv = opts.csv;
     bench::banner("R18", "two-tag overlap and capture at the sample level", csv);
 
-    const auto base = bench::bench_scenario();
+    const auto base = core::fast_scenario();
 
     if (!csv) std::printf("Equal-power tags (both at 2 m), varying slot overlap:\n");
     bench::table overlap_table({"overlap_pct", "tag0_ok", "tag1_ok"}, csv);

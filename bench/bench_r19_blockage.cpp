@@ -51,7 +51,7 @@ int main(int argc, char** argv)
     const bool csv = opts.csv;
     bench::banner("R19", "frame loss under body blockage, with ARQ recovery", csv);
 
-    auto cfg = bench::bench_scenario();
+    auto cfg = core::fast_scenario();
     cfg.distance_m = 4.0; // ~21 dB of margin over QPSK-1/2
 
     bench::table out({"shadow_dB", "blocked_duty", "per", "arq_delivery",

@@ -36,7 +36,7 @@ int main(int argc, char** argv)
         constexpr int trials = 4;
         for (int t = 0; t < trials; ++t) {
             const auto result = core::run_sampled_inventory(
-                bench::bench_scenario(), tags, cfg, 50 + static_cast<std::uint64_t>(t));
+                core::fast_scenario(), tags, cfg, 50 + static_cast<std::uint64_t>(t));
             sampled_rounds += static_cast<double>(result.rounds);
             sampled_identified += static_cast<double>(result.identified_ids.size());
             sampled_collisions += static_cast<double>(result.collision_slots);

@@ -37,7 +37,7 @@ fault::fault_schedule::config schedule_config(double rate_hz, double mean_durati
 
 core::system_config link_config(std::uint64_t seed)
 {
-    auto cfg = bench::bench_scenario();
+    auto cfg = core::fast_scenario();
     cfg.distance_m = 4.0; // ~21 dB margin over QPSK-1/2: healthy but finite
     cfg.seed = seed;
     return cfg;
@@ -55,7 +55,7 @@ constexpr fault_cell kCells[] = {{0.0, 2e-3}, {150.0, 1e-3}, {150.0, 3e-3},
 
 int main(int argc, char** argv)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
+    const auto opts = bench::bench_options::parse(argc, argv, {"fault-seed"});
     bench::banner("R21", "goodput and recovery under injected faults, supervisor on/off",
                   opts.csv);
 

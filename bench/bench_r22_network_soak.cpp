@@ -27,7 +27,8 @@ using namespace mmtag;
 
 int main(int argc, char** argv)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
+    const auto opts =
+        bench::bench_options::parse(argc, argv, {"rounds", "trials", "fault-seed"});
     bench::banner("R22", "network chaos soak: degradation and re-admission vs faulted tags",
                   opts.csv);
 

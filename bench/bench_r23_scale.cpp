@@ -24,7 +24,8 @@ using namespace mmtag;
 
 int main(int argc, char** argv)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
+    const auto opts = bench::bench_options::parse(argc, argv,
+                                                  {"aps", "frames", "trials", "fault-seed"});
     bench::banner("R23", "scale-out: goodput, fairness, re-admission vs tag count",
                   opts.csv);
 

@@ -1,109 +1,77 @@
 // Shared plumbing for the experiment harnesses: the common flag parser
-// (--csv/--json/--jobs/--seed), aligned-table/CSV printing, and the standard
-// bench scenario (a faster-sampling variant of the default system so sweeps
-// finish in seconds).
+// (--csv/--json/--jobs/--seed, on the CLI's cli::option_set) and
+// aligned-table/CSV printing.
 #pragma once
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <exception>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "mmtag/core/config.hpp"
+#include "mmtag/cli/options.hpp"
 
 namespace mmtag::bench {
 
-/// The flags every experiment binary accepts. Bench-specific extras
-/// (`--fault-seed`, ...) are collected in `extra` for the bench to consume.
+/// The flags every experiment binary accepts. A bench names its own extras
+/// (`--fault-seed`, ...) to parse() and reads them with
+/// extra_u64/extra_double. Malformed input, or a flag that is neither common
+/// nor a named extra, prints one `error:` line and exits 2, so bench mains
+/// stay one-liners.
 struct bench_options {
     bool csv = false;        ///< machine-readable table on stdout
     std::string json_path;   ///< --json PATH; empty = bench/out/BENCH_<id>.json
     std::size_t jobs = 0;    ///< --jobs N parallel executors; 0 = auto
     std::uint64_t seed = 1;  ///< --seed S: base of the per-trial seeding scheme
-    std::map<std::string, std::string> extra;
+    cli::option_set flags;   ///< the whole command line, extras included
 
-    /// Strict non-negative integer: strtoull would wrap "--jobs -1" to
-    /// 2^64-1 and truncate "1e3" to 1, silently running the wrong bench —
-    /// reject anything that is not purely digits, plus overflow.
-    [[nodiscard]] static std::uint64_t parse_u64_or_die(const std::string& text,
-                                                        const char* key)
-    {
-        if (!text.empty() && text.find_first_not_of("0123456789") == std::string::npos) {
-            errno = 0;
-            char* end = nullptr;
-            const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-            if (errno == 0 && end != nullptr && *end == '\0') return value;
-        }
-        std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                     key, text.c_str());
-        std::exit(2);
-    }
-
-    /// Strict double: the whole token must parse ("3.x" and "" are errors).
-    [[nodiscard]] static double parse_double_or_die(const std::string& text,
-                                                    const char* key)
-    {
-        if (!text.empty()) {
-            char* end = nullptr;
-            const double value = std::strtod(text.c_str(), &end);
-            if (end != nullptr && *end == '\0') return value;
-        }
-        std::fprintf(stderr, "error: %s expects a number, got '%s'\n", key,
-                     text.c_str());
-        std::exit(2);
-    }
-
-    /// Parses argv; prints a message and exits(2) on malformed input so
-    /// bench mains stay one-liners.
-    static bench_options parse(int argc, char** argv)
+    static bench_options parse(int argc, char** argv,
+                               std::initializer_list<const char*> extras = {})
     {
         bench_options opts;
-        auto value_of = [&](int& i, const char* key) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s needs a value\n", key);
-                std::exit(2);
+        or_exit([&] {
+            opts.flags = cli::option_set::parse_flags(argc, argv);
+            opts.csv = opts.flags.get_flag("csv");
+            opts.json_path = opts.flags.get_string("json", "");
+            opts.jobs = static_cast<std::size_t>(opts.flags.get_uint("jobs", 0));
+            opts.seed = opts.flags.get_uint("seed", 1);
+            for (const auto& key : opts.flags.unconsumed()) {
+                const bool named = std::find(extras.begin(), extras.end(), key) !=
+                                   extras.end();
+                if (!named) throw std::invalid_argument("unknown option --" + key);
             }
-            return argv[++i];
-        };
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--csv") {
-                opts.csv = true;
-            } else if (arg == "--json") {
-                opts.json_path = value_of(i, "--json");
-            } else if (arg == "--jobs") {
-                opts.jobs = static_cast<std::size_t>(
-                    parse_u64_or_die(value_of(i, "--jobs"), "--jobs"));
-            } else if (arg == "--seed") {
-                opts.seed = parse_u64_or_die(value_of(i, "--seed"), "--seed");
-            } else if (arg.rfind("--", 0) == 0 && arg.size() > 2) {
-                // Bench-specific: `--key value` (value may be omitted for flags).
-                const bool has_value = i + 1 < argc &&
-                                       std::string(argv[i + 1]).rfind("--", 0) != 0;
-                opts.extra[arg.substr(2)] = has_value ? argv[++i] : "";
-            } else {
-                std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
-                std::exit(2);
-            }
-        }
+        });
         return opts;
     }
 
     [[nodiscard]] std::uint64_t extra_u64(const std::string& key,
                                           std::uint64_t fallback) const
     {
-        const auto it = extra.find(key);
-        if (it == extra.end()) return fallback;
-        return parse_u64_or_die(it->second, ("--" + key).c_str());
+        std::uint64_t value = fallback;
+        or_exit([&] { value = flags.get_uint(key, fallback); });
+        return value;
     }
 
     [[nodiscard]] double extra_double(const std::string& key, double fallback) const
     {
-        const auto it = extra.find(key);
-        if (it == extra.end()) return fallback;
-        return parse_double_or_die(it->second, ("--" + key).c_str());
+        double value = fallback;
+        or_exit([&] { value = flags.get_double(key, fallback); });
+        return value;
+    }
+
+private:
+    template <typename F>
+    static void or_exit(F&& read)
+    {
+        try {
+            read();
+        } catch (const std::exception& error) {
+            std::fprintf(stderr, "error: %s\n", error.what());
+            std::exit(2);
+        }
     }
 };
 
@@ -173,12 +141,6 @@ inline std::string fmt(const char* format, double value)
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, format, value);
     return buffer;
-}
-
-/// The bench scenario: the library's fast (50 MS/s) preset.
-inline core::system_config bench_scenario()
-{
-    return core::fast_scenario();
 }
 
 inline void banner(const char* id, const char* title, bool csv)

@@ -10,19 +10,22 @@
 
 namespace mmtag::ap {
 
-struct rate_option {
-    phy::modulation scheme = phy::modulation::bpsk;
-    phy::fec_mode fec = phy::fec_mode::conv_half;
+/// One rung of the rate ladder: an MCS plus its decoding threshold.
+/// Comparison (phy::mcs's ==) looks at the MCS only.
+struct rate_option : phy::mcs {
     /// Minimum per-symbol SNR [dB] for quasi-error-free operation
     /// (BER <~ 1e-5 after decoding).
     double required_snr_db = 0.0;
-    [[nodiscard]] double efficiency() const;
 };
 
 /// The mmtag rate ladder, ordered by increasing spectral efficiency.
 /// Thresholds derive from theoretical M-PSK BER at 1e-5 minus measured
 /// convolutional coding gain.
 [[nodiscard]] const std::vector<rate_option>& rate_table();
+
+/// Index into rate_table() of the densest option decodable at `snr_db` with
+/// `margin_db` to spare; 0 (the most robust) when none is.
+[[nodiscard]] std::size_t rate_index(double snr_db, double margin_db);
 
 class rate_adapter {
 public:

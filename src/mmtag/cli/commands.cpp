@@ -30,12 +30,6 @@ namespace mmtag::cli {
 
 namespace {
 
-/// Bench-grade scenario (10 samples/symbol) so CLI runs finish in seconds.
-core::system_config cli_scenario()
-{
-    return core::fast_scenario();
-}
-
 void reject_leftovers(const option_set& options)
 {
     const auto leftover = options.unconsumed();
@@ -54,15 +48,27 @@ struct obs_options {
 obs_options parse_obs_options(const option_set& options)
 {
     obs_options out;
-    if (options.has("metrics")) {
+    // A bare `--metrics` collects and embeds/prints, but writes no file.
+    if (const auto path = options.get_flag_or_string("metrics")) {
         out.metrics = true;
-        const std::string value = options.get_string("metrics", "");
-        // A bare `--metrics` parses as the flag value "true": collect and
-        // embed/print, but write no standalone file.
-        if (value != "true") out.metrics_path = value;
+        out.metrics_path = *path;
     }
     out.trace_path = options.get_string("trace", "");
     return out;
+}
+
+/// --jobs N / --json PATH on top of the obs options: the commands that fan
+/// trials out over the pool and write a result document (soak/scale/sweep).
+struct run_options : obs_options {
+    std::size_t jobs = 0;  ///< 0: all cores
+    std::string json_path; ///< empty: no result document
+};
+
+run_options parse_run_options(const option_set& options)
+{
+    return {parse_obs_options(options),
+            static_cast<std::size_t>(options.get_uint("jobs", 0)),
+            options.get_string("json", "")};
 }
 
 /// Starts a trace session scoped to the command when a path was given;
@@ -115,10 +121,10 @@ void emit_metrics(const obs_options& obs_opts, const obs::metrics_registry& regi
 void apply_frame_options(const option_set& options, core::system_config& cfg)
 {
     if (options.has("scheme")) {
-        cfg.modulator.frame.scheme = parse_modulation(options.get_string("scheme", ""));
+        cfg.modulator.frame.scheme = phy::parse_modulation(options.get_string("scheme", ""));
     }
     if (options.has("fec")) {
-        cfg.modulator.frame.fec = parse_fec(options.get_string("fec", ""));
+        cfg.modulator.frame.fec = phy::parse_fec(options.get_string("fec", ""));
     }
     cfg.receiver.frame = cfg.modulator.frame;
 }
@@ -129,7 +135,7 @@ int run_link(const option_set& options)
 {
     const std::string preset = options.get_string("preset", "default");
     core::system_config cfg;
-    if (preset == "default") cfg = cli_scenario();
+    if (preset == "default") cfg = core::fast_scenario();
     else if (preset == "warehouse") cfg = core::warehouse_scenario();
     else if (preset == "wearable") cfg = core::wearable_scenario();
     else throw std::invalid_argument("--preset must be default, warehouse, or wearable");
@@ -165,7 +171,7 @@ int run_link(const option_set& options)
 
 int run_budget(const option_set& options)
 {
-    auto cfg = cli_scenario();
+    auto cfg = core::fast_scenario();
     cfg.transmitter.tx_power_dbm = options.get_double("tx-power", 27.0);
     const auto elements = static_cast<std::size_t>(options.get_uint("elements", 8));
     cfg.van_atta.element_count = elements;
@@ -200,7 +206,7 @@ int run_network(const option_set& options)
     if (tag_count == 0) throw std::invalid_argument("--tags must be >= 1");
 
     const auto tags = core::uniform_population(tag_count, 1.0, max_range, seed);
-    const core::network net(cli_scenario(), tags);
+    const core::network net(core::fast_scenario(), tags);
     const auto report = net.run(seed, payload);
 
     std::printf("network: %zu tags within %.1f m\n", tag_count, max_range);
@@ -263,7 +269,7 @@ int run_faults(const option_set& options)
     if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
     if (trials == 0) throw std::invalid_argument("--trials must be >= 1");
 
-    auto cfg = cli_scenario();
+    auto cfg = core::fast_scenario();
     cfg.distance_m = distance;
     cfg.seed = seed;
 
@@ -373,9 +379,7 @@ int run_soak(const option_set& options)
     cfg.fault_seed = options.get_uint("fault-seed", 42);
     cfg.min_range_m = options.get_double("min-range", cfg.min_range_m);
     cfg.max_range_m = options.get_double("max-range", cfg.max_range_m);
-    const auto jobs = static_cast<std::size_t>(options.get_uint("jobs", 0));
-    const std::string json_path = options.get_string("json", "");
-    const obs_options obs_opts = parse_obs_options(options);
+    const run_options obs_opts = parse_run_options(options);
     reject_leftovers(options);
 
     std::printf("soak: %zu tags (%zu faulted), %zu rounds x %zu trials, "
@@ -387,7 +391,7 @@ int run_soak(const option_set& options)
     obs::metrics_registry metrics;
     const trace_session trace(obs_opts.trace_path);
     const auto start = std::chrono::steady_clock::now();
-    runtime::thread_pool pool(jobs);
+    runtime::thread_pool pool(obs_opts.jobs);
     const net::soak_report report =
         net::run_soak(cfg, pool, obs_opts.metrics ? &metrics : nullptr);
     const double wall_s =
@@ -415,8 +419,8 @@ int run_soak(const option_set& options)
     std::printf("  runtime: %zu tasks in %.2f s wall (%zu jobs)\n", 2 * cfg.trials,
                 wall_s, pool.jobs());
 
-    if (!json_path.empty()) {
-        write_text_file(json_path, report.to_json().dump(2));
+    if (!obs_opts.json_path.empty()) {
+        write_text_file(obs_opts.json_path, report.to_json().dump(2));
     }
     emit_metrics(obs_opts, metrics);
     return report.all_passed() ? 0 : 3;
@@ -436,10 +440,8 @@ int run_scale(const option_set& options)
     cfg.seed = options.get_uint("seed", 1);
     cfg.fault_seed = options.get_uint("fault-seed", 42);
     cfg.trials = static_cast<std::size_t>(options.get_uint("trials", 1));
-    cfg.scenario = cli_scenario();
-    const auto jobs = static_cast<std::size_t>(options.get_uint("jobs", 0));
-    const std::string json_path = options.get_string("json", "");
-    const obs_options obs_opts = parse_obs_options(options);
+    cfg.scenario = core::fast_scenario();
+    const run_options obs_opts = parse_run_options(options);
     reject_leftovers(options);
 
     std::printf("scale: %zu tags, %zu APs (%s layout), %zu rounds x %zu trials, "
@@ -453,7 +455,7 @@ int run_scale(const option_set& options)
     const trace_session trace(obs_opts.trace_path);
     const auto start = std::chrono::steady_clock::now();
     const scale::scale_result result =
-        scale::run_scale(cfg, jobs, obs_opts.metrics ? &metrics : nullptr);
+        scale::run_scale(cfg, obs_opts.jobs, obs_opts.metrics ? &metrics : nullptr);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
@@ -479,8 +481,8 @@ int run_scale(const option_set& options)
                 cfg.trials, wall_s, result.jobs,
                 runtime::per_second(result.events, wall_s));
 
-    if (!json_path.empty()) {
-        write_text_file(json_path, result.to_json().dump(2));
+    if (!obs_opts.json_path.empty()) {
+        write_text_file(obs_opts.json_path, result.to_json().dump(2));
     }
     emit_metrics(obs_opts, metrics);
     return 0;
@@ -513,11 +515,9 @@ int run_sweep(const option_set& options)
     const auto frames = static_cast<std::size_t>(options.get_uint("frames", 6));
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 32));
     const std::uint64_t seed = options.get_uint("seed", 1);
-    const auto jobs = static_cast<std::size_t>(options.get_uint("jobs", 0));
-    const std::string json_path = options.get_string("json", "");
-    const obs_options obs_opts = parse_obs_options(options);
+    const run_options obs_opts = parse_run_options(options);
 
-    auto cfg = cli_scenario();
+    auto cfg = core::fast_scenario();
     apply_frame_options(options, cfg);
     reject_leftovers(options);
     if (points == 0) throw std::invalid_argument("--points must be >= 1");
@@ -538,7 +538,7 @@ int run_sweep(const option_set& options)
                 phy::fec_mode_name(cfg.modulator.frame.fec));
 
     runtime::sweep_options sweep;
-    sweep.jobs = jobs;
+    sweep.jobs = obs_opts.jobs;
     sweep.base_seed = seed;
     sweep.trials_per_point = trials;
     sweep.progress = runtime::stderr_progress();
@@ -586,9 +586,9 @@ int run_sweep(const option_set& options)
 
     std::printf("%s\n",
                 runtime::summary_line(points, out.trials, out.wall_s, out.jobs).c_str());
-    if (!json_path.empty()) {
+    if (!obs_opts.json_path.empty()) {
         const auto written =
-            results.write(json_path, out.wall_s, out.jobs, out.trials_per_s());
+            results.write(obs_opts.json_path, out.wall_s, out.jobs, out.trials_per_s());
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;

@@ -13,28 +13,47 @@ option_set option_set::parse(int argc, const char* const* argv)
         throw std::invalid_argument("first argument must be a subcommand, got '" +
                                     out.command_ + "'");
     }
-    for (int i = 2; i < argc; ++i) {
+    out.parse_options(2, argc, argv);
+    return out;
+}
+
+option_set option_set::parse_flags(int argc, const char* const* argv)
+{
+    option_set out;
+    out.parse_options(1, argc, argv);
+    return out;
+}
+
+void option_set::parse_options(int first, int argc, const char* const* argv)
+{
+    for (int i = first; i < argc; ++i) {
         std::string token = argv[i];
         if (token.rfind("--", 0) != 0 || token.size() <= 2) {
-            throw std::invalid_argument("expected --key, got '" + token + "'");
+            throw std::invalid_argument("unexpected argument '" + token + "'");
         }
         token.erase(0, 2);
-        std::string value;
+        std::optional<std::string> value;
         const auto equals = token.find('=');
         if (equals != std::string::npos) {
             value = token.substr(equals + 1);
             token.resize(equals);
         } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
             value = argv[++i];
-        } else {
-            value = "true"; // bare flag
         }
-        if (out.values_.count(token) != 0) {
+        if (values_.count(token) != 0) {
             throw std::invalid_argument("duplicate option --" + token);
         }
-        out.values_[token] = value;
+        values_[token] = std::move(value);
     }
-    return out;
+}
+
+const std::string* option_set::value_of(const std::string& key) const
+{
+    const auto it = values_.find(key);
+    if (it == values_.end()) return nullptr;
+    consumed_[key] = true;
+    if (!it->second) throw std::invalid_argument("--" + key + " needs a value");
+    return &*it->second;
 }
 
 bool option_set::has(const std::string& key) const
@@ -44,42 +63,37 @@ bool option_set::has(const std::string& key) const
 
 double option_set::get_double(const std::string& key, double fallback) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    consumed_[key] = true;
+    const std::string* text = value_of(key);
+    if (text == nullptr) return fallback;
     try {
         std::size_t used = 0;
-        const double value = std::stod(it->second, &used);
-        if (used != it->second.size()) throw std::invalid_argument("trailing junk");
+        const double value = std::stod(*text, &used);
+        if (used != text->size()) throw std::invalid_argument("trailing junk");
         return value;
     } catch (const std::exception&) {
-        throw std::invalid_argument("--" + key + " expects a number, got '" + it->second +
-                                    "'");
+        throw std::invalid_argument("--" + key + " expects a number, got '" + *text + "'");
     }
 }
 
 std::int64_t option_set::get_int(const std::string& key, std::int64_t fallback) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    consumed_[key] = true;
+    const std::string* text = value_of(key);
+    if (text == nullptr) return fallback;
     try {
         std::size_t used = 0;
-        const long long value = std::stoll(it->second, &used);
-        if (used != it->second.size()) throw std::invalid_argument("trailing junk");
+        const long long value = std::stoll(*text, &used);
+        if (used != text->size()) throw std::invalid_argument("trailing junk");
         return value;
     } catch (const std::exception&) {
-        throw std::invalid_argument("--" + key + " expects an integer, got '" + it->second +
-                                    "'");
+        throw std::invalid_argument("--" + key + " expects an integer, got '" + *text + "'");
     }
 }
 
 std::uint64_t option_set::get_uint(const std::string& key, std::uint64_t fallback) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    consumed_[key] = true;
-    const std::string& text = it->second;
+    const std::string* value = value_of(key);
+    if (value == nullptr) return fallback;
+    const std::string& text = *value;
     // std::stoull accepts "-1" (wrapping to 18446744073709551615) and
     // "1e3" parses as 1 with trailing junk — both must be hard errors here.
     const bool all_digits =
@@ -99,10 +113,8 @@ std::uint64_t option_set::get_uint(const std::string& key, std::uint64_t fallbac
 
 std::string option_set::get_string(const std::string& key, const std::string& fallback) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    consumed_[key] = true;
-    return it->second;
+    const std::string* text = value_of(key);
+    return text == nullptr ? fallback : *text;
 }
 
 bool option_set::get_flag(const std::string& key) const
@@ -110,9 +122,20 @@ bool option_set::get_flag(const std::string& key) const
     const auto it = values_.find(key);
     if (it == values_.end()) return false;
     consumed_[key] = true;
-    if (it->second == "true" || it->second == "1" || it->second == "yes") return true;
-    if (it->second == "false" || it->second == "0" || it->second == "no") return false;
-    throw std::invalid_argument("--" + key + " is a flag; got '" + it->second + "'");
+    if (!it->second) return true; // bare
+    const std::string& value = *it->second;
+    if (value == "true" || value == "1" || value == "yes") return true;
+    if (value == "false" || value == "0" || value == "no") return false;
+    throw std::invalid_argument("--" + key + " is a flag; got '" + value + "'");
+}
+
+std::optional<std::string> option_set::get_flag_or_string(const std::string& key) const
+{
+    const auto it = values_.find(key);
+    if (it == values_.end()) return std::nullopt;
+    consumed_[key] = true;
+    if (!it->second || *it->second == "true") return std::string();
+    return *it->second;
 }
 
 std::vector<std::string> option_set::unconsumed() const
@@ -122,25 +145,6 @@ std::vector<std::string> option_set::unconsumed() const
         if (consumed_.find(key) == consumed_.end()) leftover.push_back(key);
     }
     return leftover;
-}
-
-phy::modulation parse_modulation(const std::string& name)
-{
-    if (name == "bpsk") return phy::modulation::bpsk;
-    if (name == "qpsk") return phy::modulation::qpsk;
-    if (name == "8psk") return phy::modulation::psk8;
-    if (name == "16psk") return phy::modulation::psk16;
-    throw std::invalid_argument("unknown modulation '" + name +
-                                "' (bpsk, qpsk, 8psk, 16psk)");
-}
-
-phy::fec_mode parse_fec(const std::string& name)
-{
-    if (name == "none") return phy::fec_mode::uncoded;
-    if (name == "1/2") return phy::fec_mode::conv_half;
-    if (name == "2/3") return phy::fec_mode::conv_two_thirds;
-    if (name == "3/4") return phy::fec_mode::conv_three_quarters;
-    throw std::invalid_argument("unknown FEC '" + name + "' (none, 1/2, 2/3, 3/4)");
 }
 
 } // namespace mmtag::cli

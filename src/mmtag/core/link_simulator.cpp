@@ -190,13 +190,12 @@ void link_simulator::advance_clock(double dt_s)
     clock_s_ += dt_s;
 }
 
-void link_simulator::set_rate(phy::modulation scheme, phy::fec_mode fec)
+void link_simulator::set_rate(const phy::mcs& rate)
 {
-    if (cfg_.modulator.frame.scheme == scheme && cfg_.modulator.frame.fec == fec) {
-        return;
-    }
-    cfg_.modulator.frame.scheme = scheme;
-    cfg_.modulator.frame.fec = fec;
+    auto& frame = cfg_.modulator.frame;
+    if (phy::mcs{frame.scheme, frame.fec} == rate) return;
+    frame.scheme = rate.scheme;
+    frame.fec = rate.fec;
     cfg_.receiver.frame = cfg_.modulator.frame;
     modulator_ = tag::backscatter_modulator(cfg_.modulator);
     receiver_ = ap::ap_receiver(cfg_.receiver, cfg_.seed * 104729 + 2);

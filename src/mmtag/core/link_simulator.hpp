@@ -43,7 +43,7 @@ public:
 
     /// Switches the live (modulation, FEC) pair — the hook rate adaptation
     /// and the link supervisor's MCS fallback drive mid-session.
-    void set_rate(phy::modulation scheme, phy::fec_mode fec);
+    void set_rate(const phy::mcs& rate);
 
     struct frame_result {
         ap::reception rx;

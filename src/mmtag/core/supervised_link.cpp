@@ -1,5 +1,6 @@
 #include "mmtag/core/supervised_link.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -9,20 +10,6 @@
 namespace mmtag::core {
 
 namespace {
-
-/// The link's configured MCS as a rate_option (threshold looked up from the
-/// ladder when present; transmission only needs the scheme/FEC pair).
-ap::rate_option nominal_rate_of(const link_simulator& link)
-{
-    const auto& frame = link.parameters().modulator.frame;
-    for (const auto& option : ap::rate_table()) {
-        if (option.scheme == frame.scheme && option.fec == frame.fec) return option;
-    }
-    ap::rate_option option;
-    option.scheme = frame.scheme;
-    option.fec = frame.fec;
-    return option;
-}
 
 ap::supervised_report run(link_simulator& link, fault::fault_injector* faults,
                           const ap::supervisor_config& cfg, std::size_t frames,
@@ -44,7 +31,7 @@ ap::supervised_report run(link_simulator& link, fault::fault_injector* faults,
                                     link.parameters().seed * 1'000'003 + 500'000 + f);
     };
     driver.transmit = [&](const ap::rate_option& rate) {
-        link.set_rate(rate.scheme, rate.fec);
+        link.set_rate(rate);
         const auto result = link.run_frame(payload);
         return ap::attempt_result{result.delivered, result.rx.snr_db,
                                   result.elapsed_s};
@@ -55,7 +42,7 @@ ap::supervised_report run(link_simulator& link, fault::fault_injector* faults,
     const std::vector<std::uint8_t> probe_payload =
         phy::random_bytes(4, link.parameters().seed * 1'000'003 + 499'999);
     driver.probe = [&, probe_payload](const ap::rate_option& rate) {
-        link.set_rate(rate.scheme, rate.fec);
+        link.set_rate(rate);
         const auto result = link.run_frame(probe_payload);
         return ap::attempt_result{result.delivered, result.rx.snr_db,
                                   result.elapsed_s};
@@ -67,7 +54,13 @@ ap::supervised_report run(link_simulator& link, fault::fault_injector* faults,
     };
     driver.now = [&] { return link.clock_s(); };
 
-    return ap::run_supervised(cfg, nominal_rate_of(link), driver, frames,
+    // The link's configured MCS, with its threshold when the ladder has it
+    // (transmission only needs the pair).
+    const auto& frame = link.parameters().modulator.frame;
+    const ap::rate_option configured{{frame.scheme, frame.fec}};
+    const auto& ladder = ap::rate_table();
+    const auto rung = std::find(ladder.begin(), ladder.end(), configured);
+    return ap::run_supervised(cfg, rung != ladder.end() ? *rung : configured, driver, frames,
                               static_cast<double>(payload_bytes) * 8.0);
 }
 

@@ -183,7 +183,12 @@ std::vector<std::uint8_t> viterbi_decode(std::span<const std::uint8_t> coded_bit
     return viterbi_decode_soft(soft, rate);
 }
 
-std::vector<std::uint8_t> viterbi_decode_soft(std::span<const double> soft_bits, code_rate rate)
+// viterbi_core is inlined here, and its add-compare-select loop dominates a
+// coded link's CPU time. Its speed moves by ~10% with the loop's offset in a
+// 64-byte line, so the alignment is pinned rather than left to the size of
+// whatever code the linker places ahead of it.
+[[gnu::aligned(64)]] std::vector<std::uint8_t>
+viterbi_decode_soft(std::span<const double> soft_bits, code_rate rate)
 {
     const std::size_t flat_length = infer_flat_length(rate, soft_bits.size());
     const std::vector<double> full = depuncture(soft_bits, rate, flat_length);

@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/core/network.hpp"
 #include "mmtag/fault/fault_injector.hpp"
@@ -21,10 +22,6 @@
 namespace mmtag::net {
 
 namespace {
-
-/// The robust MCS degraded sessions and probes use: the bottom of the rate
-/// ladder (BPSK, rate-1/2), matching ap::rate_table().front().
-constexpr core::burst_mcs robust_mcs{phy::modulation::bpsk, phy::fec_mode::conv_half};
 
 constexpr std::size_t probe_payload_bytes = 4;
 
@@ -259,11 +256,13 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
     core::multitag_simulator sim(scenario, population);
     if (registry != nullptr) sim.attach_metrics(registry);
 
+    // Degraded sessions and probes use the bottom of the rate ladder.
+    const phy::mcs robust = ap::rate_table().front();
     const double data_slot_s = sim.burst_duration_s(cfg.payload_bytes) * 1.05;
     const double robust_slot_s =
-        sim.burst_duration_s(cfg.payload_bytes, robust_mcs) * 1.05;
+        sim.burst_duration_s(cfg.payload_bytes, robust) * 1.05;
     const double probe_slot_s =
-        sim.burst_duration_s(probe_payload_bytes, robust_mcs) * 1.05;
+        sim.burst_duration_s(probe_payload_bytes, robust) * 1.05;
 
     // Fault plan: the horizon derives from one measured round of airtime
     // (a throwaway capture on a twin simulator), so active_fraction keeps
@@ -343,7 +342,7 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
             burst.payload = phy::random_bytes(
                 cfg.payload_bytes, runtime::substream(tseed, ++burst_counter));
             burst.start_s = cursor;
-            if (robust_tag[id]) burst.mcs = robust_mcs;
+            if (robust_tag[id]) burst.mcs = robust;
             cursor += robust_tag[id] ? robust_slot_s : data_slot_s;
             bursts.push_back(std::move(burst));
             slots.push_back({id, false});
@@ -355,7 +354,7 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
             burst.payload = phy::random_bytes(
                 probe_payload_bytes, runtime::substream(tseed, ++burst_counter));
             burst.start_s = cursor;
-            burst.mcs = robust_mcs;
+            burst.mcs = robust;
             cursor += probe_slot_s;
             bursts.push_back(std::move(burst));
             slots.push_back({id, true});

@@ -76,9 +76,18 @@ const char* fec_mode_name(fec_mode mode)
     throw std::invalid_argument("fec_mode_name: unknown mode");
 }
 
-double spectral_efficiency(const frame_config& cfg)
+fec_mode parse_fec(const std::string& name)
 {
-    return static_cast<double>(bits_per_symbol(cfg.scheme)) * fec_mode_rate(cfg.fec);
+    if (name == "none") return fec_mode::uncoded;
+    if (name == "1/2") return fec_mode::conv_half;
+    if (name == "2/3") return fec_mode::conv_two_thirds;
+    if (name == "3/4") return fec_mode::conv_three_quarters;
+    throw std::invalid_argument("unknown FEC '" + name + "' (none, 1/2, 2/3, 3/4)");
+}
+
+double mcs::efficiency() const
+{
+    return static_cast<double>(bits_per_symbol(scheme)) * fec_mode_rate(fec);
 }
 
 cvec build_frame(std::span<const std::uint8_t> payload, const frame_config& cfg)

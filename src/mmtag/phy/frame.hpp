@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mmtag/common.hpp"
@@ -36,6 +37,23 @@ enum class fec_mode : std::uint8_t {
 [[nodiscard]] double fec_mode_rate(fec_mode mode);
 [[nodiscard]] const char* fec_mode_name(fec_mode mode);
 
+/// Parses a CLI FEC token ("none", "1/2", "2/3", "3/4"); throws
+/// std::invalid_argument on anything else.
+[[nodiscard]] fec_mode parse_fec(const std::string& name);
+
+/// A modulation-and-coding scheme: the (modulation, FEC) pair a payload is
+/// sent with. The unit the rate ladder, the frame header and the multi-tag
+/// robust-mode override all speak in.
+struct mcs {
+    modulation scheme = modulation::bpsk;
+    fec_mode fec = fec_mode::conv_half;
+
+    /// Information bits per symbol (bits per symbol x code rate).
+    [[nodiscard]] double efficiency() const;
+
+    friend bool operator==(const mcs&, const mcs&) = default;
+};
+
 struct frame_config {
     modulation scheme = modulation::qpsk;
     fec_mode fec = fec_mode::conv_half;
@@ -44,9 +62,6 @@ struct frame_config {
     std::size_t interleaver_rows = 8;
     std::size_t interleaver_columns = 12;
 };
-
-/// Effective information bits per symbol (modulation x code rate).
-[[nodiscard]] double spectral_efficiency(const frame_config& cfg);
 
 inline constexpr std::size_t max_payload_bytes = 2047;
 inline constexpr std::size_t header_symbol_count = 56; // 4 bytes -> Hamming(7,4) -> BPSK

@@ -47,6 +47,16 @@ std::string modulation_name(modulation scheme)
     throw std::invalid_argument("modulation_name: unknown modulation");
 }
 
+modulation parse_modulation(const std::string& name)
+{
+    if (name == "bpsk") return modulation::bpsk;
+    if (name == "qpsk") return modulation::qpsk;
+    if (name == "8psk") return modulation::psk8;
+    if (name == "16psk") return modulation::psk16;
+    throw std::invalid_argument("unknown modulation '" + name +
+                                "' (bpsk, qpsk, 8psk, 16psk)");
+}
+
 cvec constellation(modulation scheme)
 {
     // All schemes use phases 2 pi p / M with p = 0 on the positive real axis.

@@ -24,6 +24,9 @@ enum class modulation {
 [[nodiscard]] std::size_t bits_per_symbol(modulation scheme);
 [[nodiscard]] std::size_t constellation_size(modulation scheme);
 [[nodiscard]] std::string modulation_name(modulation scheme);
+/// Parses a CLI modulation token ("bpsk", "qpsk", "8psk", "16psk"); throws
+/// std::invalid_argument on anything else.
+[[nodiscard]] modulation parse_modulation(const std::string& name);
 
 /// Unit-energy constellation points in Gray-code order: point index i is the
 /// symbol whose Gray-decoded bits equal i.

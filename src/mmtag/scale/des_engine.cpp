@@ -173,7 +173,7 @@ std::uint64_t fnv1a64_line(std::uint64_t hash, const char* text, std::size_t len
 
 /// Airtime of one TDMA slot at a given rate: query + turnaround + the full
 /// frame (preamble, BPSK header, payload at the slot's MCS) + guard.
-double slot_airtime_s(const ap::rate_option& option, std::size_t payload_bytes,
+double slot_airtime_s(const phy::mcs& option, std::size_t payload_bytes,
                       double symbol_rate_hz, const mac::tdma_config& mac)
 {
     phy::frame_config frame;
@@ -184,20 +184,6 @@ double slot_airtime_s(const ap::rate_option& option, std::size_t payload_bytes,
                                 phy::payload_symbol_count(payload_bytes, frame);
     return mac.query_time_s + mac.turnaround_s +
            static_cast<double>(symbols) / symbol_rate_hz + mac.guard_time_s;
-}
-
-/// Densest ladder index decodable at `sinr_db` with `margin_db` to spare;
-/// the robust bottom of the ladder when nothing clears.
-std::uint16_t pick_mcs(double sinr_db, double margin_db)
-{
-    const auto& ladder = ap::rate_table();
-    std::uint16_t best = 0;
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-        if (sinr_db >= ladder[i].required_snr_db + margin_db) {
-            best = static_cast<std::uint16_t>(i);
-        }
-    }
-    return best;
 }
 
 /// Per-tag state of the slot path, kept together so a slot touches one
@@ -242,7 +228,8 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     std::vector<std::uint16_t> tag_mcs(n);
     std::vector<slot_tag_state> tag_state(n);
     for (std::size_t t = 0; t < n; ++t) {
-        tag_mcs[t] = pick_mcs(topo.tags[t].sinr_db, cfg.margin_db);
+        tag_mcs[t] =
+            static_cast<std::uint16_t>(ap::rate_index(topo.tags[t].sinr_db, cfg.margin_db));
         tag_state[t].sinr_lin = from_db(topo.tags[t].sinr_db);
         tag_state[t].clean_sinr_db = to_db(tag_state[t].sinr_lin);
     }

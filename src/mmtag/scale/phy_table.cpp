@@ -193,7 +193,7 @@ phy_table phy_table::generate(const phy_table_config& cfg, std::size_t jobs)
             scenario.distance_m = distances[sinr];
             scenario.seed = seed;
             core::link_simulator sim(scenario);
-            sim.set_rate(ladder[mcs].scheme, ladder[mcs].fec);
+            sim.set_rate(ladder[mcs]);
             const std::size_t frames = base_frames + (chunk < extra_frames ? 1 : 0);
             return sim.run_trials(frames, cfg.payload_bytes);
         });
@@ -204,8 +204,6 @@ phy_table phy_table::generate(const phy_table_config& cfg, std::size_t jobs)
     table.curves_.resize(ladder.size());
     for (std::size_t mcs = 0; mcs < ladder.size(); ++mcs) {
         curve& c = table.curves_[mcs];
-        c.scheme = ladder[mcs].scheme;
-        c.fec = ladder[mcs].fec;
         c.sinr_db = grid;
         c.per.resize(grid.size());
         c.frames.resize(grid.size());
@@ -225,11 +223,13 @@ runtime::json_value phy_table::to_json() const
     auto doc = runtime::schema_object(schema_name);
     doc.set("fingerprint", json_value::string(fingerprint_));
     doc.set("params", params_json(cfg_));
+    const auto& ladder = ap::rate_table();
     auto curves = json_value::array();
-    for (const curve& c : curves_) {
+    for (std::size_t mcs = 0; mcs < curves_.size(); ++mcs) {
+        const curve& c = curves_[mcs];
         auto entry = json_value::object();
-        entry.set("modulation", json_value::string(phy::modulation_name(c.scheme)));
-        entry.set("fec", json_value::string(phy::fec_mode_name(c.fec)));
+        entry.set("modulation", json_value::string(phy::modulation_name(ladder[mcs].scheme)));
+        entry.set("fec", json_value::string(phy::fec_mode_name(ladder[mcs].fec)));
         auto sinr = json_value::array();
         for (const double s : c.sinr_db) sinr.push(json_value::number(s));
         entry.set("sinr_db", std::move(sinr));
@@ -279,14 +279,12 @@ phy_table phy_table::from_json(const runtime::json_value& doc,
     for (std::size_t mcs = 0; mcs < ladder.size(); ++mcs) {
         const json_value& entry = curves->at(mcs);
         curve& c = table.curves_[mcs];
-        c.scheme = ladder[mcs].scheme;
-        c.fec = ladder[mcs].fec;
         const json_value* modulation = entry.find("modulation");
         const json_value* fec = entry.find("fec");
         if (modulation == nullptr || !modulation->is_string() ||
-            modulation->as_string() != phy::modulation_name(c.scheme) ||
+            modulation->as_string() != phy::modulation_name(ladder[mcs].scheme) ||
             fec == nullptr || !fec->is_string() ||
-            fec->as_string() != phy::fec_mode_name(c.fec)) {
+            fec->as_string() != phy::fec_mode_name(ladder[mcs].fec)) {
             reject("curve order does not match the rate ladder");
         }
         const json_value* sinr = entry.find("sinr_db");
@@ -307,7 +305,7 @@ phy_table phy_table::from_json(const runtime::json_value& doc,
             }
             if (!(c.per[i] >= 0.0 && c.per[i] <= 1.0)) reject("PER outside [0, 1]");
             if (i > 0 && c.per[i] > c.per[i - 1] + 1e-12) {
-                reject("curve for " + phy::modulation_name(c.scheme) +
+                reject("curve for " + phy::modulation_name(ladder[mcs].scheme) +
                        " is not monotone non-increasing in SINR");
             }
         }

@@ -45,9 +45,8 @@ struct phy_table_config {
 
 class phy_table {
 public:
+    /// PER vs SINR of one MCS; curves()[i] belongs to rate_table()[i].
     struct curve {
-        phy::modulation scheme = phy::modulation::bpsk;
-        phy::fec_mode fec = phy::fec_mode::conv_half;
         std::vector<double> sinr_db; ///< ascending grid
         std::vector<double> per;     ///< monotone non-increasing
         std::vector<std::uint64_t> frames; ///< observations per point

@@ -49,7 +49,7 @@ double energy_model::energy_per_bit(const phy::frame_config& frame, double symbo
     const double m = static_cast<double>(phy::constellation_size(frame.scheme));
     const double transitions_per_symbol = (m - 1.0) / m;
     const double power = transmit_power_w(symbol_rate_hz, transitions_per_symbol);
-    const double bit_rate = symbol_rate_hz * phy::spectral_efficiency(frame);
+    const double bit_rate = symbol_rate_hz * phy::mcs{frame.scheme, frame.fec}.efficiency();
     return power / bit_rate;
 }
 

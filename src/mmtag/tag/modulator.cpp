@@ -43,7 +43,7 @@ backscatter_modulator::backscatter_modulator(const config& cfg)
 
 double backscatter_modulator::information_rate_bps() const
 {
-    return cfg_.symbol_rate_hz * phy::spectral_efficiency(cfg_.frame);
+    return cfg_.symbol_rate_hz * phy::mcs{cfg_.frame.scheme, cfg_.frame.fec}.efficiency();
 }
 
 modulated_frame backscatter_modulator::modulate(std::span<const std::uint8_t> payload) const

@@ -1,6 +1,7 @@
 // bench_util flag parsing: the strict numeric contract. strtoull would
 // happily wrap "--jobs -1" to 2^64-1 and truncate "--seed 1e3" to 1; the
-// parser must instead print one error line and exit(2).
+// parser must instead print one error line and exit(2). The same holds for
+// a flag that is neither common nor one of the bench's named extras.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,14 +12,16 @@
 namespace mmtag::bench {
 namespace {
 
-/// Runs bench_options::parse over a brace-list of flags (argv[0] included).
+/// Runs bench_options::parse over a brace-list of flags (argv[0] included),
+/// for a bench whose extras are `--trials`, `--snr-db` and `--verbose`.
 bench_options parse_flags(std::vector<std::string> flags)
 {
     flags.insert(flags.begin(), "bench_test");
     std::vector<char*> argv;
     argv.reserve(flags.size());
     for (auto& flag : flags) argv.push_back(flag.data());
-    return bench_options::parse(static_cast<int>(argv.size()), argv.data());
+    return bench_options::parse(static_cast<int>(argv.size()), argv.data(),
+                                {"trials", "snr-db", "verbose"});
 }
 
 TEST(bench_options, parses_well_formed_flags)
@@ -32,7 +35,7 @@ TEST(bench_options, parses_well_formed_flags)
     EXPECT_EQ(opts.json_path, "out.json");
     EXPECT_EQ(opts.extra_u64("trials", 1), 250u);
     EXPECT_DOUBLE_EQ(opts.extra_double("snr-db", 0.0), -2.5);
-    EXPECT_EQ(opts.extra.at("verbose"), "");
+    EXPECT_TRUE(opts.flags.get_flag("verbose"));
     EXPECT_EQ(opts.extra_u64("absent", 7), 7u);
 }
 
@@ -73,6 +76,19 @@ TEST(bench_options_death, missing_value_exits)
 {
     EXPECT_EXIT(parse_flags({"--json"}), testing::ExitedWithCode(2),
                 "--json needs a value");
+}
+
+TEST(bench_options, named_extras_need_not_be_read_at_parse)
+{
+    const auto opts = parse_flags({"--trials", "3", "--csv"});
+    EXPECT_TRUE(opts.csv);
+    EXPECT_EQ(opts.extra_u64("trials", 1), 3u);
+}
+
+TEST(bench_options_death, unknown_flag_exits)
+{
+    EXPECT_EXIT(parse_flags({"--jobz", "4", "--csv"}), testing::ExitedWithCode(2),
+                "unknown option --jobz");
 }
 
 TEST(bench_options_death, unexpected_positional_exits)

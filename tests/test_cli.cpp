@@ -7,6 +7,7 @@
 
 #include "mmtag/cli/commands.hpp"
 #include "mmtag/cli/options.hpp"
+#include "mmtag/phy/frame.hpp"
 #include "mmtag/runtime/json_io.hpp"
 
 #include "json_checker.hpp"
@@ -50,6 +51,26 @@ TEST(options, bare_flag)
     EXPECT_TRUE(opts.get_flag("csv"));
 }
 
+TEST(options, bare_key_is_a_flag_not_a_value)
+{
+    const auto opts = parse({"soak", "--json", "--csv", "--seed", "--jobs"});
+    EXPECT_TRUE(opts.get_flag("csv"));
+    EXPECT_EQ(opts.get_flag_or_string("json").value_or("absent"), "");
+    try {
+        (void)opts.get_string("json", "");
+        ADD_FAILURE() << "bare --json read as a value";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_STREQ(error.what(), "--json needs a value");
+    }
+    EXPECT_THROW((void)opts.get_uint("seed", 1), std::invalid_argument);
+    EXPECT_THROW((void)opts.get_double("jobs", 1.0), std::invalid_argument);
+    // `--metrics true` and `--metrics=true` mean bare (print, no file "true").
+    EXPECT_EQ(parse({"soak", "--metrics", "true"}).get_flag_or_string("metrics"), "");
+    EXPECT_EQ(parse({"soak", "--metrics=true"}).get_flag_or_string("metrics"), "");
+    EXPECT_EQ(parse({"soak", "--metrics=m.json"}).get_flag_or_string("metrics"), "m.json");
+    EXPECT_FALSE(parse({"soak"}).get_flag_or_string("metrics").has_value());
+}
+
 TEST(options, rejects_malformed_input)
 {
     EXPECT_THROW(parse({"--no-subcommand"}), std::invalid_argument);
@@ -77,12 +98,12 @@ TEST(options, tracks_unconsumed_keys)
 
 TEST(options, modulation_and_fec_names)
 {
-    EXPECT_EQ(parse_modulation("bpsk"), phy::modulation::bpsk);
-    EXPECT_EQ(parse_modulation("16psk"), phy::modulation::psk16);
-    EXPECT_THROW((void)parse_modulation("qam64"), std::invalid_argument);
-    EXPECT_EQ(parse_fec("none"), phy::fec_mode::uncoded);
-    EXPECT_EQ(parse_fec("3/4"), phy::fec_mode::conv_three_quarters);
-    EXPECT_THROW((void)parse_fec("7/8"), std::invalid_argument);
+    EXPECT_EQ(phy::parse_modulation("bpsk"), phy::modulation::bpsk);
+    EXPECT_EQ(phy::parse_modulation("16psk"), phy::modulation::psk16);
+    EXPECT_THROW((void)phy::parse_modulation("qam64"), std::invalid_argument);
+    EXPECT_EQ(phy::parse_fec("none"), phy::fec_mode::uncoded);
+    EXPECT_EQ(phy::parse_fec("3/4"), phy::fec_mode::conv_three_quarters);
+    EXPECT_THROW((void)phy::parse_fec("7/8"), std::invalid_argument);
 }
 
 TEST(commands, dispatch_help_and_unknown)
@@ -308,6 +329,24 @@ TEST(commands, soak_rejects_bad_arguments_with_exit_1)
     EXPECT_EQ(dispatch(4, zero), 1);
     const char* lopsided[] = {"mmtag_sim", "soak", "--tags", "2", "--faulted", "3"};
     EXPECT_EQ(dispatch(6, lopsided), 1);
+}
+
+TEST(commands, bare_valued_option_exits_1_and_writes_nothing)
+{
+    // A bare --json/--trace used to be read as the path "true".
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() / "mmtag_cli_bare_test";
+    fs::create_directories(dir);
+    const auto cwd = fs::current_path();
+    fs::current_path(dir);
+    const char* soak[] = {"mmtag_sim", "soak", "--tags", "2", "--faulted", "1",
+                          "--trials", "1", "--json"};
+    EXPECT_EQ(dispatch(9, soak), 1);
+    const char* scale[] = {"mmtag_sim", "scale", "--tags", "200", "--aps", "2", "--trace"};
+    EXPECT_EQ(dispatch(7, scale), 1);
+    fs::current_path(cwd);
+    EXPECT_FALSE(fs::exists(dir / "true"));
+    fs::remove_all(dir);
 }
 
 TEST(commands, scale_writes_result_and_one_metrics_snapshot)

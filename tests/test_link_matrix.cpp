@@ -3,18 +3,27 @@
 // the complete chain. Parameterized so a failure names its exact cell.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/phy/bitio.hpp"
+
+namespace mmtag::phy {
+
+/// Prints the pair by name: gtest's default prints the struct's raw bytes,
+/// padding included, which would put uninitialised bytes into test names.
+void PrintTo(const mcs& m, std::ostream* os)
+{
+    *os << modulation_name(m.scheme) << ' ' << fec_mode_name(m.fec);
+}
+
+} // namespace mmtag::phy
 
 namespace mmtag::core {
 namespace {
 
-struct matrix_case {
-    phy::modulation scheme;
-    phy::fec_mode fec;
-};
-
-std::string case_name(const ::testing::TestParamInfo<matrix_case>& info)
+std::string case_name(const ::testing::TestParamInfo<phy::mcs>& info)
 {
     std::string name = phy::modulation_name(info.param.scheme) + "_" +
                        phy::fec_mode_name(info.param.fec);
@@ -24,9 +33,9 @@ std::string case_name(const ::testing::TestParamInfo<matrix_case>& info)
     return name;
 }
 
-class link_matrix : public ::testing::TestWithParam<matrix_case> {
+class link_matrix : public ::testing::TestWithParam<phy::mcs> {
 protected:
-    static system_config scenario(const matrix_case& param)
+    static system_config scenario(const phy::mcs& param)
     {
         auto cfg = default_scenario();
         cfg.sample_rate_hz = 50e6;
@@ -61,31 +70,29 @@ TEST_P(link_matrix, goodput_matches_spectral_efficiency)
     // preamble, header, FEC expansion and guards, so it lands below the raw
     // info rate — by up to ~3.5x for dense constellations whose 64-byte
     // payload spans few symbols relative to the fixed overhead.
-    const double info_rate = phy::spectral_efficiency(cfg.modulator.frame) *
-                             cfg.symbol_rate_hz;
+    const double info_rate = GetParam().efficiency() * cfg.symbol_rate_hz;
     EXPECT_LT(report.goodput_bps, info_rate);
     EXPECT_GT(report.goodput_bps, info_rate / 3.5);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     all_pairs, link_matrix,
-    ::testing::Values(matrix_case{phy::modulation::bpsk, phy::fec_mode::uncoded},
-                      matrix_case{phy::modulation::bpsk, phy::fec_mode::conv_half},
-                      matrix_case{phy::modulation::bpsk, phy::fec_mode::conv_two_thirds},
-                      matrix_case{phy::modulation::bpsk, phy::fec_mode::conv_three_quarters},
-                      matrix_case{phy::modulation::qpsk, phy::fec_mode::uncoded},
-                      matrix_case{phy::modulation::qpsk, phy::fec_mode::conv_half},
-                      matrix_case{phy::modulation::qpsk, phy::fec_mode::conv_two_thirds},
-                      matrix_case{phy::modulation::qpsk, phy::fec_mode::conv_three_quarters},
-                      matrix_case{phy::modulation::psk8, phy::fec_mode::uncoded},
-                      matrix_case{phy::modulation::psk8, phy::fec_mode::conv_half},
-                      matrix_case{phy::modulation::psk8, phy::fec_mode::conv_two_thirds},
-                      matrix_case{phy::modulation::psk8, phy::fec_mode::conv_three_quarters},
-                      matrix_case{phy::modulation::psk16, phy::fec_mode::uncoded},
-                      matrix_case{phy::modulation::psk16, phy::fec_mode::conv_half},
-                      matrix_case{phy::modulation::psk16, phy::fec_mode::conv_two_thirds},
-                      matrix_case{phy::modulation::psk16,
-                                  phy::fec_mode::conv_three_quarters}),
+    ::testing::Values(phy::mcs{phy::modulation::bpsk, phy::fec_mode::uncoded},
+                      phy::mcs{phy::modulation::bpsk, phy::fec_mode::conv_half},
+                      phy::mcs{phy::modulation::bpsk, phy::fec_mode::conv_two_thirds},
+                      phy::mcs{phy::modulation::bpsk, phy::fec_mode::conv_three_quarters},
+                      phy::mcs{phy::modulation::qpsk, phy::fec_mode::uncoded},
+                      phy::mcs{phy::modulation::qpsk, phy::fec_mode::conv_half},
+                      phy::mcs{phy::modulation::qpsk, phy::fec_mode::conv_two_thirds},
+                      phy::mcs{phy::modulation::qpsk, phy::fec_mode::conv_three_quarters},
+                      phy::mcs{phy::modulation::psk8, phy::fec_mode::uncoded},
+                      phy::mcs{phy::modulation::psk8, phy::fec_mode::conv_half},
+                      phy::mcs{phy::modulation::psk8, phy::fec_mode::conv_two_thirds},
+                      phy::mcs{phy::modulation::psk8, phy::fec_mode::conv_three_quarters},
+                      phy::mcs{phy::modulation::psk16, phy::fec_mode::uncoded},
+                      phy::mcs{phy::modulation::psk16, phy::fec_mode::conv_half},
+                      phy::mcs{phy::modulation::psk16, phy::fec_mode::conv_two_thirds},
+                      phy::mcs{phy::modulation::psk16, phy::fec_mode::conv_three_quarters}),
     case_name);
 
 } // namespace

@@ -205,13 +205,9 @@ TEST(frame, oversize_payload_rejected)
 
 TEST(frame, spectral_efficiency_values)
 {
-    EXPECT_DOUBLE_EQ(spectral_efficiency(make_config(modulation::qpsk, fec_mode::conv_half)),
-                     1.0);
-    EXPECT_DOUBLE_EQ(spectral_efficiency(make_config(modulation::psk16, fec_mode::uncoded)),
-                     4.0);
-    EXPECT_NEAR(
-        spectral_efficiency(make_config(modulation::psk8, fec_mode::conv_two_thirds)),
-        2.0, 1e-12);
+    EXPECT_DOUBLE_EQ((mcs{modulation::qpsk, fec_mode::conv_half}.efficiency()), 1.0);
+    EXPECT_DOUBLE_EQ((mcs{modulation::psk16, fec_mode::uncoded}.efficiency()), 4.0);
+    EXPECT_NEAR((mcs{modulation::psk8, fec_mode::conv_two_thirds}.efficiency()), 2.0, 1e-12);
 }
 
 TEST(frame, receiver_adapts_to_header_not_local_config)

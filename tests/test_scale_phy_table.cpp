@@ -108,11 +108,18 @@ TEST(ScalePhyTable, CalibrationCrossCheck)
         ASSERT_GT(scenario.distance_m, 0.0);
         scenario.seed = 0xf2e5a; // independent of the calibration seed
         core::link_simulator sim(scenario);
-        sim.set_rate(ladder[p.mcs].scheme, ladder[p.mcs].fec);
+        sim.set_rate(ladder[p.mcs]);
         const auto report = sim.run_trials(cfg.frames_per_point, cfg.payload_bytes);
         EXPECT_NEAR(table.per(p.mcs, p.sinr_db), report.per, 0.25)
             << "mcs " << p.mcs << " at " << p.sinr_db << " dB";
     }
+}
+
+TEST(ScalePhyTable, DefaultFingerprintIsPinned)
+{
+    // The fingerprint hashes the rate ladder by name along with the scenario
+    // and grid; a change orphans every cached table, so it must be deliberate.
+    EXPECT_EQ(phy_table::fingerprint_of(phy_table_config{}), "623fc0eb65741a33");
 }
 
 TEST(ScalePhyTable, JsonRoundTripPreservesCurves)
