@@ -4,6 +4,9 @@
 // simulator fast enough for the R3-R8 sweeps and the R23 scale runs.
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <vector>
+
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/dsp/fft.hpp"
 #include "mmtag/fec/convolutional.hpp"
@@ -34,6 +37,17 @@ void bm_fft(benchmark::State& state)
 }
 BENCHMARK(bm_fft)->Arg(1024)->Arg(4096)->Arg(16384);
 
+/// Decoded information bits per call, reported as `per_bit`: time per
+/// information bit (the console prints it with an SI prefix, n = ns).
+void set_viterbi_counters(benchmark::State& state, std::size_t info_bits)
+{
+    const auto bits = static_cast<std::int64_t>(state.iterations()) *
+                      static_cast<std::int64_t>(info_bits);
+    state.SetItemsProcessed(bits);
+    state.counters["per_bit"] = benchmark::Counter(
+        static_cast<double>(bits), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 void bm_viterbi(benchmark::State& state)
 {
     const auto bits = phy::random_bits(static_cast<std::size_t>(state.range(0)), 5);
@@ -42,10 +56,29 @@ void bm_viterbi(benchmark::State& state)
         auto decoded = fec::viterbi_decode(coded, fec::code_rate::half);
         benchmark::DoNotOptimize(decoded.data());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(0));
+    set_viterbi_counters(state, bits.size());
 }
 BENCHMARK(bm_viterbi)->Arg(512)->Arg(4096);
+
+/// Soft decisions at ~6 dB per coded bit, the regime of a coded link near
+/// its waterfall; 4,128 bits is a 512 B frame plus CRC.
+void bm_viterbi_soft(benchmark::State& state, fec::code_rate rate)
+{
+    const auto bits = phy::random_bits(static_cast<std::size_t>(state.range(0)), 5);
+    const auto coded = fec::convolutional_encode(bits, rate);
+    std::mt19937_64 rng(7);
+    std::normal_distribution<double> noise(0.0, 0.5);
+    std::vector<double> soft;
+    soft.reserve(coded.size());
+    for (const std::uint8_t bit : coded) soft.push_back((bit ? -1.0 : 1.0) + noise(rng));
+    for (auto _ : state) {
+        auto decoded = fec::viterbi_decode_soft(soft, rate);
+        benchmark::DoNotOptimize(decoded.data());
+    }
+    set_viterbi_counters(state, bits.size());
+}
+BENCHMARK_CAPTURE(bm_viterbi_soft, half, fec::code_rate::half)->Arg(4128);
+BENCHMARK_CAPTURE(bm_viterbi_soft, three_quarters, fec::code_rate::three_quarters)->Arg(4128);
 
 void bm_frame_build(benchmark::State& state)
 {

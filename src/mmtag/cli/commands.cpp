@@ -453,11 +453,8 @@ int run_scale(const option_set& options)
 
     obs::metrics_registry metrics;
     const trace_session trace(obs_opts.trace_path);
-    const auto start = std::chrono::steady_clock::now();
     const scale::scale_result result =
         scale::run_scale(cfg, obs_opts.jobs, obs_opts.metrics ? &metrics : nullptr);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
     std::printf("  phy table: %s (%s)\n", result.phy_table_path.c_str(),
                 result.cache_hit ? "cache hit" : "regenerated");
@@ -477,9 +474,10 @@ int run_scale(const option_set& options)
                 static_cast<unsigned long long>(result.readmissions),
                 result.readmit_latency_mean_rounds,
                 static_cast<unsigned long long>(result.readmit_latency_max_rounds));
-    std::printf("  runtime: %zu trials in %.2f s wall (%zu jobs, %.0f events/s)\n",
-                cfg.trials, wall_s, result.jobs,
-                runtime::per_second(result.events, wall_s));
+    std::printf("  runtime: set-up %.3f s, %zu trials in %.3f s wall (%zu jobs, "
+                "%.0f events/s)\n",
+                result.setup_s, cfg.trials, result.trials_s, result.jobs,
+                runtime::per_second(result.events, result.trials_s));
 
     if (!obs_opts.json_path.empty()) {
         write_text_file(obs_opts.json_path, result.to_json().dump(2));

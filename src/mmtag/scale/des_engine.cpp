@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -515,6 +516,7 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                        obs::metrics_registry* metrics, const std::string& cache_dir)
 {
     if (cfg.trials == 0) throw std::invalid_argument("run_scale: trials must be >= 1");
+    const auto setup_start = std::chrono::steady_clock::now();
     const deployment topo = make_deployment(cfg.topology, cfg.scenario);
 
     phy_table_config table_cfg = cfg.phy;
@@ -522,6 +524,7 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
     table_cfg.payload_bytes = cfg.payload_bytes;
     auto cache = phy_table::load_or_generate(table_cfg, jobs, cache_dir);
 
+    const auto trials_start = std::chrono::steady_clock::now();
     runtime::thread_pool pool(jobs);
     std::vector<obs::metrics_registry> registries(metrics != nullptr ? cfg.trials : 0);
     const auto trials = runtime::ordered_parallel_results(
@@ -530,9 +533,12 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                 metrics != nullptr ? &registries[trial] : nullptr;
             return run_scale_trial(cfg, topo, cache.table, trial, registry);
         });
+    const auto trials_end = std::chrono::steady_clock::now();
 
     scale_result result;
     result.config = cfg;
+    result.setup_s = std::chrono::duration<double>(trials_start - setup_start).count();
+    result.trials_s = std::chrono::duration<double>(trials_end - trials_start).count();
     result.jobs = pool.jobs();
     result.cache_hit = cache.cache_hit;
     result.phy_table_path = cache.path;

@@ -188,6 +188,10 @@ struct scale_result {
     std::vector<std::string> event_logs; ///< per trial, when recorded
     bool cache_hit = false;              ///< phy_table came from disk
     std::string phy_table_path;
+    /// Wall time of the set-up (topology build, phy_table load or
+    /// calibration) and of the trials. Run facts, so not in to_json().
+    double setup_s = 0.0;
+    double trials_s = 0.0;
 
     /// Delivered payload bits per second of simulated time.
     [[nodiscard]] double goodput_bps() const;

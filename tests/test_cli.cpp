@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mmtag/cli/commands.hpp"
 #include "mmtag/cli/options.hpp"
@@ -384,6 +385,36 @@ TEST(commands, scale_writes_result_and_one_metrics_snapshot)
 
     const char* typo[] = {"mmtag_sim", "scale", "--tgs", "200"};
     EXPECT_EQ(dispatch(4, typo), 1);
+    fs::remove_all(dir);
+}
+
+TEST(commands, scale_times_setup_and_trials_apart_from_the_result)
+{
+    // events/s is over trial time only, so a cold phy_table calibration
+    // cannot drag it down; the timings stay out of the result document.
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() / "mmtag_cli_scale_timing_test";
+    fs::create_directories(dir);
+    std::vector<std::string> results;
+    for (const char* name : {"first.json", "second.json"}) {
+        const std::string json_arg = "--json=" + (dir / name).string();
+        const char* argv[] = {"mmtag_sim", "scale", "--tags", "200", "--aps", "2",
+                              "--trials", "2", json_arg.c_str()};
+        testing::internal::CaptureStdout();
+        const int code = dispatch(9, argv);
+        const std::string printed = testing::internal::GetCapturedStdout();
+        EXPECT_EQ(code, 0);
+        const auto runtime_line = printed.find("  runtime: set-up ");
+        ASSERT_NE(runtime_line, std::string::npos) << printed;
+        EXPECT_NE(printed.find(" s, 2 trials in ", runtime_line), std::string::npos) << printed;
+        EXPECT_NE(printed.find(" events/s)", runtime_line), std::string::npos) << printed;
+        const auto text = runtime::read_text_file((dir / name).string());
+        ASSERT_TRUE(text.has_value());
+        EXPECT_EQ(text->find("setup"), std::string::npos);
+        EXPECT_EQ(text->find("trials_s"), std::string::npos);
+        results.push_back(*text);
+    }
+    EXPECT_EQ(results[0], results[1]);
     fs::remove_all(dir);
 }
 

@@ -4,6 +4,7 @@
 // the disk cache covers both the hit and the miss/stale path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -120,6 +121,23 @@ TEST(ScalePhyTable, DefaultFingerprintIsPinned)
     // The fingerprint hashes the rate ladder by name along with the scenario
     // and grid; a change orphans every cached table, so it must be deliberate.
     EXPECT_EQ(phy_table::fingerprint_of(phy_table_config{}), "623fc0eb65741a33");
+}
+
+TEST(ScalePhyTable, LowSnrCalibrationIsPinned)
+{
+    // A 1 dB grid at 8 frames per point puts several points on every MCS's
+    // waterfall, where decoder near-ties decide frames, so a change in what
+    // the Viterbi decoder or the demapper returns at low SNR moves this hash.
+    phy_table_config cfg;
+    cfg.sinr_step_db = 1.0;
+    cfg.frames_per_point = 8;
+    const std::string text = phy_table::generate(cfg, 2).to_json().dump();
+    std::uint64_t hash = 0xcbf29ce484222325ULL; // FNV-1a
+    for (const char ch : text) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(hash, 0xf8f38439359b5612ULL) << text;
 }
 
 TEST(ScalePhyTable, JsonRoundTripPreservesCurves)
