@@ -12,9 +12,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R1", "Van Atta retro-reflection pattern vs incidence angle", csv);
 
@@ -52,4 +51,9 @@ int main(int argc, char** argv)
                     rad_to_deg(va16.field_of_view(3.0)));
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

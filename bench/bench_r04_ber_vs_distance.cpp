@@ -35,9 +35,8 @@ constexpr std::size_t kPayloadBytes = 48;
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     bench::banner("R4", "BER vs distance for three uplink data rates", opts.csv);
 
     const std::size_t rate_count = std::size(kRates);
@@ -90,4 +89,9 @@ int main(int argc, char** argv)
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

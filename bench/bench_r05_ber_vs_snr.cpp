@@ -54,9 +54,8 @@ core::error_counter simulate_chunk(const sweep_cell& cell, std::size_t bits,
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     bench::banner("R5", "BER vs Eb/N0 per modulation, simulated vs theory", opts.csv);
 
     constexpr std::size_t kChunks = 8; // trials per sweep point
@@ -110,4 +109,9 @@ int main(int argc, char** argv)
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

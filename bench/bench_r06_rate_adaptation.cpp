@@ -23,9 +23,8 @@ core::link_report run_at(core::system_config cfg, phy::modulation scheme, phy::f
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R6", "goodput vs distance: rate adaptation vs fixed rates", csv);
 
@@ -54,4 +53,9 @@ int main(int argc, char** argv)
     }
     out.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

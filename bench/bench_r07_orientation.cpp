@@ -8,9 +8,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R7", "link vs tag rotation: Van Atta vs flat plate", csv);
 
@@ -36,4 +35,9 @@ int main(int argc, char** argv)
     }
     out.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

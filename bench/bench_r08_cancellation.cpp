@@ -24,9 +24,8 @@ const char* mode_name(ap::cancellation_mode mode)
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R8", "canceller modes vs TX leakage level", csv);
 
@@ -50,4 +49,9 @@ int main(int argc, char** argv)
     }
     out.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

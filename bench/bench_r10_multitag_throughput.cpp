@@ -168,9 +168,8 @@ throughput_aggregate sampled_trial(std::size_t tag_count, std::uint64_t seed)
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     bench::banner("R10", "TDMA network goodput vs number of tags", opts.csv);
 
     runtime::result_writer results("R10", "TDMA network goodput vs number of tags",
@@ -268,4 +267,9 @@ int main(int argc, char** argv)
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

@@ -63,9 +63,8 @@ double coded_ber(phy::fec_mode mode, double ebn0_db, std::size_t info_bits,
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R12", "decoded BER vs Eb/N0: uncoded vs convolutional rates", csv);
 
@@ -84,4 +83,9 @@ int main(int argc, char** argv)
     }
     out.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

@@ -10,9 +10,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R13", "link quality vs switch rise/fall time at 5 Msym/s", csv);
 
@@ -49,4 +48,9 @@ int main(int argc, char** argv)
         }
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

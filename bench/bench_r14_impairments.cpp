@@ -10,9 +10,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R14", "sensitivity to ADC bits, LO linewidth, and noise figure", csv);
 
@@ -53,4 +52,9 @@ int main(int argc, char** argv)
     }
     nf.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

@@ -10,9 +10,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R15", "line-code trade: DC avoidance vs switching energy", csv);
 
@@ -40,4 +39,9 @@ int main(int argc, char** argv)
                     "spectrum on the canceller; Miller-4 moves it 4 bit-rates away.\n");
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

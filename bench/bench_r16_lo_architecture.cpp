@@ -24,9 +24,8 @@ struct lo_case {
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R16", "self-coherent vs independent-LO receiver", csv);
 
@@ -63,4 +62,9 @@ int main(int argc, char** argv)
                     "DC for cancellation to find them.\n");
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

@@ -12,9 +12,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R17", "link vs Rician K-factor at 6 m (+ ARQ recovery)", csv);
 
@@ -51,4 +50,9 @@ int main(int argc, char** argv)
     }
     out.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

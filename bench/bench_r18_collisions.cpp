@@ -10,9 +10,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R18", "two-tag overlap and capture at the sample level", csv);
 
@@ -48,4 +47,9 @@ int main(int argc, char** argv)
     }
     capture_table.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

@@ -45,9 +45,8 @@ bool run_frame(const core::system_config& cfg, channel::backscatter_channel& cha
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
     const bool csv = opts.csv;
     bench::banner("R19", "frame loss under body blockage, with ARQ recovery", csv);
 
@@ -95,4 +94,9 @@ int main(int argc, char** argv)
     }
     out.print();
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment);
 }

@@ -53,9 +53,8 @@ constexpr fault_cell kCells[] = {{0.0, 2e-3}, {150.0, 1e-3}, {150.0, 3e-3},
 
 } // namespace
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv, {"fault-seed"});
     bench::banner("R21", "goodput and recovery under injected faults, supervisor on/off",
                   opts.csv);
 
@@ -159,4 +158,9 @@ int main(int argc, char** argv)
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment, {"fault-seed"});
 }

@@ -25,10 +25,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts =
-        bench::bench_options::parse(argc, argv, {"rounds", "trials", "fault-seed"});
     bench::banner("R22", "network chaos soak: degradation and re-admission vs faulted tags",
                   opts.csv);
 
@@ -125,4 +123,9 @@ int main(int argc, char** argv)
     // The soak is a resilience gate, not just a report: a tripped invariant
     // is a bench failure.
     return all_passed ? 0 : 1;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment, {"rounds", "trials", "fault-seed"});
 }

@@ -22,10 +22,8 @@
 
 using namespace mmtag;
 
-int main(int argc, char** argv)
+static int experiment(const bench::bench_options& opts)
 {
-    const auto opts = bench::bench_options::parse(argc, argv,
-                                                  {"aps", "frames", "trials", "fault-seed"});
     bench::banner("R23", "scale-out: goodput, fairness, re-admission vs tag count",
                   opts.csv);
 
@@ -112,4 +110,9 @@ int main(int argc, char** argv)
         if (!written.empty()) std::printf("wrote %s\n", written.c_str());
     }
     return 0;
+}
+
+int main(int argc, char** argv)
+{
+    return bench::run(argc, argv, experiment, {"aps", "frames", "trials", "fault-seed"});
 }

@@ -17,7 +17,7 @@
 namespace mmtag::bench {
 
 /// The flags every experiment binary accepts. A bench names its own extras
-/// (`--fault-seed`, ...) to parse() and reads them with
+/// (`--fault-seed`, ...) to parse() (via run() below) and reads them with
 /// extra_u64/extra_double. Malformed input, or a flag that is neither common
 /// nor a named extra, prints one `error:` line and exits 2, so bench mains
 /// stay one-liners.
@@ -74,6 +74,23 @@ private:
         }
     }
 };
+
+/// A bench main: parses the flags (naming the bench's `extras`) and runs
+/// `experiment` on them. A std::invalid_argument out of the experiment is a
+/// well-formed value the library rejects (R22 `--rounds 0`); like a malformed
+/// flag it prints one `error:` line and exits 2. Any other exception escapes.
+template <typename Experiment>
+int run(int argc, char** argv, Experiment&& experiment,
+        std::initializer_list<const char*> extras = {})
+{
+    const auto opts = bench_options::parse(argc, argv, extras);
+    try {
+        return experiment(opts);
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
+    }
+}
 
 /// Simple column-aligned table with an optional CSV mode.
 class table {

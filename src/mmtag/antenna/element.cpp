@@ -17,25 +17,4 @@ double patch_element::gain(double theta_rad) const
     return peak_linear_ * std::pow(c, 2.0 * exponent_);
 }
 
-double patch_element::half_power_beamwidth() const
-{
-    // cos^(2q)(theta) = 1/2  =>  theta = acos(2^(-1/(2q))).
-    const double half_angle = std::acos(std::pow(2.0, -1.0 / (2.0 * exponent_)));
-    return 2.0 * half_angle;
-}
-
-horn_element::horn_element(double gain_dbi) : peak_linear_(from_db(gain_dbi))
-{
-    if (gain_dbi <= 0.0) throw std::invalid_argument("horn_element: gain must be > 0 dBi");
-    // Symmetric-beam approximation: G = 4 pi / theta^2  =>  theta = sqrt(4 pi / G).
-    beamwidth_rad_ = std::sqrt(4.0 * pi / peak_linear_);
-}
-
-double horn_element::gain(double theta_rad) const
-{
-    // Gaussian beam: -3 dB at theta = beamwidth/2.
-    const double x = theta_rad / (beamwidth_rad_ / 2.0);
-    return peak_linear_ * std::exp2(-x * x);
-}
-
 } // namespace mmtag::antenna

@@ -37,27 +37,9 @@ public:
     [[nodiscard]] double gain(double theta_rad) const override;
     [[nodiscard]] double peak_gain() const override { return peak_linear_; }
 
-    /// Half-power beamwidth implied by the cos^q model [rad].
-    [[nodiscard]] double half_power_beamwidth() const;
-
 private:
     double peak_linear_;
     double exponent_;
-};
-
-/// Pyramidal horn approximated by a Gaussian main lobe of the given gain;
-/// beamwidth follows from the gain via G ~= 4 pi / (theta_az * theta_el).
-class horn_element final : public element {
-public:
-    explicit horn_element(double gain_dbi = 20.0);
-
-    [[nodiscard]] double gain(double theta_rad) const override;
-    [[nodiscard]] double peak_gain() const override { return peak_linear_; }
-    [[nodiscard]] double half_power_beamwidth() const { return beamwidth_rad_; }
-
-private:
-    double peak_linear_;
-    double beamwidth_rad_;
 };
 
 } // namespace mmtag::antenna

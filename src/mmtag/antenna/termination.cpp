@@ -1,24 +1,12 @@
 #include "mmtag/antenna/termination.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mmtag::antenna {
 
-cf64 reflection_coefficient(cf64 z_load, double z0)
-{
-    if (z0 <= 0.0) throw std::invalid_argument("reflection_coefficient: Z0 must be > 0");
-    return (z_load - z0) / (z_load + z0);
-}
-
 cf64 gamma_short()
 {
     return cf64{-1.0, 0.0};
-}
-
-cf64 gamma_open()
-{
-    return cf64{1.0, 0.0};
 }
 
 cf64 gamma_matched()
@@ -36,23 +24,6 @@ cf64 line_transform_lossy(cf64 gamma_load, double beta_length_rad, double alpha_
     if (alpha_db < 0.0) throw std::invalid_argument("line_transform_lossy: loss must be >= 0 dB");
     const double round_trip_loss = std::pow(10.0, -2.0 * alpha_db / 20.0);
     return round_trip_loss * line_transform(gamma_load, beta_length_rad);
-}
-
-double electrical_length(double physical_length_m, double frequency_hz, double epsilon_eff)
-{
-    if (physical_length_m < 0.0) throw std::invalid_argument("electrical_length: negative length");
-    if (epsilon_eff < 1.0) throw std::invalid_argument("electrical_length: epsilon_eff < 1");
-    const double guided_wavelength = wavelength(frequency_hz) / std::sqrt(epsilon_eff);
-    return two_pi * physical_length_m / guided_wavelength;
-}
-
-double absorbed_fraction(cf64 gamma)
-{
-    const double reflected = std::norm(gamma);
-    if (reflected > 1.0 + 1e-9) {
-        throw std::invalid_argument("absorbed_fraction: |Gamma| > 1 (active load?)");
-    }
-    return std::max(0.0, 1.0 - reflected);
 }
 
 } // namespace mmtag::antenna

@@ -7,13 +7,8 @@
 
 namespace mmtag::antenna {
 
-/// Reflection coefficient of a load `z_load` against reference impedance
-/// `z0` (default 50 ohm): Gamma = (Z - Z0) / (Z + Z0).
-[[nodiscard]] cf64 reflection_coefficient(cf64 z_load, double z0 = 50.0);
-
 /// Canonical terminations.
 [[nodiscard]] cf64 gamma_short();   ///< Gamma = -1
-[[nodiscard]] cf64 gamma_open();    ///< Gamma = +1
 [[nodiscard]] cf64 gamma_matched(); ///< Gamma =  0
 
 /// Input reflection coefficient looking into a lossless line of electrical
@@ -23,14 +18,5 @@ namespace mmtag::antenna {
 
 /// Same with line loss `alpha_db` (one-way) applied over the round trip.
 [[nodiscard]] cf64 line_transform_lossy(cf64 gamma_load, double beta_length_rad, double alpha_db);
-
-/// Electrical length (beta*l, radians) of a physical stub at `frequency_hz`
-/// with effective relative permittivity `epsilon_eff` (microstrip ~ 5.5 on
-/// high-k, ~ 2.9 on Rogers).
-[[nodiscard]] double electrical_length(double physical_length_m, double frequency_hz,
-                                       double epsilon_eff);
-
-/// Fraction of incident power absorbed by a termination: 1 - |Gamma|^2.
-[[nodiscard]] double absorbed_fraction(cf64 gamma);
 
 } // namespace mmtag::antenna

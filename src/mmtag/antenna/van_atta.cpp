@@ -116,16 +116,4 @@ double flat_plate_reflector::monostatic_gain(double theta_rad, cf64 gamma) const
     return std::norm(bistatic_coupling(theta_rad, theta_rad, gamma));
 }
 
-rvec flat_plate_reflector::monostatic_pattern(std::size_t points, cf64 gamma) const
-{
-    if (points < 2) throw std::invalid_argument("flat_plate: pattern needs >= 2 points");
-    rvec out(points);
-    for (std::size_t i = 0; i < points; ++i) {
-        const double theta =
-            -pi / 2.0 + pi * static_cast<double>(i) / static_cast<double>(points - 1);
-        out[i] = monostatic_gain(theta, gamma);
-    }
-    return out;
-}
-
 } // namespace mmtag::antenna

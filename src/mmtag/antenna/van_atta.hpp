@@ -68,8 +68,6 @@ public:
 
     [[nodiscard]] cf64 bistatic_coupling(double theta_in, double theta_out, cf64 gamma) const;
     [[nodiscard]] double monostatic_gain(double theta_rad, cf64 gamma = cf64{-1.0, 0.0}) const;
-    [[nodiscard]] rvec monostatic_pattern(std::size_t points,
-                                          cf64 gamma = cf64{-1.0, 0.0}) const;
 
 private:
     std::size_t element_count_;

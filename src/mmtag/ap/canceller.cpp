@@ -7,11 +7,6 @@
 
 namespace mmtag::ap {
 
-self_interference_canceller::self_interference_canceller()
-    : self_interference_canceller(config{})
-{
-}
-
 self_interference_canceller::self_interference_canceller(const config& cfg)
     : cfg_(cfg), notch_(cfg.notch_pole)
 {
@@ -87,13 +82,6 @@ cvec self_interference_canceller::process(std::span<const cf64> baseband)
                                ? to_db(output_power / input_power)
                                : 0.0;
     return out;
-}
-
-void self_interference_canceller::reset()
-{
-    notch_.reset();
-    last_suppression_db_ = 0.0;
-    background_ = cf64{};
 }
 
 } // namespace mmtag::ap

@@ -40,7 +40,6 @@ public:
         double tail_fraction = 0.02;
     };
 
-    self_interference_canceller();
     explicit self_interference_canceller(const config& cfg);
 
     [[nodiscard]] cvec process(std::span<const cf64> baseband);
@@ -51,8 +50,6 @@ public:
 
     /// The static offset estimated by the last background_subtract run.
     [[nodiscard]] cf64 background_estimate() const { return background_; }
-
-    void reset();
 
 private:
     config cfg_;

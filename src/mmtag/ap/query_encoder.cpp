@@ -85,9 +85,4 @@ rvec query_encoder::encode(const tag_command& cmd) const
     return envelope;
 }
 
-double query_encoder::command_duration_s(const tag_command& cmd) const
-{
-    return static_cast<double>(encode(cmd).size()) / cfg_.sample_rate_hz;
-}
-
 } // namespace mmtag::ap

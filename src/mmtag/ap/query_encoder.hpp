@@ -57,9 +57,6 @@ public:
     /// [settle high][delimiter low x3][sync high][gap][PIE bits][settle high].
     [[nodiscard]] rvec encode(const tag_command& cmd) const;
 
-    /// Envelope duration for one command [s].
-    [[nodiscard]] double command_duration_s(const tag_command& cmd) const;
-
 private:
     void append_level(rvec& envelope, double level, std::size_t units) const;
 

@@ -40,16 +40,4 @@ double blockage_process::step()
     return level_;
 }
 
-rvec blockage_process::generate(std::size_t count)
-{
-    rvec out(count);
-    for (auto& v : out) v = step();
-    return out;
-}
-
-double blockage_process::duty_cycle() const
-{
-    return cfg_.mean_blocked_s / (cfg_.mean_blocked_s + cfg_.mean_clear_s);
-}
-
 } // namespace mmtag::channel

@@ -34,12 +34,6 @@ public:
     /// Field-amplitude factor for the next sample (1 = clear).
     [[nodiscard]] double step();
 
-    /// Amplitude trace for `count` samples.
-    [[nodiscard]] rvec generate(std::size_t count);
-
-    /// Long-run fraction of time spent blocked (analytic).
-    [[nodiscard]] double duty_cycle() const;
-
 private:
     void schedule_next();
 

@@ -21,19 +21,6 @@ double free_space_path_loss(double distance_m, double frequency_hz)
     return ratio * ratio;
 }
 
-double free_space_path_loss_db(double distance_m, double frequency_hz)
-{
-    return to_db(free_space_path_loss(distance_m, frequency_hz));
-}
-
-double log_distance_path_loss_db(double distance_m, double frequency_hz, double exponent)
-{
-    check_positive(distance_m, "distance must be > 0");
-    check_positive(exponent, "exponent must be > 0");
-    const double reference_db = free_space_path_loss_db(1.0, frequency_hz);
-    return reference_db + 10.0 * exponent * std::log10(distance_m);
-}
-
 double one_way_received_power(double tx_power_w, double tx_gain, double rx_gain,
                               double distance_m, double frequency_hz)
 {
@@ -50,19 +37,6 @@ double backscatter_received_power(double tx_power_w, double tx_gain, double rx_g
     check_positive(tag_backscatter_gain, "tag backscatter gain must be > 0");
     const double one_way = free_space_path_loss(distance_m, frequency_hz);
     return tx_power_w * tx_gain * rx_gain * tag_backscatter_gain / (one_way * one_way);
-}
-
-double backscatter_max_range(double tx_power_w, double tx_gain, double rx_gain,
-                             double tag_backscatter_gain, double frequency_hz,
-                             double sensitivity_w)
-{
-    check_positive(sensitivity_w, "sensitivity must be > 0");
-    check_positive(tag_backscatter_gain, "tag backscatter gain must be > 0");
-    const double lambda = wavelength(frequency_hz);
-    const double numerator = tx_power_w * tx_gain * rx_gain * tag_backscatter_gain *
-                             std::pow(lambda, 4.0);
-    const double denominator = std::pow(4.0 * pi, 4.0) * sensitivity_w;
-    return std::pow(numerator / denominator, 0.25);
 }
 
 } // namespace mmtag::channel

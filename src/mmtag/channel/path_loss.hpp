@@ -1,5 +1,5 @@
-// Propagation loss models: Friis free space, log-distance indoor, and the
-// two-way backscatter (radar-equation) budget.
+// Propagation loss models: Friis free space and the two-way backscatter
+// (radar-equation) budget.
 #pragma once
 
 #include "mmtag/common.hpp"
@@ -9,14 +9,6 @@ namespace mmtag::channel {
 /// Free-space path loss (power ratio, >= 1) over `distance_m` at
 /// `frequency_hz`. Friis: (4 pi d / lambda)^2.
 [[nodiscard]] double free_space_path_loss(double distance_m, double frequency_hz);
-
-/// Same in dB.
-[[nodiscard]] double free_space_path_loss_db(double distance_m, double frequency_hz);
-
-/// Log-distance model with exponent `n` referenced to 1 m free-space loss;
-/// indoor LOS mmWave is typically n ~= 1.8..2.2.
-[[nodiscard]] double log_distance_path_loss_db(double distance_m, double frequency_hz,
-                                               double exponent);
 
 /// One-way received power [W] between isotropic-referenced antennas:
 /// Prx = Ptx Gtx Grx / FSPL.
@@ -29,11 +21,5 @@ namespace mmtag::channel {
 [[nodiscard]] double backscatter_received_power(double tx_power_w, double tx_gain, double rx_gain,
                                                 double tag_backscatter_gain, double distance_m,
                                                 double frequency_hz);
-
-/// Distance at which backscatter_received_power equals `sensitivity_w` —
-/// closed-form d = (num/den)^(1/4); the analytic range bound for R3/R4.
-[[nodiscard]] double backscatter_max_range(double tx_power_w, double tx_gain, double rx_gain,
-                                           double tag_backscatter_gain, double frequency_hz,
-                                           double sensitivity_w);
 
 } // namespace mmtag::channel

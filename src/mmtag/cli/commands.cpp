@@ -16,11 +16,11 @@
 #include "mmtag/core/network.hpp"
 #include "mmtag/core/supervised_link.hpp"
 #include "mmtag/fault/fault_injector.hpp"
+#include "mmtag/io.hpp"
 #include "mmtag/mac/slotted_aloha.hpp"
 #include "mmtag/net/soak_harness.hpp"
 #include "mmtag/obs/metrics_registry.hpp"
 #include "mmtag/obs/trace.hpp"
-#include "mmtag/runtime/json_io.hpp"
 #include "mmtag/runtime/result_writer.hpp"
 #include "mmtag/scale/des_engine.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
@@ -83,11 +83,7 @@ public:
     {
         if (path_.empty()) return;
         obs::tracer::stop();
-        if (obs::tracer::write(path_)) {
-            std::printf("wrote %s\n", path_.c_str());
-        } else {
-            std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
-        }
+        if (obs::tracer::write(path_)) std::printf("wrote %s\n", path_.c_str());
     }
 
     trace_session(const trace_session&) = delete;
@@ -99,7 +95,7 @@ private:
 
 void write_text_file(const std::string& path, const std::string& text)
 {
-    if (!runtime::write_text_file(path, text)) return;
+    if (!io::write_text_file(path, text)) return;
     std::printf("wrote %s\n", path.c_str());
 }
 

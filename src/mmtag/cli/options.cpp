@@ -75,20 +75,6 @@ double option_set::get_double(const std::string& key, double fallback) const
     }
 }
 
-std::int64_t option_set::get_int(const std::string& key, std::int64_t fallback) const
-{
-    const std::string* text = value_of(key);
-    if (text == nullptr) return fallback;
-    try {
-        std::size_t used = 0;
-        const long long value = std::stoll(*text, &used);
-        if (used != text->size()) throw std::invalid_argument("trailing junk");
-        return value;
-    } catch (const std::exception&) {
-        throw std::invalid_argument("--" + key + " expects an integer, got '" + *text + "'");
-    }
-}
-
 std::uint64_t option_set::get_uint(const std::string& key, std::uint64_t fallback) const
 {
     const std::string* value = value_of(key);

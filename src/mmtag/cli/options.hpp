@@ -34,7 +34,6 @@ public:
     /// std::invalid_argument when present but unparseable/out of range, or
     /// given bare ("--json needs a value").
     [[nodiscard]] double get_double(const std::string& key, double fallback) const;
-    [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
     /// Strict non-negative integer: rejects a leading sign (stoull would
     /// silently wrap "-1" to 2^64-1), scientific notation ("1e3"), trailing
     /// junk, and overflow — the counts (--jobs, --trials, --seed) where a

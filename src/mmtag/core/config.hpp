@@ -11,7 +11,6 @@
 #include "mmtag/ap/receiver.hpp"
 #include "mmtag/ap/transmitter.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
-#include "mmtag/tag/controller.hpp"
 #include "mmtag/tag/energy_model.hpp"
 
 namespace mmtag::core {

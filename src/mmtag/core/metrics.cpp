@@ -81,14 +81,6 @@ double error_counter::ber_confidence() const
     return wilson_half_width(bit_errors_, bits_);
 }
 
-void error_counter::reset()
-{
-    frames_ = 0;
-    delivered_ = 0;
-    bits_ = 0;
-    bit_errors_ = 0;
-}
-
 void link_report::merge(const link_report& other)
 {
     frames += other.frames;

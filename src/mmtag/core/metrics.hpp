@@ -43,8 +43,6 @@ public:
     /// Wilson-interval half width on the BER estimate (95%).
     [[nodiscard]] double ber_confidence() const;
 
-    void reset();
-
 private:
     std::size_t frames_ = 0;
     std::size_t delivered_ = 0;

@@ -22,12 +22,6 @@ multitag_simulator::multitag_simulator(const system_config& base,
       transmitter_(base_.transmitter, base_.seed * 2654435761ULL + 3)
 {
     if (tags_.empty()) throw std::invalid_argument("multitag_simulator: no tags");
-    rebuild_seeded_state();
-}
-
-void multitag_simulator::rebuild_seeded_state()
-{
-    channels_.clear();
     channels_.reserve(tags_.size());
     for (const auto& tag : tags_) {
         system_config cfg = base_;
@@ -35,15 +29,6 @@ void multitag_simulator::rebuild_seeded_state()
         cfg.tag_incidence_rad = tag.incidence_rad;
         channels_.emplace_back(make_channel_config(cfg));
     }
-}
-
-void multitag_simulator::reseed(std::uint64_t seed)
-{
-    base_.seed = seed;
-    transmitter_ = ap::ap_transmitter(base_.transmitter, base_.seed * 2654435761ULL + 3);
-    rebuild_seeded_state();
-    clock_s_ = 0.0;
-    runs_ = 0;
 }
 
 void multitag_simulator::attach_tag_fault_injectors(

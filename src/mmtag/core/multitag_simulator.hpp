@@ -70,13 +70,6 @@ public:
     /// Simulated time: the sum of all capture windows run so far.
     [[nodiscard]] double clock_s() const { return clock_s_; }
 
-    /// Restarts the deterministic stream as if freshly constructed with
-    /// `seed`: resets the clock and run counter and re-derives every seeded
-    /// component (transmitter dither, per-tag fading). Lets a sweep worker
-    /// reuse one simulator across independent Monte-Carlo trials
-    /// (seed = runtime::trial_seed(...)) instead of rebuilding it.
-    void reseed(std::uint64_t seed);
-
     /// Runs one shared capture containing all bursts, then attempts to
     /// receive each burst in its own window. Overlapping bursts interfere at
     /// the sample level; well-separated slots decode independently.
@@ -91,8 +84,6 @@ public:
                                           const phy::mcs& mcs) const;
 
 private:
-    void rebuild_seeded_state();
-
     system_config base_;
     std::vector<tag_descriptor> tags_;
     std::vector<channel::backscatter_channel> channels_;

@@ -27,12 +27,6 @@ cvec dc_blocker::process(std::span<const cf64> input)
     return out;
 }
 
-void dc_blocker::reset()
-{
-    previous_input_ = cf64{};
-    previous_output_ = cf64{};
-}
-
 cvec remove_mean(std::span<const cf64> input)
 {
     if (input.empty()) return {};

@@ -17,7 +17,6 @@ public:
 
     [[nodiscard]] cf64 process(cf64 input);
     [[nodiscard]] cvec process(std::span<const cf64> input);
-    void reset();
 
 private:
     double pole_;

@@ -1,6 +1,5 @@
 #include "mmtag/dsp/estimators.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mmtag::dsp {
@@ -16,15 +15,6 @@ double mean_power(std::span<const cf64> samples)
 double rms(std::span<const cf64> samples)
 {
     return std::sqrt(mean_power(samples));
-}
-
-double papr_db(std::span<const cf64> samples)
-{
-    const double average = mean_power(samples);
-    double peak = 0.0;
-    for (cf64 x : samples) peak = std::max(peak, std::norm(x));
-    if (average <= 0.0) throw std::invalid_argument("papr_db: zero-power input");
-    return to_db(peak / average);
 }
 
 double evm_rms(std::span<const cf64> received, std::span<const cf64> reference)
@@ -74,37 +64,8 @@ double snr_estimate_db(std::span<const cf64> received, std::span<const cf64> ref
     return to_db(signal_power / noise_power);
 }
 
-double snr_m2m4_db(std::span<const cf64> samples)
-{
-    if (samples.size() < 8) throw std::invalid_argument("snr_m2m4_db: too few samples");
-    double m2 = 0.0;
-    double m4 = 0.0;
-    for (cf64 x : samples) {
-        const double p = std::norm(x);
-        m2 += p;
-        m4 += p * p;
-    }
-    m2 /= static_cast<double>(samples.size());
-    m4 /= static_cast<double>(samples.size());
-    // For a constant-modulus signal in complex AWGN:
-    //   m2 = S + N,  m4 = S^2 + 4 S N + 2 N^2  =>  S = sqrt(2 m2^2 - m4).
-    const double radicand = 2.0 * m2 * m2 - m4;
-    if (radicand <= 0.0) return -50.0; // noise-dominated; report a floor
-    const double signal = std::sqrt(radicand);
-    const double noise = m2 - signal;
-    if (noise <= 0.0) return 200.0;
-    return to_db(signal / noise);
-}
-
 void running_stats::add(double value)
 {
-    if (count_ == 0) {
-        min_ = value;
-        max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
     ++count_;
     const double delta = value - mean_;
     mean_ += delta / static_cast<double>(count_);
@@ -126,40 +87,6 @@ double running_stats::variance() const
 double running_stats::standard_deviation() const
 {
     return std::sqrt(variance());
-}
-
-double running_stats::minimum() const
-{
-    if (count_ == 0) throw std::logic_error("running_stats: no samples");
-    return min_;
-}
-
-double running_stats::maximum() const
-{
-    if (count_ == 0) throw std::logic_error("running_stats: no samples");
-    return max_;
-}
-
-void running_stats::reset()
-{
-    count_ = 0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
-double percentile(std::span<const double> values, double p)
-{
-    if (values.empty()) throw std::invalid_argument("percentile: empty input");
-    if (!(p >= 0.0 && p <= 100.0)) throw std::invalid_argument("percentile: p outside [0, 100]");
-    rvec sorted(values.begin(), values.end());
-    std::sort(sorted.begin(), sorted.end());
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lower = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lower);
-    if (lower + 1 >= sorted.size()) return sorted.back();
-    return sorted[lower] * (1.0 - frac) + sorted[lower + 1] * frac;
 }
 
 } // namespace mmtag::dsp

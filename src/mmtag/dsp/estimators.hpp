@@ -14,9 +14,6 @@ namespace mmtag::dsp {
 /// RMS amplitude.
 [[nodiscard]] double rms(std::span<const cf64> samples);
 
-/// Peak-to-average power ratio in dB.
-[[nodiscard]] double papr_db(std::span<const cf64> samples);
-
 /// Error vector magnitude (RMS, as a fraction of reference RMS) between
 /// received symbols and their references.
 [[nodiscard]] double evm_rms(std::span<const cf64> received, std::span<const cf64> reference);
@@ -29,9 +26,6 @@ namespace mmtag::dsp {
 [[nodiscard]] double snr_estimate_db(std::span<const cf64> received,
                                      std::span<const cf64> reference);
 
-/// Blind M2M4 moments-based SNR estimator for constant-modulus signals.
-[[nodiscard]] double snr_m2m4_db(std::span<const cf64> samples);
-
 /// Running mean/variance accumulator (Welford).
 class running_stats {
 public:
@@ -40,19 +34,11 @@ public:
     [[nodiscard]] double mean() const;
     [[nodiscard]] double variance() const;
     [[nodiscard]] double standard_deviation() const;
-    [[nodiscard]] double minimum() const;
-    [[nodiscard]] double maximum() const;
-    void reset();
 
 private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
-
-/// Percentile of a sample set (linear interpolation, p in [0, 100]).
-[[nodiscard]] double percentile(std::span<const double> values, double p);
 
 } // namespace mmtag::dsp

@@ -104,13 +104,4 @@ rvec power_spectrum(std::span<const cf64> input)
     return spectrum;
 }
 
-rvec fft_shift(std::span<const double> spectrum)
-{
-    rvec shifted(spectrum.size());
-    const std::size_t n = spectrum.size();
-    const std::size_t half = (n + 1) / 2;
-    for (std::size_t i = 0; i < n; ++i) shifted[i] = spectrum[(i + half) % n];
-    return shifted;
-}
-
 } // namespace mmtag::dsp

@@ -49,7 +49,4 @@ private:
 /// Power spectrum |X[k]|^2 / N of `input` (zero-padded to a power of two).
 [[nodiscard]] rvec power_spectrum(std::span<const cf64> input);
 
-/// Rotates a spectrum so that DC sits in the middle (MATLAB fftshift).
-[[nodiscard]] rvec fft_shift(std::span<const double> spectrum);
-
 } // namespace mmtag::dsp

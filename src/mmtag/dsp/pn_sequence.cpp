@@ -68,21 +68,6 @@ std::vector<std::uint8_t> m_sequence(std::uint32_t degree, std::uint32_t seed)
     return generator.generate(generator.period());
 }
 
-std::vector<int> barker_code(std::size_t length)
-{
-    switch (length) {
-    case 2: return {+1, -1};
-    case 3: return {+1, +1, -1};
-    case 4: return {+1, +1, -1, +1};
-    case 5: return {+1, +1, +1, -1, +1};
-    case 7: return {+1, +1, +1, -1, -1, +1, -1};
-    case 11: return {+1, +1, +1, -1, -1, -1, +1, -1, -1, +1, -1};
-    case 13: return {+1, +1, +1, +1, +1, -1, -1, +1, +1, -1, +1, -1, +1};
-    default:
-        throw std::invalid_argument("barker_code: no Barker code of that length");
-    }
-}
-
 cvec bits_to_bpsk(std::span<const std::uint8_t> bits)
 {
     cvec chips;

@@ -38,10 +38,6 @@ private:
 /// degree (supported degrees: 3..16).
 [[nodiscard]] std::vector<std::uint8_t> m_sequence(std::uint32_t degree, std::uint32_t seed = 1);
 
-/// Barker code of the given length (supported: 2, 3, 4, 5, 7, 11, 13) as
-/// +1/-1 chips.
-[[nodiscard]] std::vector<int> barker_code(std::size_t length);
-
 /// Maps bits {0,1} to BPSK chips {+1,-1} as complex samples.
 [[nodiscard]] cvec bits_to_bpsk(std::span<const std::uint8_t> bits);
 

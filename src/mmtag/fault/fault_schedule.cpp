@@ -168,13 +168,6 @@ std::vector<fault_event>::const_iterator fault_schedule::first_candidate(double 
                                 });
 }
 
-std::vector<fault_event> fault_schedule::active(double t0, double t1) const
-{
-    std::vector<fault_event> out;
-    visit_active(t0, t1, [&out](const fault_event& event) { out.push_back(event); });
-    return out;
-}
-
 std::size_t fault_schedule::count(fault_kind kind) const
 {
     return static_cast<std::size_t>(

@@ -88,9 +88,6 @@ public:
     [[nodiscard]] std::uint64_t seed() const { return seed_; }
     [[nodiscard]] const std::vector<fault_event>& events() const { return events_; }
 
-    /// Events overlapping the window [t0, t1).
-    [[nodiscard]] std::vector<fault_event> active(double t0, double t1) const;
-
     /// Calls `visit(event)` for each event overlapping [t0, t1), in schedule
     /// order, without allocating. No event lasts longer than the schedule's
     /// longest duration, so every overlapping event starts inside

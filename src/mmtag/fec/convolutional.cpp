@@ -158,16 +158,6 @@ std::vector<std::uint8_t> viterbi(std::size_t coded, code_rate rate, SoftAt soft
 
 } // namespace
 
-double rate_fraction(code_rate rate)
-{
-    switch (rate) {
-    case code_rate::half: return 0.5;
-    case code_rate::two_thirds: return 2.0 / 3.0;
-    case code_rate::three_quarters: return 0.75;
-    }
-    throw std::invalid_argument("rate_fraction: unknown code rate");
-}
-
 std::vector<std::uint8_t> convolutional_encode(std::span<const std::uint8_t> bits, code_rate rate)
 {
     const puncture_pattern pattern = pattern_of(rate);

@@ -19,9 +19,6 @@ enum class code_rate {
     three_quarters // R = 3/4
 };
 
-/// Fraction of information bits per coded bit for a rate.
-[[nodiscard]] double rate_fraction(code_rate rate);
-
 /// Encodes `bits` (0/1 values) with the K=7 (133,171) code, appending K-1
 /// zero tail bits to terminate the trellis, then punctures to `rate`.
 [[nodiscard]] std::vector<std::uint8_t> convolutional_encode(std::span<const std::uint8_t> bits,

@@ -4,11 +4,9 @@
 
 namespace mmtag::fec {
 
-scrambler::scrambler(std::uint8_t seed) : seed_(seed), state_(seed)
+scrambler::scrambler(std::uint8_t seed) : state_(seed & 0x7F)
 {
-    if ((seed & 0x7F) == 0) throw std::invalid_argument("scrambler: seed must be nonzero mod 2^7");
-    state_ &= 0x7F;
-    seed_ &= 0x7F;
+    if (state_ == 0) throw std::invalid_argument("scrambler: seed must be nonzero mod 2^7");
 }
 
 std::vector<std::uint8_t> scrambler::process(std::span<const std::uint8_t> bits)
@@ -23,11 +21,6 @@ std::vector<std::uint8_t> scrambler::process(std::span<const std::uint8_t> bits)
         out.push_back(static_cast<std::uint8_t>((bit ^ feedback) & 1u));
     }
     return out;
-}
-
-void scrambler::reset()
-{
-    state_ = seed_;
 }
 
 std::vector<std::uint8_t> scramble_bytes(std::span<const std::uint8_t> bytes, std::uint8_t seed)

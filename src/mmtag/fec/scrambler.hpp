@@ -18,11 +18,7 @@ public:
     /// XORs the whitening sequence onto a bit vector (values 0/1).
     [[nodiscard]] std::vector<std::uint8_t> process(std::span<const std::uint8_t> bits);
 
-    /// Resets the register to the construction seed.
-    void reset();
-
 private:
-    std::uint8_t seed_;
     std::uint8_t state_;
 };
 

@@ -12,18 +12,6 @@ double arq_stats::delivery_ratio() const
     return static_cast<double>(frames_delivered) / static_cast<double>(frames_offered);
 }
 
-double arq_stats::transmission_efficiency() const
-{
-    if (transmissions == 0) return 0.0;
-    return static_cast<double>(frames_delivered) / static_cast<double>(transmissions);
-}
-
-double arq_stats::goodput_bps(double payload_bits) const
-{
-    if (airtime_s <= 0.0) return 0.0;
-    return static_cast<double>(frames_delivered) * payload_bits / airtime_s;
-}
-
 stop_and_wait_arq::stop_and_wait_arq(const arq_config& cfg) : cfg_(cfg)
 {
     if (cfg.max_retries == 0) throw std::invalid_argument("arq: max_retries must be >= 1");
@@ -86,21 +74,6 @@ arq_stats stop_and_wait_arq::run(std::size_t frame_count, double frame_success,
         }
     }
     return stats;
-}
-
-double stop_and_wait_arq::expected_transmissions(double frame_success) const
-{
-    if (!(frame_success > 0.0 && frame_success <= 1.0)) {
-        throw std::invalid_argument("arq: frame_success must be in (0, 1]");
-    }
-    // Truncated-geometric mean, E[min(Geom(p), R)]. The series
-    // sum_{k=1..R} k p q^(k-1) + R q^R telescopes to (1 - q^R)/p — exact for
-    // any retry cap, where the old term-by-term loop never finished once the
-    // cap got "supervision off" huge (SIZE_MAX).
-    const double p = frame_success;
-    const double q = 1.0 - p;
-    const double r = static_cast<double>(cfg_.max_retries);
-    return (1.0 - std::pow(q, r)) / p;
 }
 
 } // namespace mmtag::mac

@@ -39,10 +39,6 @@ struct arq_stats {
     double backoff_wait_s = 0.0; ///< idle time spent backing off (in airtime_s)
 
     [[nodiscard]] double delivery_ratio() const;
-    /// Delivered frames per transmission (1.0 = never retransmits).
-    [[nodiscard]] double transmission_efficiency() const;
-    /// Goodput for `payload_bits` per frame.
-    [[nodiscard]] double goodput_bps(double payload_bits) const;
 };
 
 class stop_and_wait_arq {
@@ -59,9 +55,6 @@ public:
     /// Idle wait preceding attempt `attempt` (0-based; attempt 0 never
     /// waits): min(initial * factor^(attempt-1), cap).
     [[nodiscard]] double backoff_delay_s(std::size_t attempt) const;
-
-    /// Expected transmissions per delivered frame: 1/p (capped by retries).
-    [[nodiscard]] double expected_transmissions(double frame_success) const;
 
 private:
     arq_config cfg_;

@@ -21,20 +21,6 @@ double tdma_scheduler::slot_duration_s() const
     return cfg_.query_time_s + cfg_.turnaround_s + burst_s + cfg_.guard_time_s;
 }
 
-std::vector<tdma_slot> tdma_scheduler::build_cycle(
-    const std::vector<std::uint32_t>& tag_ids) const
-{
-    std::vector<tdma_slot> cycle;
-    cycle.reserve(tag_ids.size());
-    const double slot = slot_duration_s();
-    double t = 0.0;
-    for (std::uint32_t id : tag_ids) {
-        cycle.push_back({id, t, slot});
-        t += slot;
-    }
-    return cycle;
-}
-
 std::vector<std::uint32_t> tdma_scheduler::interleave_shares(
     const std::vector<slot_share>& shares)
 {
@@ -53,12 +39,6 @@ std::vector<std::uint32_t> tdma_scheduler::interleave_shares(
         }
     }
     return order;
-}
-
-std::vector<tdma_slot> tdma_scheduler::build_cycle(
-    const std::vector<slot_share>& shares) const
-{
-    return build_cycle(interleave_shares(shares));
 }
 
 tdma_metrics tdma_scheduler::metrics(std::size_t tag_count) const

@@ -20,12 +20,6 @@ struct tdma_config {
     std::size_t overhead_bits = 256;
 };
 
-struct tdma_slot {
-    std::uint32_t tag_id = 0;
-    double start_s = 0.0;
-    double duration_s = 0.0;
-};
-
 /// Degraded-mode allocation: how many slots of the cycle a tag receives.
 /// Zero drops the tag from the cycle (a quarantined session), counts above
 /// one absorb airtime freed by dropped tags.
@@ -50,22 +44,14 @@ public:
     /// Airtime of one tag's slot (query + turnaround + burst + guard).
     [[nodiscard]] double slot_duration_s() const;
 
-    /// Builds one polling cycle over `tag_ids`.
-    [[nodiscard]] std::vector<tdma_slot> build_cycle(
-        const std::vector<std::uint32_t>& tag_ids) const;
-
-    /// Weighted cycle for degraded-mode scheduling: each tag appears
-    /// `slots` times, interleaved (see interleave_shares) so a tag holding
-    /// reallocated slots spreads across the cycle instead of monopolizing a
-    /// contiguous stretch — which is what keeps per-round access latency
-    /// bounded for every healthy tag.
-    [[nodiscard]] std::vector<tdma_slot> build_cycle(
-        const std::vector<slot_share>& shares) const;
-
-    /// Round-robin interleaving of weighted shares: repeatedly sweeps the
-    /// share list in order, emitting one slot per tag with allocation left,
-    /// until every share is exhausted. Deterministic in the input order (the
-    /// caller rotates the list for fairness across rounds).
+    /// Polling order of a weighted cycle for degraded-mode scheduling: each
+    /// tag appears `slots` times, round-robin interleaved (repeatedly sweeps
+    /// the share list in order, emitting one slot per tag with allocation
+    /// left, until every share is exhausted). A tag holding reallocated slots
+    /// thus spreads across the cycle instead of monopolizing a contiguous
+    /// stretch, which keeps per-round access latency bounded for every
+    /// healthy tag. Deterministic in the input order (the caller rotates the
+    /// list for fairness across rounds).
     [[nodiscard]] static std::vector<std::uint32_t> interleave_shares(
         const std::vector<slot_share>& shares);
 

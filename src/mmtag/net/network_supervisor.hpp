@@ -39,7 +39,7 @@ struct supervisor_config {
 struct round_plan {
     std::size_t round = 0;
     /// Data-slot allocation for schedulable tags (feed to
-    /// mac::tdma_scheduler::build_cycle or interleave_shares).
+    /// mac::tdma_scheduler::interleave_shares).
     std::vector<mac::slot_share> shares;
     /// Tags that must transmit at the robust MCS (DEGRADED sessions).
     std::vector<std::uint32_t> robust;

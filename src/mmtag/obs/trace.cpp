@@ -4,9 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
+
+#include "mmtag/io.hpp"
 
 namespace mmtag::obs {
 
@@ -64,29 +64,6 @@ void append(trace_event event)
         t_buffer.head = (t_buffer.head + 1) % t_buffer.capacity;
         ++t_buffer.dropped;
     }
-}
-
-void escape_into(std::string& out, const std::string& text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
 }
 
 } // namespace
@@ -192,9 +169,9 @@ std::string tracer::to_json()
         out += first ? "\n" : ",\n";
         first = false;
         out += "{\"name\": ";
-        escape_into(out, event.name);
+        io::append_json_string(out, event.name);
         out += ", \"cat\": ";
-        escape_into(out, event.category);
+        io::append_json_string(out, event.category);
         out += ", \"ph\": \"";
         out += event.phase;
         out += "\", \"ts\": ";
@@ -218,16 +195,7 @@ std::string tracer::to_json()
 
 bool tracer::write(const std::string& path)
 {
-    std::error_code ec;
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-        return false;
-    }
-    out << to_json();
-    return static_cast<bool>(out);
+    return io::write_text_file(path, to_json());
 }
 
 void trace_emit(const char* name, const char* category, char phase, double ts_us,

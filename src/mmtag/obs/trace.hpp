@@ -67,7 +67,8 @@ public:
     /// {"traceEvents": [...], ...} document.
     [[nodiscard]] static std::string to_json();
 
-    /// Writes to_json() to `path`; false when the filesystem refused.
+    /// Writes to_json() to `path` (io::write_text_file: warns on stderr
+    /// and returns false when the filesystem refused).
     static bool write(const std::string& path);
 };
 

@@ -12,11 +12,6 @@ adc::adc(const config& cfg) : cfg_(cfg)
     step_ = 2.0 * cfg.full_scale / static_cast<double>(1u << cfg.bits);
 }
 
-double adc::ideal_sqnr_db() const
-{
-    return 6.02 * static_cast<double>(cfg_.bits) + 1.76;
-}
-
 double adc::quantize_rail(double value) const
 {
     const double clipped = std::clamp(value, -cfg_.full_scale, cfg_.full_scale - step_);

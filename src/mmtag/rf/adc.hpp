@@ -20,9 +20,6 @@ public:
     [[nodiscard]] unsigned bits() const { return cfg_.bits; }
     [[nodiscard]] double full_scale() const { return cfg_.full_scale; }
 
-    /// Theoretical SQNR for a full-scale sine: 6.02 N + 1.76 dB.
-    [[nodiscard]] double ideal_sqnr_db() const;
-
     [[nodiscard]] cf64 sample(cf64 input) const;
     [[nodiscard]] cvec sample(std::span<const cf64> input) const;
 

@@ -56,29 +56,4 @@ cf64 power_amplifier::process(cf64 input) const
     return input * (compressed / amplitude);
 }
 
-cvec power_amplifier::process(std::span<const cf64> input) const
-{
-    cvec out;
-    out.reserve(input.size());
-    for (cf64 x : input) out.push_back(process(x));
-    return out;
-}
-
-double power_amplifier::output_power_dbm(double input_dbm) const
-{
-    const double amplitude = std::sqrt(dbm_to_watt(input_dbm));
-    const cf64 out = process(cf64{amplitude, 0.0});
-    return watt_to_dbm(std::norm(out));
-}
-
-double power_amplifier::input_p1db_dbm() const
-{
-    // Solve Rapp compression == 1 dB: (1 + r^2p)^(1/2p) = 10^(1/20).
-    const double p2 = 2.0 * cfg_.smoothness;
-    const double target = std::pow(10.0, p2 / 20.0) - 1.0;
-    const double ratio = std::pow(target, 1.0 / p2);
-    const double input_amplitude = ratio * saturation_amplitude_ / voltage_gain_;
-    return watt_to_dbm(input_amplitude * input_amplitude);
-}
-
 } // namespace mmtag::rf

@@ -53,14 +53,6 @@ public:
     explicit power_amplifier(const config& cfg);
 
     [[nodiscard]] cf64 process(cf64 input) const;
-    [[nodiscard]] cvec process(std::span<const cf64> input) const;
-
-    /// Output power [dBm] for a CW input of `input_dbm` — for compression
-    /// curve characterization.
-    [[nodiscard]] double output_power_dbm(double input_dbm) const;
-
-    /// Input power at which gain drops 1 dB below small-signal gain.
-    [[nodiscard]] double input_p1db_dbm() const;
 
 private:
     config cfg_;

@@ -34,21 +34,4 @@ rvec envelope_detector::detect(std::span<const cf64> rf)
     return out;
 }
 
-std::vector<bool> envelope_detector::threshold(std::span<const double> voltage, double on_volts,
-                                               double off_volts) const
-{
-    if (!(off_volts <= on_volts)) {
-        throw std::invalid_argument("envelope_detector: off threshold must be <= on threshold");
-    }
-    std::vector<bool> detected;
-    detected.reserve(voltage.size());
-    bool on = false;
-    for (double v : voltage) {
-        if (!on && v >= on_volts) on = true;
-        else if (on && v < off_volts) on = false;
-        detected.push_back(on);
-    }
-    return detected;
-}
-
 } // namespace mmtag::rf

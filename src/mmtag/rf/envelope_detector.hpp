@@ -25,10 +25,6 @@ public:
     /// (square-law + single-pole video filter + detector noise).
     [[nodiscard]] rvec detect(std::span<const cf64> rf);
 
-    /// Threshold comparator with hysteresis for carrier detection.
-    [[nodiscard]] std::vector<bool> threshold(std::span<const double> voltage,
-                                              double on_volts, double off_volts) const;
-
 private:
     config cfg_;
     double filter_alpha_;

@@ -31,13 +31,6 @@ cf64 quadrature_mixer::downconvert(cf64 rf, cf64 lo) const
     return apply_iq_imbalance(mixed + leakage);
 }
 
-cf64 quadrature_mixer::upconvert(cf64 baseband, cf64 lo) const
-{
-    const cf64 mixed = loss_gain_ * baseband * lo;
-    const cf64 leakage = leakage_amplitude_ * lo;
-    return apply_iq_imbalance(mixed + leakage);
-}
-
 cvec quadrature_mixer::downconvert(std::span<const cf64> rf, std::span<const cf64> lo) const
 {
     if (rf.size() != lo.size()) {
@@ -47,25 +40,6 @@ cvec quadrature_mixer::downconvert(std::span<const cf64> rf, std::span<const cf6
     out.reserve(rf.size());
     for (std::size_t i = 0; i < rf.size(); ++i) out.push_back(downconvert(rf[i], lo[i]));
     return out;
-}
-
-cvec quadrature_mixer::upconvert(std::span<const cf64> baseband, std::span<const cf64> lo) const
-{
-    if (baseband.size() != lo.size()) {
-        throw std::invalid_argument("quadrature_mixer: baseband/lo length mismatch");
-    }
-    cvec out;
-    out.reserve(baseband.size());
-    for (std::size_t i = 0; i < baseband.size(); ++i) out.push_back(upconvert(baseband[i], lo[i]));
-    return out;
-}
-
-double quadrature_mixer::image_rejection_ratio_db() const
-{
-    const cf64 mu = 0.5 * (1.0 + gain_alpha_ * std::polar(1.0, phase_beta_));
-    const cf64 nu = 0.5 * (1.0 - gain_alpha_ * std::polar(1.0, phase_beta_));
-    if (std::abs(nu) < 1e-15) return 1e9;
-    return to_db(std::norm(mu) / std::norm(nu));
 }
 
 } // namespace mmtag::rf

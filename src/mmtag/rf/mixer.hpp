@@ -23,15 +23,7 @@ public:
     /// Downconverts: output = rf * conj(lo) with impairments applied.
     [[nodiscard]] cf64 downconvert(cf64 rf, cf64 lo) const;
 
-    /// Upconverts: output = baseband * lo with impairments applied.
-    [[nodiscard]] cf64 upconvert(cf64 baseband, cf64 lo) const;
-
     [[nodiscard]] cvec downconvert(std::span<const cf64> rf, std::span<const cf64> lo) const;
-    [[nodiscard]] cvec upconvert(std::span<const cf64> baseband, std::span<const cf64> lo) const;
-
-    /// Image-rejection ratio implied by the configured I/Q imbalance [dB];
-    /// infinite (1e9) for a perfectly balanced mixer.
-    [[nodiscard]] double image_rejection_ratio_db() const;
 
 private:
     [[nodiscard]] cf64 apply_iq_imbalance(cf64 x) const;

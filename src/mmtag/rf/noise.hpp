@@ -1,4 +1,4 @@
-// Thermal noise generation and noise-figure arithmetic.
+// Thermal noise power and generation.
 #pragma once
 
 #include <random>
@@ -11,14 +11,6 @@ namespace mmtag::rf {
 /// Thermal noise power kTB [W] in `bandwidth_hz` at temperature `kelvin`.
 [[nodiscard]] double thermal_noise_power(double bandwidth_hz, double kelvin = t0_kelvin);
 
-/// Thermal noise power in dBm (the familiar -174 dBm/Hz + 10 log10 B form).
-[[nodiscard]] double thermal_noise_dbm(double bandwidth_hz, double kelvin = t0_kelvin);
-
-/// Cascade noise figure (Friis formula) from per-stage noise figures and
-/// gains, both in dB. Vectors must be equal length and non-empty.
-[[nodiscard]] double cascade_noise_figure_db(std::span<const double> stage_nf_db,
-                                             std::span<const double> stage_gain_db);
-
 /// Complex white Gaussian noise source of a given total power [W]
 /// (variance split evenly between I and Q).
 class awgn_source {
@@ -26,7 +18,6 @@ public:
     awgn_source(double power_watt, std::uint64_t seed);
 
     [[nodiscard]] double power() const { return power_; }
-    void set_power(double power_watt);
 
     [[nodiscard]] cf64 sample();
 

@@ -83,17 +83,4 @@ std::size_t rf_switch::count_transitions(std::span<const std::size_t> states)
     return transitions;
 }
 
-double rf_switch::energy_consumed_j(std::size_t transitions, double duration_s) const
-{
-    if (duration_s < 0.0) throw std::invalid_argument("rf_switch: negative duration");
-    return static_cast<double>(transitions) * cfg_.energy_per_transition_j +
-           cfg_.static_power_w * duration_s;
-}
-
-double rf_switch::average_power_w(double toggle_rate_hz) const
-{
-    if (toggle_rate_hz < 0.0) throw std::invalid_argument("rf_switch: negative toggle rate");
-    return cfg_.static_power_w + toggle_rate_hz * cfg_.energy_per_transition_j;
-}
-
 } // namespace mmtag::rf

@@ -1,8 +1,7 @@
 // RF switch model (SPDT/SP4T class, e.g. ADRF5020-style parts). The switch
 // is the tag's only fast active component: it selects which termination the
 // antenna port sees. Finite rise/fall time smears symbol transitions and
-// caps the achievable symbol rate; each transition costs charge, which sets
-// the rate-dependent part of the tag's power draw.
+// caps the achievable symbol rate (its power draw is in tag::energy_model).
 #pragma once
 
 #include <cstddef>
@@ -20,8 +19,6 @@ public:
         double insertion_loss_db = 1.5;    ///< loss through the selected path
         double isolation_db = 40.0;        ///< leakage from unselected paths
         double rise_fall_time_s = 2e-9;    ///< 10-90% switching time
-        double energy_per_transition_j = 30e-12;
-        double static_power_w = 0.5e-3;    ///< driver quiescent power
     };
 
     explicit rf_switch(const config& cfg);
@@ -44,12 +41,6 @@ public:
 
     /// Number of state changes in a symbol sequence.
     [[nodiscard]] static std::size_t count_transitions(std::span<const std::size_t> states);
-
-    /// Energy consumed by the switch for `transitions` changes over `duration_s`.
-    [[nodiscard]] double energy_consumed_j(std::size_t transitions, double duration_s) const;
-
-    /// Average power when toggling at `toggle_rate_hz` transitions/second.
-    [[nodiscard]] double average_power_w(double toggle_rate_hz) const;
 
 private:
     config cfg_;

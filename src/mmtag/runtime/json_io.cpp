@@ -5,27 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 namespace mmtag::runtime {
-
-bool write_text_file(const std::string& path, const std::string& text)
-{
-    std::error_code ec;
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-        return false;
-    }
-    out << text;
-    // Written documents always end in exactly one newline.
-    if (text.empty() || text.back() != '\n') out << '\n';
-    return static_cast<bool>(out);
-}
 
 std::optional<std::string> read_text_file(const std::string& path)
 {

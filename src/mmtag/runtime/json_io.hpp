@@ -1,8 +1,8 @@
 // Shared JSON document I/O for every schema emitter (bench results, soak
-// reports, scale results, phy tables): file writing with parent-directory
-// creation, whole-file reads, a strict parser into the ordered json_value
-// model, and the common document helpers (schema header, ratio-or-null)
-// that used to be copy-pasted per emitter.
+// reports, scale results, phy tables): whole-file reads, a strict parser
+// into the ordered json_value model, and the common document helpers (schema
+// header, ratio-or-null) that used to be copy-pasted per emitter. Files are
+// written with io::write_text_file (mmtag/io.hpp).
 #pragma once
 
 #include <cstdint>
@@ -12,11 +12,6 @@
 #include "mmtag/runtime/result_writer.hpp"
 
 namespace mmtag::runtime {
-
-/// Writes `text` plus a trailing newline to `path`, creating parent
-/// directories first. Warns on stderr and returns false when the filesystem
-/// refuses; emitters keep going (results are printed too).
-bool write_text_file(const std::string& path, const std::string& text);
 
 /// Whole-file read; nullopt when the file is missing or unreadable.
 [[nodiscard]] std::optional<std::string> read_text_file(const std::string& path);

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "mmtag/core/metrics.hpp"
+#include "mmtag/io.hpp"
 #include "mmtag/runtime/json_io.hpp"
 
 namespace mmtag::runtime {
@@ -140,29 +141,6 @@ const std::string& json_value::as_string() const
 
 namespace {
 
-void escape_into(std::string& out, const std::string& text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
 // Shortest decimal that round-trips, so 0.1 prints as "0.1" not
 // "0.10000000000000001" — and identically on every run, which the
 // byte-comparison determinism test relies on.
@@ -210,7 +188,7 @@ void json_value::dump_to(std::string& out, int indent, int depth) const
         out += buffer;
         break;
     }
-    case kind::string: escape_into(out, string_); break;
+    case kind::string: io::append_json_string(out, string_); break;
     case kind::array: {
         if (items_.empty()) {
             out += "[]";
@@ -235,7 +213,7 @@ void json_value::dump_to(std::string& out, int indent, int depth) const
         for (std::size_t i = 0; i < members_.size(); ++i) {
             if (i != 0) out += ',';
             newline_indent(out, indent, depth + 1);
-            escape_into(out, members_[i].first);
+            io::append_json_string(out, members_[i].first);
             out += indent > 0 ? ": " : ":";
             members_[i].second.dump_to(out, indent, depth + 1);
         }
@@ -375,7 +353,7 @@ std::string result_writer::write(const std::string& path, double wall_s, std::si
                                  double trials_per_s) const
 {
     const std::string target = path.empty() ? default_output_path(id_) : path;
-    if (!write_text_file(target, document(wall_s, jobs, trials_per_s))) return {};
+    if (!io::write_text_file(target, document(wall_s, jobs, trials_per_s))) return {};
     return target;
 }
 

@@ -210,6 +210,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
                                    const phy_table& table, std::size_t trial,
                                    obs::metrics_registry* metrics)
 {
+    if (cfg.frames == 0) throw std::invalid_argument("run_scale_trial: frames must be >= 1");
     const std::size_t n = topo.tags.size();
     const std::uint64_t tseed = runtime::trial_seed(cfg.seed, 0, trial);
     const std::uint64_t draw_seed = runtime::substream(tseed, 0);
@@ -516,6 +517,7 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                        obs::metrics_registry* metrics, const std::string& cache_dir)
 {
     if (cfg.trials == 0) throw std::invalid_argument("run_scale: trials must be >= 1");
+    if (cfg.frames == 0) throw std::invalid_argument("run_scale: frames must be >= 1");
     const auto setup_start = std::chrono::steady_clock::now();
     const deployment topo = make_deployment(cfg.topology, cfg.scenario);
 

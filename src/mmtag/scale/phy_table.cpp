@@ -8,6 +8,7 @@
 #include "mmtag/core/link_budget.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/core/metrics.hpp"
+#include "mmtag/io.hpp"
 #include "mmtag/runtime/json_io.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
 
@@ -341,7 +342,7 @@ phy_table::cache_result phy_table::load_or_generate(const phy_table_config& cfg,
                  "phy_table: %s at %s — regenerating (%zu sample-accurate frames)\n",
                  reason.c_str(), path.c_str(), total_frames);
     phy_table table = generate(cfg, jobs);
-    runtime::write_text_file(path, table.to_json().dump(2));
+    io::write_text_file(path, table.to_json().dump(2));
     return {std::move(table), false, path};
 }
 

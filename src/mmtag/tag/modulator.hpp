@@ -40,10 +40,6 @@ public:
     [[nodiscard]] std::size_t samples_per_symbol() const { return samples_per_symbol_; }
     [[nodiscard]] const termination_bank& bank() const { return bank_; }
 
-    /// Bit rate delivered by the current configuration (information bits,
-    /// counting modulation and FEC rate, excluding framing overhead).
-    [[nodiscard]] double information_rate_bps() const;
-
     /// Modulates one payload into a reflection waveform.
     [[nodiscard]] modulated_frame modulate(std::span<const std::uint8_t> payload) const;
 

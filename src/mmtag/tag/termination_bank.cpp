@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "mmtag/antenna/termination.hpp"
-#include "mmtag/dsp/estimators.hpp"
 
 namespace mmtag::tag {
 
@@ -44,18 +43,6 @@ std::size_t termination_bank::state_for_symbol(cf64 symbol) const
     const long long wrapped = ((position % static_cast<long long>(m)) +
                                static_cast<long long>(m)) % static_cast<long long>(m);
     return static_cast<std::size_t>(wrapped);
-}
-
-double termination_bank::constellation_evm() const
-{
-    const std::size_t m = state_count();
-    cvec realized(m);
-    cvec ideal(m);
-    for (std::size_t p = 0; p < m; ++p) {
-        realized[p] = gammas_[p];
-        ideal[p] = std::polar(1.0, two_pi * static_cast<double>(p) / static_cast<double>(m));
-    }
-    return dsp::evm_rms(realized, ideal);
 }
 
 } // namespace mmtag::tag

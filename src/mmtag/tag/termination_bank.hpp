@@ -39,10 +39,6 @@ public:
     /// State index whose reflected phase best realizes a desired unit symbol.
     [[nodiscard]] std::size_t state_for_symbol(cf64 symbol) const;
 
-    /// Worst-case EVM of the realized constellation against the ideal one —
-    /// how much the stub bank's imperfections cost before the channel.
-    [[nodiscard]] double constellation_evm() const;
-
 private:
     config cfg_;
     cvec gammas_;

@@ -19,64 +19,28 @@ TEST(element, patch_peak_and_rolloff)
 
 TEST(element, patch_beamwidth_consistent_with_pattern)
 {
+    // cos^(2q)(theta) = 1/2 at theta = acos(2^(-1/(2q))), q = 1.3 by default.
     patch_element patch;
-    const double half = patch.half_power_beamwidth() / 2.0;
+    const double half = std::acos(std::pow(2.0, -1.0 / (2.0 * 1.3)));
     EXPECT_NEAR(patch.gain(half) / patch.peak_gain(), 0.5, 1e-6);
-}
-
-TEST(element, horn_gain_beamwidth_product)
-{
-    horn_element horn(20.0);
-    EXPECT_NEAR(to_db(horn.peak_gain()), 20.0, 1e-9);
-    const double bw = horn.half_power_beamwidth();
-    EXPECT_NEAR(horn.gain(bw / 2.0) / horn.peak_gain(), 0.5, 1e-6);
-    // 20 dBi symmetric beam: ~0.35 rad (20 degrees).
-    EXPECT_NEAR(bw, std::sqrt(4.0 * pi / 100.0), 1e-9);
 }
 
 TEST(termination, canonical_loads)
 {
     EXPECT_EQ(gamma_short(), (cf64{-1.0, 0.0}));
-    EXPECT_EQ(gamma_open(), (cf64{1.0, 0.0}));
     EXPECT_EQ(gamma_matched(), (cf64{0.0, 0.0}));
-    EXPECT_NEAR(std::abs(reflection_coefficient(cf64{50.0, 0.0})), 0.0, 1e-12);
-    EXPECT_NEAR(std::abs(reflection_coefficient(cf64{0.0, 0.0}) - cf64{-1.0, 0.0}), 0.0, 1e-12);
-}
-
-TEST(termination, passivity_for_passive_loads)
-{
-    for (double r : {0.0, 10.0, 50.0, 200.0, 1e6}) {
-        for (double x : {-100.0, 0.0, 100.0}) {
-            EXPECT_LE(std::abs(reflection_coefficient(cf64{r, x})), 1.0 + 1e-9);
-        }
-    }
 }
 
 TEST(termination, quarter_wave_short_becomes_open)
 {
     const cf64 gamma = line_transform(gamma_short(), pi / 2.0);
-    EXPECT_NEAR(std::abs(gamma - gamma_open()), 0.0, 1e-12);
+    EXPECT_NEAR(std::abs(gamma - cf64{1.0, 0.0}), 0.0, 1e-12);
 }
 
 TEST(termination, lossy_line_shrinks_gamma)
 {
     const cf64 gamma = line_transform_lossy(gamma_short(), pi / 4.0, 3.0);
     EXPECT_NEAR(std::abs(gamma), std::pow(10.0, -6.0 / 20.0), 1e-9);
-}
-
-TEST(termination, absorbed_fraction)
-{
-    EXPECT_DOUBLE_EQ(absorbed_fraction(gamma_matched()), 1.0);
-    EXPECT_DOUBLE_EQ(absorbed_fraction(gamma_short()), 0.0);
-    EXPECT_NEAR(absorbed_fraction(cf64{0.5, 0.0}), 0.75, 1e-12);
-}
-
-TEST(termination, electrical_length)
-{
-    // Half a guided wavelength = pi radians.
-    const double f = 24e9;
-    const double guided = wavelength(f) / std::sqrt(4.0);
-    EXPECT_NEAR(electrical_length(guided / 2.0, f, 4.0), pi, 1e-9);
 }
 
 class van_atta_retro : public ::testing::TestWithParam<std::size_t> {};

@@ -47,7 +47,8 @@ TEST(transmitter, lo_and_rf_phase_locked)
 
 TEST(canceller, background_subtract_removes_static_interference)
 {
-    self_interference_canceller canceller; // default: background_subtract
+    // Default config: background_subtract.
+    self_interference_canceller canceller{self_interference_canceller::config{}};
     // Static leakage DC throughout; the tag starts modulating only after the
     // quiet leading window (as the turnaround guarantees in a real exchange).
     cvec baseband(4000);
@@ -101,7 +102,7 @@ TEST(canceller, off_mode_passthrough)
 TEST(canceller, preserves_offset_tone)
 {
     // A tone away from DC (the tag's modulated spectrum) must pass.
-    self_interference_canceller canceller;
+    self_interference_canceller canceller{self_interference_canceller::config{}};
     cvec in(8000);
     for (std::size_t i = 0; i < in.size(); ++i) {
         in[i] = std::polar(1.0, two_pi * 0.05 * static_cast<double>(i));

@@ -37,7 +37,6 @@ TEST(arq_edge_cases, dead_link_exhausts_retry_cap_exactly)
     EXPECT_EQ(stats.frames_delivered, 0u);
     EXPECT_EQ(stats.transmissions, 20u * 5u); // every frame burns the full cap
     EXPECT_DOUBLE_EQ(stats.delivery_ratio(), 0.0);
-    EXPECT_DOUBLE_EQ(stats.transmission_efficiency(), 0.0);
 }
 
 TEST(arq_edge_cases, perfect_link_never_retries)
@@ -47,7 +46,6 @@ TEST(arq_edge_cases, perfect_link_never_retries)
     EXPECT_EQ(stats.frames_delivered, 50u);
     EXPECT_EQ(stats.transmissions, 50u);
     EXPECT_EQ(stats.duplicates_discarded, 0u);
-    EXPECT_DOUBLE_EQ(stats.transmission_efficiency(), 1.0);
     EXPECT_DOUBLE_EQ(stats.backoff_wait_s, 0.0); // default config never backs off
 }
 
@@ -174,7 +172,6 @@ TEST(arq_edge_cases, invalid_success_probability_throws)
     const mac::stop_and_wait_arq arq;
     EXPECT_THROW((void)arq.run(10, -0.1, 1), std::invalid_argument);
     EXPECT_THROW((void)arq.run(10, 1.1, 1), std::invalid_argument);
-    EXPECT_THROW((void)arq.expected_transmissions(0.0), std::invalid_argument);
 }
 
 TEST(arq_edge_cases, backoff_stays_finite_at_saturated_attempt_counts)
@@ -196,39 +193,6 @@ TEST(arq_edge_cases, backoff_stays_finite_at_saturated_attempt_counts)
     EXPECT_DOUBLE_EQ(steep.backoff_delay_s(2), cfg.max_backoff_s);
     EXPECT_DOUBLE_EQ(steep.backoff_delay_s(1), cfg.initial_backoff_s)
         << "attempt 1 is factor^0 and must not clamp";
-}
-
-TEST(arq_edge_cases, expected_transmissions_matches_the_truncated_series)
-{
-    // Closed form (1 - q^R)/p against the explicit E[min(Geom(p), R)] sum
-    // for small caps where the series is cheap to evaluate directly.
-    for (const double p : {0.2, 0.5, 0.9}) {
-        for (const std::size_t retries : {1u, 2u, 5u, 8u}) {
-            mac::arq_config cfg;
-            cfg.max_retries = retries;
-            const mac::stop_and_wait_arq arq(cfg);
-            const double q = 1.0 - p;
-            double series = 0.0;
-            for (std::size_t k = 1; k <= retries; ++k) {
-                series += static_cast<double>(k) * p * std::pow(q, static_cast<double>(k - 1));
-            }
-            series += static_cast<double>(retries) * std::pow(q, static_cast<double>(retries));
-            EXPECT_NEAR(arq.expected_transmissions(p), series, 1e-12)
-                << "p=" << p << " R=" << retries;
-        }
-    }
-}
-
-TEST(arq_edge_cases, expected_transmissions_is_closed_form_at_huge_retry_caps)
-{
-    // A "supervision off" cap must not degrade into a SIZE_MAX-term loop;
-    // with q^R -> 0 the expectation is exactly the untruncated 1/p.
-    mac::arq_config cfg;
-    cfg.max_retries = std::numeric_limits<std::size_t>::max();
-    const mac::stop_and_wait_arq arq(cfg);
-    EXPECT_NEAR(arq.expected_transmissions(0.25), 4.0, 1e-9);
-    EXPECT_NEAR(arq.expected_transmissions(1.0), 1.0, 1e-12);
-    EXPECT_TRUE(std::isfinite(arq.expected_transmissions(1e-9)));
 }
 
 TEST(arq_edge_cases, same_seed_same_stats)

@@ -4,6 +4,8 @@
 // a flag that is neither common nor one of the bench's named extras.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,43 @@ TEST(bench_options_death, unexpected_positional_exits)
 {
     EXPECT_EXIT(parse_flags({"stray"}), testing::ExitedWithCode(2),
                 "unexpected argument 'stray'");
+}
+
+/// Runs bench::run over a brace-list of flags with `experiment` as the body.
+template <typename Experiment>
+int run_flags(std::vector<std::string> flags, Experiment experiment)
+{
+    flags.insert(flags.begin(), "bench_test");
+    std::vector<char*> argv;
+    argv.reserve(flags.size());
+    for (auto& flag : flags) argv.push_back(flag.data());
+    return run(static_cast<int>(argv.size()), argv.data(), experiment, {"trials"});
+}
+
+TEST(bench_options_death, library_rejection_in_the_bench_body_exits_with_code_2)
+{
+    // A well-formed flag whose value the library rejects, e.g.
+    // bench_r22_network_soak --rounds 0: one error line, then exit 2.
+    EXPECT_EXIT(std::exit(run_flags({"--trials", "0"},
+                                    [](const bench_options&) -> int {
+                                        throw std::invalid_argument(
+                                            "run_soak: rounds must be >= 1");
+                                    })),
+                testing::ExitedWithCode(2), "^error: run_soak: rounds must be >= 1\n$");
+}
+
+TEST(bench_options, run_returns_the_experiment_status_and_lets_other_errors_escape)
+{
+    EXPECT_EQ(run_flags({"--trials", "3"},
+                        [](const bench_options& opts) {
+                            return static_cast<int>(opts.extra_u64("trials", 1));
+                        }),
+              3);
+    EXPECT_THROW(run_flags({},
+                           [](const bench_options&) -> int {
+                               throw std::runtime_error("disk on fire");
+                           }),
+                 std::runtime_error);
 }
 
 } // namespace

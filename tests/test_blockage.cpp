@@ -5,6 +5,13 @@
 namespace mmtag {
 namespace {
 
+rvec trace_of(channel::blockage_process& process, std::size_t count)
+{
+    rvec out(count);
+    for (auto& v : out) v = process.step();
+    return out;
+}
+
 TEST(blockage, levels_bounded_and_reach_both_states)
 {
     channel::blockage_process::config cfg;
@@ -14,7 +21,7 @@ TEST(blockage, levels_bounded_and_reach_both_states)
     cfg.blockage_loss_db = 20.0;
     cfg.transition_s = 50e-6;
     channel::blockage_process process(cfg, 7);
-    const rvec trace = process.generate(2'000'000); // 2 s of process
+    const rvec trace = trace_of(process, 2'000'000); // 2 s of process
     const double blocked_amp = std::pow(10.0, -1.0);
     double low = 1.0;
     double high = 0.0;
@@ -36,9 +43,9 @@ TEST(blockage, duty_cycle_matches_dwell_ratio)
     cfg.mean_blocked_s = 1e-3;
     cfg.transition_s = 10e-6;
     channel::blockage_process process(cfg, 11);
-    EXPECT_NEAR(process.duty_cycle(), 0.25, 1e-12);
-    // Empirical: fraction of samples below the midpoint amplitude.
-    const rvec trace = process.generate(4'000'000);
+    // Fraction of samples below the midpoint amplitude vs the dwell ratio
+    // mean_blocked / (mean_blocked + mean_clear) = 0.25.
+    const rvec trace = trace_of(process, 4'000'000);
     std::size_t blocked = 0;
     for (double v : trace) {
         if (v < 0.55) ++blocked;
@@ -52,7 +59,7 @@ TEST(blockage, transitions_are_smooth)
     cfg.sample_rate_hz = 1e6;
     cfg.transition_s = 100e-6; // 100 samples
     channel::blockage_process process(cfg, 13);
-    const rvec trace = process.generate(3'000'000);
+    const rvec trace = trace_of(process, 3'000'000);
     const double max_step = (1.0 - std::pow(10.0, -1.0)) / 100.0;
     for (std::size_t i = 1; i < trace.size(); ++i) {
         EXPECT_LE(std::abs(trace[i] - trace[i - 1]), max_step * 1.001);
@@ -63,7 +70,7 @@ TEST(blockage, deterministic_by_seed)
 {
     channel::blockage_process a({}, 5);
     channel::blockage_process b({}, 5);
-    EXPECT_EQ(a.generate(10000), b.generate(10000));
+    EXPECT_EQ(trace_of(a, 10000), trace_of(b, 10000));
 }
 
 TEST(blockage, validation)

@@ -14,17 +14,10 @@ namespace {
 TEST(path_loss, friis_known_value)
 {
     // FSPL(1 m, 24 GHz) = 20 log10(4 pi / lambda) ~= 60.05 dB.
-    EXPECT_NEAR(free_space_path_loss_db(1.0, 24e9), 60.05, 0.05);
+    EXPECT_NEAR(to_db(free_space_path_loss(1.0, 24e9)), 60.05, 0.05);
     // +20 dB per decade of distance.
-    EXPECT_NEAR(free_space_path_loss_db(10.0, 24e9) - free_space_path_loss_db(1.0, 24e9),
+    EXPECT_NEAR(to_db(free_space_path_loss(10.0, 24e9) / free_space_path_loss(1.0, 24e9)),
                 20.0, 1e-9);
-}
-
-TEST(path_loss, log_distance_exponent)
-{
-    const double d1 = log_distance_path_loss_db(2.0, 24e9, 3.0);
-    const double d2 = log_distance_path_loss_db(20.0, 24e9, 3.0);
-    EXPECT_NEAR(d2 - d1, 30.0, 1e-9);
 }
 
 TEST(path_loss, backscatter_follows_fourth_power)
@@ -47,13 +40,6 @@ TEST(path_loss, one_way_round_trip_consistency)
                                                       backscatter_gain, d, f);
     EXPECT_NEAR(two_way,
                 one_way * backscatter_gain * rx_gain / free_space_path_loss(d, f), 1e-20);
-}
-
-TEST(path_loss, max_range_inverts_power)
-{
-    const double range = backscatter_max_range(1.0, 100.0, 100.0, 60.0, 24e9, 1e-12);
-    const double power = backscatter_received_power(1.0, 100.0, 100.0, 60.0, range, 24e9);
-    EXPECT_NEAR(power, 1e-12, 1e-16);
 }
 
 TEST(atmosphere, oxygen_peak_at_60_ghz)
@@ -93,39 +79,6 @@ TEST(fading, rician_mean_power_is_unity)
     constexpr int n = 20000;
     for (int i = 0; i < n; ++i) power += std::norm(rician_coefficient(3.0, rng));
     EXPECT_NEAR(power / n, 1.0, 0.03);
-}
-
-TEST(fading, multipath_applies_delays)
-{
-    multipath_channel::config cfg;
-    cfg.sample_rate_hz = 1e9;
-    cfg.k_factor_db = 100.0; // deterministic LOS tap
-    cfg.taps = {{0, 1.0, 0.0}, {5, 0.25, 0.0}};
-    multipath_channel chan(cfg, 5);
-    cvec impulse(1, cf64{1.0, 0.0});
-    const cvec response = chan.apply(impulse);
-    ASSERT_EQ(response.size(), 6u);
-    EXPECT_GT(std::abs(response[0]), 0.5);
-    EXPECT_GT(std::abs(response[5]), 0.1);
-    for (std::size_t i = 1; i < 5; ++i) EXPECT_NEAR(std::abs(response[i]), 0.0, 1e-12);
-}
-
-TEST(fading, delay_spread_of_known_profile)
-{
-    multipath_channel::config cfg;
-    cfg.sample_rate_hz = 1e9;
-    cfg.taps = {{0, 1.0, 0.0}, {10, 1.0, 0.0}};
-    multipath_channel chan(cfg, 6);
-    // Two equal taps 10 ns apart: rms spread = 5 ns.
-    EXPECT_NEAR(chan.rms_delay_spread_s(), 5e-9, 1e-12);
-}
-
-TEST(fading, indoor_profile_sane)
-{
-    const auto cfg = indoor_los_profile(1e9);
-    EXPECT_EQ(cfg.taps.size(), 3u);
-    EXPECT_GT(cfg.taps[0].power, cfg.taps[1].power);
-    EXPECT_GT(cfg.taps[1].power, cfg.taps[2].power);
 }
 
 class backscatter_channel_fixture : public ::testing::Test {

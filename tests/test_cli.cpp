@@ -28,14 +28,14 @@ TEST(options, parses_subcommand_and_pairs)
     const auto opts = parse({"link", "--distance", "3.5", "--frames", "7"});
     EXPECT_EQ(opts.command(), "link");
     EXPECT_DOUBLE_EQ(opts.get_double("distance", 0.0), 3.5);
-    EXPECT_EQ(opts.get_int("frames", 0), 7);
+    EXPECT_EQ(opts.get_uint("frames", 0), 7u);
 }
 
 TEST(options, equals_form)
 {
     const auto opts = parse({"budget", "--tx-power=30", "--points=5"});
     EXPECT_DOUBLE_EQ(opts.get_double("tx-power", 0.0), 30.0);
-    EXPECT_EQ(opts.get_int("points", 0), 5);
+    EXPECT_EQ(opts.get_uint("points", 0), 5u);
 }
 
 TEST(options, defaults_when_absent)
@@ -85,7 +85,7 @@ TEST(options, rejects_bad_numbers)
 {
     const auto opts = parse({"link", "--distance", "abc", "--frames", "2.5"});
     EXPECT_THROW((void)opts.get_double("distance", 0.0), std::invalid_argument);
-    EXPECT_THROW((void)opts.get_int("frames", 0), std::invalid_argument);
+    EXPECT_THROW((void)opts.get_uint("frames", 0), std::invalid_argument);
 }
 
 TEST(options, tracks_unconsumed_keys)
@@ -386,6 +386,43 @@ TEST(commands, scale_writes_result_and_one_metrics_snapshot)
     const char* typo[] = {"mmtag_sim", "scale", "--tgs", "200"};
     EXPECT_EQ(dispatch(4, typo), 1);
     fs::remove_all(dir);
+}
+
+TEST(commands, scale_rejects_zero_frames)
+{
+    // Zero rounds is bad input: it fails loudly instead of running a round.
+    const char* argv[] = {"mmtag_sim", "scale", "--tags", "50", "--aps", "2", "--frames", "0"};
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int code = dispatch(8, argv);
+    const std::string errors = testing::internal::GetCapturedStderr();
+    const std::string printed = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(errors.rfind("error: run_scale: frames must be >= 1\n", 0), 0u) << errors;
+    EXPECT_EQ(printed.find("delivered"), std::string::npos) << printed;
+}
+
+TEST(commands, unwritable_trace_path_warns_once)
+{
+    // A regular file where the trace's parent directory should be: neither
+    // the directory nor the file can be created.
+    namespace fs = std::filesystem;
+    const auto blocker = fs::temp_directory_path() / "mmtag_cli_trace_blocker";
+    std::ofstream(blocker) << "not a directory\n";
+    const std::string trace_arg = "--trace=" + (blocker / "t.json").string();
+    const char* argv[] = {"mmtag_sim", "sweep", "--points", "1", "--trials", "1",
+                          "--frames", "1", trace_arg.c_str()};
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int code = dispatch(9, argv);
+    const std::string errors = testing::internal::GetCapturedStderr();
+    (void)testing::internal::GetCapturedStdout();
+    EXPECT_EQ(code, 0);
+    const std::string warning = "warning: cannot write " + (blocker / "t.json").string();
+    const auto first = errors.find(warning);
+    ASSERT_NE(first, std::string::npos) << errors;
+    EXPECT_EQ(errors.find(warning, first + 1), std::string::npos) << errors;
+    fs::remove(blocker);
 }
 
 TEST(commands, scale_times_setup_and_trials_apart_from_the_result)

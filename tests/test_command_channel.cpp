@@ -168,7 +168,7 @@ TEST(command_channel, duration_scales_with_ones)
     ap::tag_command ones = zeros;
     ones.tag_id = 0xFFFF;
     // PIE data-1 is one unit longer than data-0.
-    EXPECT_GT(encoder.command_duration_s(ones), encoder.command_duration_s(zeros));
+    EXPECT_GT(encoder.encode(ones).size(), encoder.encode(zeros).size());
 }
 
 TEST(command_channel, validation)

@@ -15,13 +15,6 @@ TEST(estimators, mean_power_and_rms)
     EXPECT_THROW((void)mean_power(cvec{}), std::invalid_argument);
 }
 
-TEST(estimators, papr_of_constant_envelope_is_zero_db)
-{
-    cvec x(64);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::polar(2.0, 0.1 * i);
-    EXPECT_NEAR(papr_db(x), 0.0, 1e-9);
-}
-
 TEST(estimators, evm_known_value)
 {
     const cvec reference{{1.0, 0.0}, {-1.0, 0.0}};
@@ -47,20 +40,6 @@ TEST(estimators, snr_estimate_matches_injected_noise)
     EXPECT_NEAR(snr_estimate_db(received, reference), snr_db_true, 0.3);
 }
 
-TEST(estimators, snr_m2m4_blind_estimate)
-{
-    std::mt19937_64 rng(13);
-    std::normal_distribution<double> g(0.0, 1.0);
-    const double snr_db_true = 10.0;
-    const double noise_sigma = std::sqrt(0.5 * std::pow(10.0, -snr_db_true / 10.0));
-    std::uniform_int_distribution<int> q(0, 3);
-    cvec x(50000);
-    for (auto& v : x) {
-        v = std::polar(1.0, pi / 2.0 * q(rng)) + cf64{noise_sigma * g(rng), noise_sigma * g(rng)};
-    }
-    EXPECT_NEAR(snr_m2m4_db(x), snr_db_true, 0.5);
-}
-
 TEST(estimators, running_stats_welford)
 {
     running_stats stats;
@@ -69,22 +48,7 @@ TEST(estimators, running_stats_welford)
     EXPECT_EQ(stats.count(), values.size());
     EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
     EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12); // sample variance
-    EXPECT_DOUBLE_EQ(stats.minimum(), 2.0);
-    EXPECT_DOUBLE_EQ(stats.maximum(), 9.0);
-    stats.reset();
-    EXPECT_EQ(stats.count(), 0u);
-    EXPECT_THROW((void)stats.mean(), std::logic_error);
-}
-
-TEST(estimators, percentile_interpolation)
-{
-    const rvec values{1.0, 2.0, 3.0, 4.0, 5.0};
-    EXPECT_DOUBLE_EQ(percentile(values, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(values, 100.0), 5.0);
-    EXPECT_DOUBLE_EQ(percentile(values, 50.0), 3.0);
-    EXPECT_DOUBLE_EQ(percentile(values, 25.0), 2.0);
-    EXPECT_DOUBLE_EQ(percentile(values, 90.0), 4.6);
-    EXPECT_THROW((void)percentile(values, 101.0), std::invalid_argument);
+    EXPECT_THROW((void)running_stats{}.mean(), std::logic_error);
 }
 
 } // namespace

@@ -14,6 +14,14 @@ using namespace mmtag;
 
 namespace {
 
+std::vector<fault::fault_event> active_events(const fault::fault_schedule& schedule, double t0,
+                                              double t1)
+{
+    std::vector<fault::fault_event> out;
+    schedule.visit_active(t0, t1, [&out](const fault::fault_event& e) { out.push_back(e); });
+    return out;
+}
+
 fault::fault_schedule::config busy_schedule()
 {
     fault::fault_schedule::config cfg;
@@ -143,12 +151,12 @@ TEST(fault_schedule, kind_counts_sum_to_total_and_active_filters)
 
     ASSERT_FALSE(schedule.events().empty());
     const auto& first = schedule.events().front();
-    const auto hits = schedule.active(first.start_s, first.end_s());
+    const auto hits = active_events(schedule, first.start_s, first.end_s());
     ASSERT_FALSE(hits.empty());
     for (const auto& event : hits) {
         EXPECT_TRUE(event.overlaps(first.start_s, first.end_s()));
     }
-    EXPECT_TRUE(schedule.active(1e6, 1e6 + 1.0).empty());
+    EXPECT_TRUE(active_events(schedule, 1e6, 1e6 + 1.0).empty());
 }
 
 TEST(fault_injector, clean_window_reports_no_impairment)
@@ -406,7 +414,7 @@ TEST(multitag_faults, carrier_dropout_blanks_the_capture_and_replays_identically
     const fault::fault_schedule schedule(sched, 3);
     {
         core::multitag_simulator probe(core::fast_scenario(), tags);
-        ASSERT_FALSE(schedule.active(0.0, probe.burst_duration_s(24)).empty());
+        ASSERT_FALSE(active_events(schedule, 0.0, probe.burst_duration_s(24)).empty());
     }
 
     const auto run_faulted = [&] {

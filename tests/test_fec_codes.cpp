@@ -259,13 +259,6 @@ INSTANTIATE_TEST_SUITE_P(rates, conv_round_trip,
                          ::testing::Values(code_rate::half, code_rate::two_thirds,
                                            code_rate::three_quarters));
 
-TEST(conv, rate_fractions)
-{
-    EXPECT_DOUBLE_EQ(rate_fraction(code_rate::half), 0.5);
-    EXPECT_NEAR(rate_fraction(code_rate::two_thirds), 2.0 / 3.0, 1e-15);
-    EXPECT_DOUBLE_EQ(rate_fraction(code_rate::three_quarters), 0.75);
-}
-
 TEST(conv, coded_length_reflects_puncturing)
 {
     const std::size_t info = 100;

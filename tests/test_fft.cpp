@@ -97,12 +97,5 @@ TEST(fft, power_spectrum_total_equals_signal_power)
     EXPECT_NEAR(total, signal, 1e-6 * signal);
 }
 
-TEST(fft, fft_shift_moves_dc_to_center)
-{
-    const rvec spectrum = {10.0, 1.0, 2.0, 3.0};
-    const rvec shifted = fft_shift(spectrum);
-    EXPECT_DOUBLE_EQ(shifted[2], 10.0);
-}
-
 } // namespace
 } // namespace mmtag::dsp

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <string>
 
+#include "mmtag/io.hpp"
 #include "mmtag/runtime/json_io.hpp"
 #include "mmtag/runtime/result_writer.hpp"
 
@@ -98,7 +99,7 @@ TEST(JsonIo, TextFileRoundTrip)
 {
     const std::string path = temp_path("mmtag_json_io_roundtrip.json");
     const std::string text = "{\"k\": 1}\n";
-    ASSERT_TRUE(runtime::write_text_file(path, text));
+    ASSERT_TRUE(io::write_text_file(path, text));
     const auto back = runtime::read_text_file(path);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, text);

@@ -55,25 +55,6 @@ TEST(lfsr, deterministic_for_seed)
     EXPECT_EQ(a.generate(50), b.generate(50));
 }
 
-TEST(barker, known_codes)
-{
-    EXPECT_EQ(barker_code(13).size(), 13u);
-    EXPECT_EQ(barker_code(7), (std::vector<int>{1, 1, 1, -1, -1, 1, -1}));
-    EXPECT_THROW((void)barker_code(6), std::invalid_argument);
-}
-
-TEST(barker, sidelobes_bounded_by_one)
-{
-    for (std::size_t len : {5u, 7u, 11u, 13u}) {
-        const auto code = barker_code(len);
-        for (std::size_t lag = 1; lag < len; ++lag) {
-            long long acc = 0;
-            for (std::size_t i = 0; i + lag < len; ++i) acc += code[i] * code[i + lag];
-            EXPECT_LE(std::abs(acc), 1) << "length " << len << " lag " << lag;
-        }
-    }
-}
-
 TEST(correlation, finds_embedded_sequence)
 {
     const auto bits = m_sequence(6);

@@ -263,6 +263,24 @@ TEST(ScaleDes, RejectsZeroTrials)
                  std::invalid_argument);
 }
 
+TEST(ScaleDes, RejectsZeroFrames)
+{
+    // Zero rounds is bad input, not an empty run: the first round_begin is
+    // queued before the round count is checked, so it would simulate one.
+    auto cfg = small_config();
+    cfg.frames = 0;
+    EXPECT_THROW((void)scale::run_scale(cfg, 1, nullptr, shared_cache_dir()),
+                 std::invalid_argument);
+    const auto topo = scale::make_deployment(cfg.topology, cfg.scenario);
+    auto table_cfg = cfg.phy;
+    table_cfg.scenario = cfg.scenario;
+    table_cfg.payload_bytes = cfg.payload_bytes;
+    const auto cache =
+        scale::phy_table::load_or_generate(table_cfg, 1, shared_cache_dir());
+    EXPECT_THROW((void)scale::run_scale_trial(cfg, topo, cache.table, 0, nullptr),
+                 std::invalid_argument);
+}
+
 std::string printf_line(const des_event& ev, int outcome)
 {
     char line[512];

@@ -14,6 +14,7 @@
 #include "mmtag/common.hpp"
 #include "mmtag/core/link_budget.hpp"
 #include "mmtag/core/link_simulator.hpp"
+#include "mmtag/io.hpp"
 #include "mmtag/runtime/json_io.hpp"
 #include "mmtag/scale/phy_table.hpp"
 
@@ -240,7 +241,7 @@ TEST(ScalePhyTable, CacheMissThenHit)
     EXPECT_EQ(hit.table.to_json().dump(), miss.table.to_json().dump());
 
     // A stale/corrupt file at the expected path is regenerated, loudly.
-    ASSERT_TRUE(runtime::write_text_file(miss.path, "{\"schema\": \"corrupt\"}"));
+    ASSERT_TRUE(io::write_text_file(miss.path, "{\"schema\": \"corrupt\"}"));
     const auto stale = phy_table::load_or_generate(cfg, 1, dir.string());
     EXPECT_FALSE(stale.cache_hit);
     EXPECT_EQ(stale.table.to_json().dump(), miss.table.to_json().dump());

@@ -70,16 +70,6 @@ TEST(rf_switch, transition_count)
     EXPECT_EQ(rf_switch::count_transitions(std::vector<std::size_t>{}), 0u);
 }
 
-TEST(rf_switch, energy_model)
-{
-    rf_switch::config cfg;
-    cfg.energy_per_transition_j = 10e-12;
-    cfg.static_power_w = 1e-3;
-    rf_switch sw(cfg);
-    EXPECT_NEAR(sw.energy_consumed_j(100, 1e-3), 100 * 10e-12 + 1e-6, 1e-15);
-    EXPECT_NEAR(sw.average_power_w(1e6), 1e-3 + 1e6 * 10e-12, 1e-12);
-}
-
 TEST(rf_switch, validation)
 {
     rf_switch::config cfg;
@@ -123,19 +113,6 @@ TEST(envelope_detector, video_filter_smooths_fast_modulation)
     }
     const rvec v = detector.detect(rf);
     EXPECT_NEAR(v.back(), 1000.0 * 0.01 / 2.0, 0.5);
-}
-
-TEST(envelope_detector, threshold_hysteresis)
-{
-    envelope_detector detector({}, 5);
-    const rvec voltage{0.0, 0.6, 0.45, 0.35, 0.2, 0.6};
-    const auto on = detector.threshold(voltage, 0.5, 0.3);
-    EXPECT_FALSE(on[0]);
-    EXPECT_TRUE(on[1]);
-    EXPECT_TRUE(on[2]); // stays on between thresholds
-    EXPECT_TRUE(on[3]);
-    EXPECT_FALSE(on[4]); // drops below off threshold
-    EXPECT_TRUE(on[5]);
 }
 
 TEST(envelope_detector, validation)
