@@ -1,6 +1,5 @@
 #include "mmtag/antenna/van_atta.hpp"
 
-#include <random>
 #include <stdexcept>
 
 namespace mmtag::antenna {
@@ -17,14 +16,6 @@ van_atta_array::van_atta_array(const config& cfg, std::shared_ptr<const element>
     if (cfg.line_loss_db < 0.0) throw std::invalid_argument("van_atta_array: negative line loss");
     if (!radiator_) throw std::invalid_argument("van_atta_array: null element");
     line_amplitude_ = std::pow(10.0, -cfg.line_loss_db / 20.0);
-    pair_phase_errors_.assign(cfg.element_count / 2, 0.0);
-    if (cfg.pair_phase_error_rms_rad > 0.0) {
-        // Deterministic seed: fabrication error is a fixed property of one
-        // physical array, not a per-call random draw.
-        std::mt19937_64 rng(0xA77A5EED);
-        std::normal_distribution<double> gaussian(0.0, cfg.pair_phase_error_rms_rad);
-        for (auto& error : pair_phase_errors_) error = gaussian(rng);
-    }
 }
 
 cf64 van_atta_array::bistatic_coupling(double theta_in, double theta_out, cf64 gamma) const
@@ -36,10 +27,8 @@ cf64 van_atta_array::bistatic_coupling(double theta_in, double theta_out, cf64 g
     cf64 acc{};
     for (std::size_t m = 0; m < n; ++m) {
         const std::size_t source = n - 1 - m; // mirror pairing
-        const std::size_t pair = std::min(m, source);
         const double phase = kd * (static_cast<double>(source) * sin_in +
-                                   static_cast<double>(m) * sin_out) +
-                             pair_phase_errors_[pair];
+                                   static_cast<double>(m) * sin_out);
         acc += std::polar(1.0, phase);
     }
     const double element_fields =

@@ -25,7 +25,6 @@ public:
         std::size_t element_count = 8;       ///< must be even (mirror pairs)
         double spacing_wavelengths = 0.5;
         double line_loss_db = 1.0;           ///< one-way loss of pair lines
-        double pair_phase_error_rms_rad = 0.0; ///< fabrication tolerance
     };
 
     van_atta_array(const config& cfg, std::shared_ptr<const element> radiator);
@@ -54,8 +53,7 @@ public:
 private:
     config cfg_;
     std::shared_ptr<const element> radiator_;
-    rvec pair_phase_errors_; // per-pair static phase error [rad]
-    double line_amplitude_;  // one-way line loss as field ratio
+    double line_amplitude_; // one-way line loss as field ratio
 };
 
 /// Baseline reflector: the same aperture *without* Van Atta pairing (each

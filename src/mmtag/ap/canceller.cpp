@@ -7,8 +7,15 @@
 
 namespace mmtag::ap {
 
+namespace {
+
+/// DC-blocker pole of the dc_notch and mean_subtract modes.
+constexpr double notch_pole = 0.999;
+
+} // namespace
+
 self_interference_canceller::self_interference_canceller(const config& cfg)
-    : cfg_(cfg), notch_(cfg.notch_pole)
+    : cfg_(cfg), notch_(notch_pole)
 {
     if (!(cfg.training_fraction > 0.0 && cfg.training_fraction < 1.0)) {
         throw std::invalid_argument("canceller: training_fraction must be in (0, 1)");

@@ -28,7 +28,6 @@ class self_interference_canceller {
 public:
     struct config {
         cancellation_mode mode = cancellation_mode::background_subtract;
-        double notch_pole = 0.999; ///< DC-blocker pole (dc_notch/mean modes)
         /// Fraction of the capture used as the quiet background window
         /// (background_subtract mode). Must lie inside the tag's guard time.
         double training_fraction = 0.05;

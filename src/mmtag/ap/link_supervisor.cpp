@@ -12,6 +12,9 @@ namespace mmtag::ap {
 
 namespace {
 
+/// Rate-adapter threshold margin [dB].
+constexpr double rate_margin_db = 2.0;
+
 // State-transition trace marker with the link-time context an outage
 // post-mortem needs.
 void trace_transition(const char* name, double now_s)
@@ -52,7 +55,7 @@ void recovery_metrics::merge(const recovery_metrics& other)
 link_supervisor::link_supervisor(const supervisor_config& cfg, rate_option nominal_rate)
     : cfg_(cfg),
       arq_(cfg.arq),
-      adapter_(cfg.margin_db),
+      adapter_(rate_margin_db),
       nominal_rate_(nominal_rate),
       rate_(nominal_rate)
 {

@@ -45,8 +45,6 @@ struct supervisor_config {
     std::size_t watchdog_probes = 5;
     /// Airtime cost of one acquisition re-run (re-lock + canceller retrain).
     double reacquisition_time_s = 0.6e-3;
-    /// Rate-adapter threshold margin [dB].
-    double margin_db = 2.0;
     /// Fall back through the rate ladder during outages and ramp back via
     /// smoothed SNR; the adapted rate never exceeds the nominal rate.
     bool rate_fallback = true;

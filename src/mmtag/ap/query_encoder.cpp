@@ -6,6 +6,14 @@
 
 namespace mmtag::ap {
 
+namespace {
+
+/// Carrier amplitude during "low" as a fraction of full scale. > 0 keeps the
+/// tag illuminated (and its detector biased).
+constexpr double low_level = 0.1;
+
+} // namespace
+
 std::vector<std::uint8_t> command_bits(const tag_command& cmd)
 {
     std::vector<std::uint8_t> bytes{
@@ -52,9 +60,6 @@ query_encoder::query_encoder(const config& cfg) : cfg_(cfg)
 {
     if (cfg.sample_rate_hz <= 0.0) throw std::invalid_argument("query_encoder: fs <= 0");
     if (cfg.unit_s <= 0.0) throw std::invalid_argument("query_encoder: unit <= 0");
-    if (!(cfg.low_level >= 0.0 && cfg.low_level < 0.8)) {
-        throw std::invalid_argument("query_encoder: low_level must be in [0, 0.8)");
-    }
     unit_samples_ = static_cast<std::size_t>(std::round(cfg.unit_s * cfg.sample_rate_hz));
     if (unit_samples_ < 4) {
         throw std::invalid_argument("query_encoder: unit shorter than 4 samples");
@@ -74,12 +79,12 @@ rvec query_encoder::encode(const tag_command& cmd) const
     // Settle + delimiter + sync: full carrier, a 3-unit dip no data symbol
     // produces, then a 1-unit high and 1-unit gap to set the timing base.
     append_level(envelope, 1.0, 2);
-    append_level(envelope, cfg_.low_level, 3);
+    append_level(envelope, low_level, 3);
     append_level(envelope, 1.0, 1);
-    append_level(envelope, cfg_.low_level, 1);
+    append_level(envelope, low_level, 1);
     for (std::uint8_t bit : bits) {
         append_level(envelope, 1.0, bit ? 2 : 1);
-        append_level(envelope, cfg_.low_level, 1);
+        append_level(envelope, low_level, 1);
     }
     append_level(envelope, 1.0, 2);
     return envelope;

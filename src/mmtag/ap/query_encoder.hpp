@@ -43,9 +43,6 @@ public:
         /// PIE base unit (tari). Data-0 occupies 1 high unit, data-1 two,
         /// each followed by a 1-unit low gap.
         double unit_s = 2e-6;
-        /// Carrier amplitude during "low" as a fraction of full scale.
-        /// > 0 keeps the tag illuminated (and its detector biased).
-        double low_level = 0.1;
     };
 
     explicit query_encoder(const config& cfg);
@@ -53,7 +50,7 @@ public:
     [[nodiscard]] const config& parameters() const { return cfg_; }
     [[nodiscard]] std::size_t unit_samples() const { return unit_samples_; }
 
-    /// Amplitude envelope (values in [low_level, 1]) for one command:
+    /// Amplitude envelope (values in [0.1, 1]) for one command:
     /// [settle high][delimiter low x3][sync high][gap][PIE bits][settle high].
     [[nodiscard]] rvec encode(const tag_command& cmd) const;
 

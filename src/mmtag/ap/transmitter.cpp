@@ -7,8 +7,8 @@ namespace mmtag::ap {
 
 ap_transmitter::ap_transmitter(const config& cfg, std::uint64_t seed)
     : cfg_(cfg),
-      lo_(rf::oscillator::config{cfg.sample_rate_hz, cfg.lo_frequency_offset_hz,
-                                 cfg.lo_linewidth_hz, 0.0},
+      lo_(rf::oscillator::config{.sample_rate_hz = cfg.sample_rate_hz,
+                                 .linewidth_hz = cfg.lo_linewidth_hz},
           seed),
       pa_(cfg.pa),
       tx_power_w_(dbm_to_watt(cfg.tx_power_dbm))

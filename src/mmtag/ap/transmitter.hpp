@@ -18,7 +18,6 @@ public:
         double tx_power_dbm = 27.0;       ///< radiated power after the PA
         double sample_rate_hz = 2e9;
         double lo_linewidth_hz = 1e3;     ///< synthesizer phase-noise linewidth
-        double lo_frequency_offset_hz = 0.0;
         rf::power_amplifier::config pa{};
     };
 

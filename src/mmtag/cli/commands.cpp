@@ -148,6 +148,8 @@ int run_link(const option_set& options)
     const auto frames = static_cast<std::size_t>(options.get_uint("frames", 10));
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 32));
     reject_leftovers(options);
+    if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
+    if (payload == 0) throw std::invalid_argument("--payload must be >= 1");
 
     core::link_simulator sim(cfg);
     const auto report = sim.run_trials(frames, payload);
@@ -263,6 +265,7 @@ int run_faults(const option_set& options)
         throw std::invalid_argument("--mean-duration must be > 0");
     }
     if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
+    if (payload == 0) throw std::invalid_argument("--payload must be >= 1");
     if (trials == 0) throw std::invalid_argument("--trials must be >= 1");
 
     auto cfg = core::fast_scenario();

@@ -5,18 +5,27 @@
 
 namespace mmtag::core {
 
-double active_radio_model::pa_power_w() const
-{
-    if (!(pa_efficiency > 0.0 && pa_efficiency <= 1.0)) {
-        throw std::invalid_argument("active_radio_model: efficiency outside (0, 1]");
-    }
-    const double output_w = std::pow(10.0, (pa_output_dbm - 30.0) / 10.0);
-    return output_w / pa_efficiency;
-}
+namespace {
+
+// Active radio components.
+constexpr double pll_vco_w = 40e-3;
+constexpr double mixer_w = 25e-3;
+constexpr double pa_output_dbm = 10.0;
+constexpr double pa_efficiency = 0.15;
+constexpr double baseband_w = 80e-3;
+constexpr std::size_t phased_array_elements = 16;
+constexpr double per_element_w = 20e-3; ///< phase shifter + driver per element
+
+// Actively steered tag.
+constexpr std::size_t tag_array_elements = 8;
+constexpr double tag_control_w = 10e-3;
+
+} // namespace
 
 double active_radio_model::total_power_w() const
 {
-    return pll_vco_w + mixer_w + pa_power_w() + baseband_w +
+    const double pa_power_w = std::pow(10.0, (pa_output_dbm - 30.0) / 10.0) / pa_efficiency;
+    return pll_vco_w + mixer_w + pa_power_w + baseband_w +
            static_cast<double>(phased_array_elements) * per_element_w;
 }
 
@@ -28,7 +37,7 @@ double active_radio_model::energy_per_bit(double data_rate_bps) const
 
 double phased_array_tag_model::total_power_w() const
 {
-    return static_cast<double>(elements) * per_element_w + control_w;
+    return static_cast<double>(tag_array_elements) * per_element_w + tag_control_w;
 }
 
 std::vector<energy_reference> literature_energy_points()

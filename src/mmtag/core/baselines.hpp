@@ -10,17 +10,9 @@
 
 namespace mmtag::core {
 
-/// Component-level power budget of a conventional active mmWave transmitter.
+/// Component-level power budget of a conventional active mmWave transmitter
+/// (the component figures are constants in baselines.cpp).
 struct active_radio_model {
-    double pll_vco_w = 40e-3;
-    double mixer_w = 25e-3;
-    double pa_output_dbm = 10.0;
-    double pa_efficiency = 0.15;
-    double baseband_w = 80e-3;
-    std::size_t phased_array_elements = 16;
-    double per_element_w = 20e-3; ///< phase shifter + driver per element
-
-    [[nodiscard]] double pa_power_w() const;
     [[nodiscard]] double total_power_w() const;
     [[nodiscard]] double energy_per_bit(double data_rate_bps) const;
 };
@@ -28,10 +20,6 @@ struct active_radio_model {
 /// What a tag would burn if it steered its beam actively instead of using a
 /// passive retro-reflector.
 struct phased_array_tag_model {
-    std::size_t elements = 8;
-    double per_element_w = 20e-3;
-    double control_w = 10e-3;
-
     [[nodiscard]] double total_power_w() const;
 };
 

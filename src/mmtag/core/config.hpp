@@ -11,7 +11,7 @@
 #include "mmtag/ap/receiver.hpp"
 #include "mmtag/ap/transmitter.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
-#include "mmtag/tag/energy_model.hpp"
+#include "mmtag/tag/modulator.hpp"
 
 namespace mmtag::core {
 
@@ -40,7 +40,6 @@ struct system_config {
     reflector_kind reflector = reflector_kind::van_atta;
     antenna::van_atta_array::config van_atta{};
     tag::backscatter_modulator::config modulator{};
-    tag::energy_model::config energy{};
 
     // Environment.
     double tx_leakage_db = -35.0;

@@ -8,6 +8,9 @@ namespace mmtag::core {
 
 namespace {
 
+/// Guard time appended to each slot beyond the burst airtime.
+constexpr double slot_guard_s = 20e-6;
+
 std::vector<std::uint8_t> id_payload(std::uint32_t id)
 {
     return {static_cast<std::uint8_t>(id >> 24), static_cast<std::uint8_t>(id >> 16),
@@ -32,7 +35,7 @@ sampled_inventory_result run_sampled_inventory(const system_config& base,
     result.tags_total = tags.size();
 
     multitag_simulator sim(base, tags);
-    const double slot_s = sim.burst_duration_s(4) + cfg.slot_guard_s;
+    const double slot_s = sim.burst_duration_s(4) + slot_guard_s;
     const std::size_t slot_count = std::size_t{1} << cfg.slot_exponent;
 
     std::mt19937_64 rng(seed);

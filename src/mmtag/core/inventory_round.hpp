@@ -16,8 +16,6 @@ namespace mmtag::core {
 struct sampled_inventory_config {
     unsigned slot_exponent = 2; ///< 2^Q slots per round
     std::size_t max_rounds = 8;
-    /// Guard time appended to each slot beyond the burst airtime.
-    double slot_guard_s = 20e-6;
 };
 
 struct sampled_inventory_result {

@@ -20,7 +20,6 @@ link_simulator::link_simulator(const system_config& cfg)
       }()),
       channel_(make_channel_config(cfg_)),
       modulator_(cfg_.modulator),
-      energy_(cfg_.energy),
       transmitter_(cfg_.transmitter, cfg_.seed * 7919 + 1),
       receiver_(cfg_.receiver, cfg_.seed * 104729 + 2)
 {

@@ -9,6 +9,7 @@
 #include "mmtag/common.hpp"
 #include "mmtag/core/config.hpp"
 #include "mmtag/core/metrics.hpp"
+#include "mmtag/tag/energy_model.hpp"
 
 namespace mmtag::fault {
 class fault_injector;

@@ -71,6 +71,43 @@ double multitag_simulator::burst_duration_s(std::size_t payload_bytes,
     return frame.duration_s;
 }
 
+tag::modulated_frame multitag_simulator::modulate(const tag_burst& burst) const
+{
+    return burst.mcs ? with_mcs(modulator_, *burst.mcs).modulate(burst.payload)
+                     : modulator_.modulate(burst.payload);
+}
+
+std::size_t multitag_simulator::start_sample(const tag_burst& burst) const
+{
+    return static_cast<std::size_t>(std::round(burst.start_s * base_.sample_rate_hz));
+}
+
+multitag_simulator::capture_window multitag_simulator::window_for(std::size_t latest_end) const
+{
+    // A tail margin after the last burst, then a lead for the canceller's
+    // quiet background window ahead of the first.
+    const std::size_t sps = modulator_.samples_per_symbol();
+    const double training = base_.receiver.canceller.training_fraction +
+                            base_.receiver.canceller.training_skip;
+    const std::size_t margin =
+        8 * sps + static_cast<std::size_t>(
+                      std::ceil(4.0 * base_.receiver.canceller.tail_fraction *
+                                static_cast<double>(latest_end)));
+    const std::size_t body = latest_end + margin;
+    const auto lead = static_cast<std::size_t>(
+        std::ceil(2.0 * training * static_cast<double>(body))) + sps;
+    return {lead, body + lead};
+}
+
+double multitag_simulator::capture_duration_s(const std::vector<tag_burst>& bursts) const
+{
+    std::size_t latest_end = 0;
+    for (const auto& burst : bursts) {
+        latest_end = std::max(latest_end, start_sample(burst) + modulate(burst).gamma.size());
+    }
+    return static_cast<double>(window_for(latest_end).samples) / base_.sample_rate_hz;
+}
+
 std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>& bursts)
 {
     MMTAG_SCOPED_TIMER(metrics_, "time/multitag_capture");
@@ -89,24 +126,12 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
     std::vector<std::size_t> starts;
     frames.reserve(bursts.size());
     std::size_t latest_end = 0;
-    // Lead for the canceller's quiet background window.
-    const double training = base_.receiver.canceller.training_fraction +
-                            base_.receiver.canceller.training_skip;
     for (const auto& burst : bursts) {
-        frames.push_back(burst.mcs ? with_mcs(modulator_, *burst.mcs).modulate(burst.payload)
-                                   : modulator_.modulate(burst.payload));
-        const auto start = static_cast<std::size_t>(std::round(burst.start_s * fs));
-        starts.push_back(start);
-        latest_end = std::max(latest_end, start + frames.back().gamma.size());
+        frames.push_back(modulate(burst));
+        starts.push_back(start_sample(burst));
+        latest_end = std::max(latest_end, starts.back() + frames.back().gamma.size());
     }
-    const std::size_t margin =
-        8 * sps + static_cast<std::size_t>(
-                      std::ceil(4.0 * base_.receiver.canceller.tail_fraction *
-                                static_cast<double>(latest_end)));
-    std::size_t capture = latest_end + margin;
-    const auto lead = static_cast<std::size_t>(
-        std::ceil(2.0 * training * static_cast<double>(capture))) + sps;
-    capture += lead;
+    const auto [lead, capture] = window_for(latest_end);
 
     auto query = transmitter_.generate(capture);
 

@@ -75,6 +75,10 @@ public:
     /// the sample level; well-separated slots decode independently.
     [[nodiscard]] std::vector<burst_outcome> run(const std::vector<tag_burst>& bursts);
 
+    /// Length of the capture window run(bursts) would simulate (the amount
+    /// it advances clock_s()), computed from the burst layout alone.
+    [[nodiscard]] double capture_duration_s(const std::vector<tag_burst>& bursts) const;
+
     /// Airtime of one burst for `payload_bytes` (for slot planning).
     [[nodiscard]] double burst_duration_s(std::size_t payload_bytes) const;
 
@@ -84,6 +88,18 @@ public:
                                           const phy::mcs& mcs) const;
 
 private:
+    struct capture_window {
+        std::size_t lead = 0;    ///< quiet samples ahead of burst time 0
+        std::size_t samples = 0; ///< whole capture, lead included
+    };
+
+    /// The burst's frame, under its MCS override if it has one.
+    [[nodiscard]] tag::modulated_frame modulate(const tag_burst& burst) const;
+    /// Sample at which the burst starts, counted from burst time 0.
+    [[nodiscard]] std::size_t start_sample(const tag_burst& burst) const;
+    /// The capture that holds bursts ending by sample `latest_end`.
+    [[nodiscard]] capture_window window_for(std::size_t latest_end) const;
+
     system_config base_;
     std::vector<tag_descriptor> tags_;
     std::vector<channel::backscatter_channel> channels_;

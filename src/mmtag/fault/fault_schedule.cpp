@@ -7,6 +7,19 @@
 
 namespace mmtag::fault {
 
+namespace {
+
+// Magnitude of each generated event: uniform over a range, fixed for dropouts.
+constexpr double blockage_depth_db_min = 8.0;
+constexpr double blockage_depth_db_max = 25.0;
+constexpr double dropout_depth_db = 60.0;
+constexpr double lo_step_hz_min = 50e3;
+constexpr double lo_step_hz_max = 400e3;
+constexpr double interferer_db_min = 10.0;
+constexpr double interferer_db_max = 25.0;
+
+} // namespace
+
 const char* fault_kind_name(fault_kind kind)
 {
     switch (kind) {
@@ -60,19 +73,17 @@ fault_schedule::fault_schedule(const config& cfg, std::uint64_t seed)
         const double u = unit(rng);
         switch (event.kind) {
         case fault_kind::blockage:
-            event.magnitude = cfg.blockage_depth_db_min +
-                              u * (cfg.blockage_depth_db_max - cfg.blockage_depth_db_min);
+            event.magnitude =
+                blockage_depth_db_min + u * (blockage_depth_db_max - blockage_depth_db_min);
             break;
         case fault_kind::carrier_dropout:
-            event.magnitude = cfg.dropout_depth_db;
+            event.magnitude = dropout_depth_db;
             break;
         case fault_kind::lo_step:
-            event.magnitude =
-                cfg.lo_step_hz_min + u * (cfg.lo_step_hz_max - cfg.lo_step_hz_min);
+            event.magnitude = lo_step_hz_min + u * (lo_step_hz_max - lo_step_hz_min);
             break;
         case fault_kind::interferer:
-            event.magnitude =
-                cfg.interferer_db_min + u * (cfg.interferer_db_max - cfg.interferer_db_min);
+            event.magnitude = interferer_db_min + u * (interferer_db_max - interferer_db_min);
             break;
         case fault_kind::brownout:
             event.magnitude = 0.0;

@@ -53,14 +53,6 @@ public:
         double mean_duration_s = 2e-3;
         double min_duration_s = 0.2e-3;
         double max_duration_s = 10e-3;
-        /// Magnitude draw ranges (uniform).
-        double blockage_depth_db_min = 8.0;
-        double blockage_depth_db_max = 25.0;
-        double dropout_depth_db = 60.0;
-        double lo_step_hz_min = 50e3;
-        double lo_step_hz_max = 400e3;
-        double interferer_db_min = 10.0;
-        double interferer_db_max = 25.0;
     };
 
     fault_schedule(const config& cfg, std::uint64_t seed);

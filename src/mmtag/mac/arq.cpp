@@ -59,13 +59,10 @@ arq_stats stop_and_wait_arq::run(std::size_t frame_count, double frame_success,
     for (std::size_t f = 0; f < frame_count; ++f) {
         bool receiver_has_frame = false;
         for (std::size_t attempt = 0; attempt < cfg_.max_retries; ++attempt) {
-            const double wait = backoff_delay_s(attempt);
-            stats.backoff_wait_s += wait;
-            stats.airtime_s += wait + cfg_.frame_time_s + cfg_.ack_time_s;
+            stats.airtime_s += backoff_delay_s(attempt) + cfg_.frame_time_s + cfg_.ack_time_s;
             ++stats.transmissions;
             if (uniform(rng) >= frame_success) continue; // frame corrupted
-            if (receiver_has_frame) ++stats.duplicates_discarded;
-            else {
+            if (!receiver_has_frame) { // a repeat after a lost ACK counts once
                 receiver_has_frame = true;
                 ++stats.frames_delivered;
             }

@@ -5,7 +5,7 @@
 // Retries optionally space out with capped exponential backoff (the policy
 // the ap::link_supervisor reuses during outages), and the implicit ACK — the
 // AP's next query — can itself be lost, in which case the tag retransmits a
-// frame the AP already holds and the AP discards the duplicate.
+// frame the AP already holds.
 #pragma once
 
 #include <cstddef>
@@ -32,11 +32,7 @@ struct arq_stats {
     std::size_t frames_offered = 0;
     std::size_t frames_delivered = 0;
     std::size_t transmissions = 0;
-    /// Successful deliveries repeated because the ACK was lost; the receiver
-    /// discards these by sequence number.
-    std::size_t duplicates_discarded = 0;
-    double airtime_s = 0.0;
-    double backoff_wait_s = 0.0; ///< idle time spent backing off (in airtime_s)
+    double airtime_s = 0.0; ///< attempts, ACKs and backoff waits
 
     [[nodiscard]] double delivery_ratio() const;
 };

@@ -6,6 +6,13 @@
 
 namespace mmtag::mac {
 
+namespace {
+
+/// Q-algorithm floating-point step (EPC Gen2 uses 0.1..0.5).
+constexpr double q_step = 0.35;
+
+} // namespace
+
 double inventory_stats::efficiency() const
 {
     if (slots_used == 0) return 0.0;
@@ -21,7 +28,6 @@ aloha_inventory::aloha_inventory(const aloha_config& cfg) : cfg_(cfg)
     if (!(cfg.singleton_success > 0.0 && cfg.singleton_success <= 1.0)) {
         throw std::invalid_argument("aloha_inventory: singleton_success must be in (0, 1]");
     }
-    if (cfg.q_step <= 0.0) throw std::invalid_argument("aloha_inventory: q_step must be > 0");
 }
 
 inventory_stats aloha_inventory::run(std::size_t tag_count, std::uint64_t seed) const
@@ -50,7 +56,7 @@ inventory_stats aloha_inventory::run(std::size_t tag_count, std::uint64_t seed) 
             ++stats.slots_used;
             if (occupants == 0) {
                 ++stats.idle_slots;
-                q_float = std::max(q_float - cfg_.q_step,
+                q_float = std::max(q_float - q_step,
                                    static_cast<double>(cfg_.min_q));
             } else if (occupants == 1) {
                 ++stats.singleton_slots;
@@ -60,7 +66,7 @@ inventory_stats aloha_inventory::run(std::size_t tag_count, std::uint64_t seed) 
                 }
             } else {
                 ++stats.collision_slots;
-                q_float = std::min(q_float + cfg_.q_step,
+                q_float = std::min(q_float + q_step,
                                    static_cast<double>(cfg_.max_q));
             }
         }

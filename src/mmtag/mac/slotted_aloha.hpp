@@ -15,8 +15,6 @@ struct aloha_config {
     unsigned initial_q = 4;
     unsigned min_q = 0;
     unsigned max_q = 12;
-    /// Q-algorithm floating-point step (EPC Gen2 uses 0.1..0.5).
-    double q_step = 0.35;
     /// Probability that a singleton slot actually decodes (PHY success).
     double singleton_success = 0.98;
     std::size_t max_rounds = 64;

@@ -8,9 +8,7 @@ tdma_scheduler::tdma_scheduler(const tdma_config& cfg) : cfg_(cfg)
 {
     if (cfg.phy_rate_bps <= 0.0) throw std::invalid_argument("tdma: phy rate must be > 0");
     if (cfg.frame_payload_bytes == 0) throw std::invalid_argument("tdma: empty payload");
-    if (cfg.query_time_s < 0.0 || cfg.turnaround_s < 0.0 || cfg.guard_time_s < 0.0) {
-        throw std::invalid_argument("tdma: negative timing parameter");
-    }
+    if (cfg.turnaround_s < 0.0) throw std::invalid_argument("tdma: negative turnaround");
 }
 
 double tdma_scheduler::slot_duration_s() const
@@ -50,8 +48,6 @@ tdma_metrics tdma_scheduler::metrics(std::size_t tag_count) const
     const double payload_bits = static_cast<double>(cfg_.frame_payload_bytes) * 8.0;
     m.per_tag_goodput_bps = payload_bits / m.cycle_time_s;
     m.aggregate_goodput_bps = payload_bits / slot;
-    const double payload_airtime = payload_bits / cfg_.phy_rate_bps;
-    m.channel_utilization = payload_airtime / slot;
     return m;
 }
 

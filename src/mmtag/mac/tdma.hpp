@@ -10,9 +10,9 @@
 namespace mmtag::mac {
 
 struct tdma_config {
-    double query_time_s = 10e-6;      ///< AP query / slot announcement
+    static constexpr double query_time_s = 10e-6; ///< AP query / slot announcement
     double turnaround_s = 2e-6;       ///< tag detect-to-respond latency
-    double guard_time_s = 1e-6;       ///< inter-slot guard
+    static constexpr double guard_time_s = 1e-6;  ///< inter-slot guard
     std::size_t frame_payload_bytes = 256;
     double phy_rate_bps = 10e6;       ///< information rate during the burst
     /// PHY framing overhead in symbols converted to time by the caller via
@@ -32,7 +32,6 @@ struct tdma_metrics {
     double cycle_time_s = 0.0;        ///< one full round over all tags
     double per_tag_goodput_bps = 0.0;
     double aggregate_goodput_bps = 0.0;
-    double channel_utilization = 0.0; ///< payload airtime / total time
 };
 
 class tdma_scheduler {

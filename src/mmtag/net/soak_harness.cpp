@@ -264,23 +264,21 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
     const double probe_slot_s =
         sim.burst_duration_s(probe_payload_bytes, robust) * 1.05;
 
-    // Fault plan: the horizon derives from one measured round of airtime
-    // (a throwaway capture on a twin simulator), so active_fraction keeps
-    // its meaning for any round count or payload size.
+    // Fault plan: the horizon derives from the airtime of one round in which
+    // every tag bursts once, so active_fraction keeps its meaning for any
+    // round count or payload size.
     std::optional<fault::multi_tag_plan> plan;
     std::optional<fault::fault_injector> shared_injector;
     std::vector<fault::fault_injector> tag_injector_storage;
     if (faulted) {
-        core::multitag_simulator measure(scenario, population);
-        std::vector<core::tag_burst> probe_round;
-        probe_round.reserve(n);
+        std::vector<core::tag_burst> full_round;
+        full_round.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
-            probe_round.push_back(
+            full_round.push_back(
                 {i, std::vector<std::uint8_t>(cfg.payload_bytes, 0),
                  static_cast<double>(i) * data_slot_s});
         }
-        (void)measure.run(probe_round);
-        const double round_s = measure.clock_s();
+        const double round_s = sim.capture_duration_s(full_round);
 
         auto faults_cfg = cfg.faults;
         faults_cfg.horizon_s =

@@ -189,7 +189,6 @@ std::optional<decode_result> decode_frame(std::span<const cf64> symbols,
 
     decode_result result;
     result.header = *header;
-    result.symbols_consumed = header_symbol_count + payload_symbols;
     result.crc_ok = fec::check_and_strip_crc32(dewhitened, result.payload);
     if (!result.crc_ok) {
         // Hand back the corrupted bytes anyway so BER can be measured.

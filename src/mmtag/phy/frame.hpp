@@ -89,7 +89,6 @@ struct decode_result {
     bool crc_ok = false;
     decoded_header header;
     std::vector<std::uint8_t> payload;
-    std::size_t symbols_consumed = 0; ///< header + payload symbols
 };
 
 /// Parses a frame from a symbol stream beginning at the header (i.e. at

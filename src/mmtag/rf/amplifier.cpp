@@ -20,8 +20,7 @@ lna::lna(const config& cfg, std::uint64_t seed) : cfg_(cfg), rng_(seed)
 double lna::input_referred_noise_power() const
 {
     const double noise_factor = from_db(cfg_.noise_figure_db);
-    return (noise_factor - 1.0) *
-           thermal_noise_power(cfg_.bandwidth_hz, cfg_.temperature_kelvin);
+    return (noise_factor - 1.0) * thermal_noise_power(cfg_.bandwidth_hz);
 }
 
 cf64 lna::process(cf64 input)
@@ -38,9 +37,8 @@ cvec lna::process(std::span<const cf64> input)
     return out;
 }
 
-power_amplifier::power_amplifier(const config& cfg) : cfg_(cfg)
+power_amplifier::power_amplifier(const config& cfg)
 {
-    if (cfg.smoothness <= 0.0) throw std::invalid_argument("power_amplifier: smoothness <= 0");
     voltage_gain_ = std::pow(10.0, cfg.gain_db / 20.0);
     saturation_amplitude_ = std::sqrt(dbm_to_watt(cfg.output_saturation_dbm));
 }
@@ -51,7 +49,8 @@ cf64 power_amplifier::process(cf64 input) const
     if (amplitude < 1e-30) return cf64{};
     const double driven = voltage_gain_ * amplitude;
     const double ratio = driven / saturation_amplitude_;
-    const double p2 = 2.0 * cfg_.smoothness;
+    constexpr double rapp_smoothness = 2.0; // Rapp p factor
+    constexpr double p2 = 2.0 * rapp_smoothness;
     const double compressed = driven / std::pow(1.0 + std::pow(ratio, p2), 1.0 / p2);
     return input * (compressed / amplitude);
 }

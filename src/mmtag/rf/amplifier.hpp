@@ -17,7 +17,6 @@ public:
         double gain_db = 20.0;
         double noise_figure_db = 3.0;
         double bandwidth_hz = 1e9; ///< noise bandwidth of the simulation
-        double temperature_kelvin = t0_kelvin;
     };
 
     lna(const config& cfg, std::uint64_t seed);
@@ -25,7 +24,7 @@ public:
     [[nodiscard]] double gain_db() const { return cfg_.gain_db; }
     [[nodiscard]] double noise_figure_db() const { return cfg_.noise_figure_db; }
 
-    /// Added-noise power at the *input* reference plane [W].
+    /// Added-noise power at the *input* reference plane [W], at t0_kelvin.
     [[nodiscard]] double input_referred_noise_power() const;
 
     [[nodiscard]] cf64 process(cf64 input);
@@ -40,14 +39,13 @@ private:
 };
 
 /// Power amplifier with the Rapp AM/AM model:
-///   g(a) = G a / (1 + (G a / A_sat)^(2p))^(1/2p)
+///   g(a) = G a / (1 + (G a / A_sat)^(2p))^(1/2p), p = 2
 /// AM/PM is assumed negligible (solid-state PA).
 class power_amplifier {
 public:
     struct config {
         double gain_db = 30.0;
         double output_saturation_dbm = 30.0; ///< saturated output power
-        double smoothness = 2.0;             ///< Rapp p factor
     };
 
     explicit power_amplifier(const config& cfg);
@@ -55,7 +53,6 @@ public:
     [[nodiscard]] cf64 process(cf64 input) const;
 
 private:
-    config cfg_;
     double voltage_gain_;
     double saturation_amplitude_; // volts across 1 ohm reference
 };

@@ -1,6 +1,6 @@
 // Quadrature mixer model: ideal complex multiply plus the practical
-// impairments that matter at mmWave — conversion loss, LO leakage (the DC
-// offset the canceller must handle), and I/Q gain & phase imbalance.
+// impairments that matter at mmWave — conversion loss and LO leakage (the DC
+// offset the canceller must handle).
 #pragma once
 
 #include <span>
@@ -14,8 +14,6 @@ public:
     struct config {
         double conversion_loss_db = 7.0;  ///< typical passive mmWave mixer
         double lo_leakage_dbc = -60.0;    ///< LO-to-IF leakage vs LO drive
-        double iq_gain_imbalance_db = 0.0;
-        double iq_phase_imbalance_deg = 0.0;
     };
 
     explicit quadrature_mixer(const config& cfg);
@@ -26,13 +24,8 @@ public:
     [[nodiscard]] cvec downconvert(std::span<const cf64> rf, std::span<const cf64> lo) const;
 
 private:
-    [[nodiscard]] cf64 apply_iq_imbalance(cf64 x) const;
-
-    config cfg_;
     double loss_gain_;
     double leakage_amplitude_;
-    double gain_alpha_; // I/Q imbalance parameters
-    double phase_beta_;
 };
 
 } // namespace mmtag::rf

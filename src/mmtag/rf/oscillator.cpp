@@ -5,7 +5,7 @@
 namespace mmtag::rf {
 
 oscillator::oscillator(const config& cfg, std::uint64_t seed)
-    : cfg_(cfg), phase_(wrap_phase(cfg.initial_phase_rad)), rng_(seed)
+    : rng_(seed)
 {
     if (cfg.sample_rate_hz <= 0.0) throw std::invalid_argument("oscillator: sample rate <= 0");
     if (cfg.linewidth_hz < 0.0) throw std::invalid_argument("oscillator: linewidth < 0");

@@ -21,7 +21,6 @@ public:
         /// process; 0 disables phase noise. Typical cheap mmWave synthesizer:
         /// a few hundred Hz to a few kHz Lorentzian linewidth.
         double linewidth_hz = 0.0;
-        double initial_phase_rad = 0.0;
     };
 
     oscillator(const config& cfg, std::uint64_t seed);
@@ -35,8 +34,7 @@ public:
     [[nodiscard]] double phase() const { return phase_; }
 
 private:
-    config cfg_;
-    double phase_;
+    double phase_ = 0.0;
     double increment_;
     double phase_noise_sigma_;
     std::mt19937_64 rng_;

@@ -51,7 +51,6 @@ struct sweep_options {
 template <typename Aggregate>
 struct sweep_point_outcome {
     Aggregate aggregate{};   ///< ordered fold of the point's trials
-    double busy_s = 0.0;     ///< summed per-trial execution time (not wall)
 };
 
 template <typename Aggregate>
@@ -95,23 +94,18 @@ sweep_outcome<Aggregate> run_sweep(const sweep_options& options, std::size_t poi
     const std::size_t trials = options.trials_per_point;
     const std::size_t total = point_count * trials;
     std::vector<Aggregate> slots(total);
-    std::vector<double> slot_s(total, 0.0);
     std::atomic<std::size_t> completed{0};
 
     pool.parallel_for(total, [&](std::size_t index) {
         const std::size_t point = index / trials;
         const std::size_t t = index % trials;
         const double trace_start_us = obs::tracer::active() ? obs::tracer::now_us() : -1.0;
-        const auto trial_start = std::chrono::steady_clock::now();
         slots[index] = trial(point, t, trial_seed(options.base_seed, point, t));
-        slot_s[index] =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - trial_start)
-                .count();
         if (trace_start_us >= 0.0) {
             char args[64];
             std::snprintf(args, sizeof args, "{\"point\": %zu, \"trial\": %zu}", point, t);
             obs::trace_emit("sweep.trial", "sweep", 'X', trace_start_us,
-                            slot_s[index] * 1e6, args);
+                            obs::tracer::now_us() - trace_start_us, args);
         }
         if (options.progress) {
             const std::size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -132,11 +126,7 @@ sweep_outcome<Aggregate> run_sweep(const sweep_options& options, std::size_t poi
         }
         auto& slot = outcome.points[point];
         slot.aggregate = std::move(slots[point * trials]);
-        slot.busy_s = slot_s[point * trials];
-        for (std::size_t t = 1; t < trials; ++t) {
-            merge(slot.aggregate, slots[point * trials + t]);
-            slot.busy_s += slot_s[point * trials + t];
-        }
+        for (std::size_t t = 1; t < trials; ++t) merge(slot.aggregate, slots[point * trials + t]);
     }
     outcome.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)

@@ -31,6 +31,15 @@ const char* layout_name(layout_kind kind)
 
 namespace {
 
+/// AP mount height above the tag plane (m).
+constexpr double ap_height_m = 3.0;
+/// Processing rejection of unaligned cross-cell backscatter bursts (dB).
+constexpr double tag_suppression_db = 20.0;
+/// Hotspot count and Gaussian spread of each hotspot (m) for
+/// layout_kind::clustered.
+constexpr std::size_t clusters = 4;
+constexpr double cluster_sigma_m = 0.8;
+
 /// Uniform double in [0, 1) from a counter-based draw: position k's
 /// coordinates never depend on how many tags were placed before it.
 double uniform01(std::uint64_t seed, std::uint64_t stream)
@@ -83,7 +92,6 @@ void place_tags(const topology_config& cfg, deployment& out)
         break;
     }
     case layout_kind::clustered: {
-        const std::size_t clusters = cfg.clusters == 0 ? 1 : cfg.clusters;
         // Hotspot centres drawn inside the middle 80% of the floor so the
         // Gaussian spread rarely clips at the walls.
         std::vector<std::pair<double, double>> centres(clusters);
@@ -98,10 +106,10 @@ void place_tags(const topology_config& cfg, deployment& out)
                 uniform01(base, 4 * k + 2) * static_cast<double>(clusters));
             const std::size_t cc = c >= clusters ? clusters - 1 : c;
             out.tags[k].x_m = clamp01_floor(
-                centres[cc].first + cfg.cluster_sigma_m * normal01(base, 4 * k),
+                centres[cc].first + cluster_sigma_m * normal01(base, 4 * k),
                 cfg.floor_m);
             out.tags[k].y_m = clamp01_floor(
-                centres[cc].second + cfg.cluster_sigma_m * normal01(base, 4 * k + 1),
+                centres[cc].second + cluster_sigma_m * normal01(base, 4 * k + 1),
                 cfg.floor_m);
         }
         break;
@@ -143,7 +151,7 @@ deployment make_deployment(const topology_config& cfg,
                          static_cast<double>(ap_cols);
         out.aps[a].y_m = cfg.floor_m * (static_cast<double>(row) + 0.5) /
                          static_cast<double>(ap_rows);
-        out.aps[a].z_m = cfg.ap_height_m;
+        out.aps[a].z_m = ap_height_m;
     }
 
     place_tags(cfg, out);
@@ -179,7 +187,7 @@ deployment make_deployment(const topology_config& cfg,
     const double tx_power_w = dbm_to_watt(scenario.transmitter.tx_power_dbm);
     const double frequency_hz = make_channel_config(scenario).frequency_hz;
     const double ap_suppression = from_db(-cfg.ap_suppression_db);
-    const double tag_suppression = from_db(-cfg.tag_suppression_db);
+    const double tag_suppression = from_db(-tag_suppression_db);
 
     // interference_w[i] = total co-channel power into AP i's receiver.
     std::vector<double> interference_w(cfg.ap_count, 0.0);

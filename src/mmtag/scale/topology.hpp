@@ -19,8 +19,8 @@
 //     d_eq = sqrt(d1*d2), so the calibrated monostatic link budget is
 //     reused as budget.at(sqrt(d1*d2)) — no second calibration needed. The
 //     interfering burst is neither time- nor code-aligned with the serving
-//     slot, so `tag_suppression_db` of processing rejection (sync
-//     correlation, matched filtering) applies on top.
+//     slot, so 20 dB of processing rejection (sync correlation, matched
+//     filtering; `tag_suppression_db` in topology.cpp) applies on top.
 #pragma once
 
 #include <cstdint>
@@ -48,17 +48,9 @@ struct topology_config {
     /// Square deployment floor, side length in metres. APs are placed on a
     /// ceil(sqrt(ap_count)) grid at ceiling height over this floor.
     double floor_m = 12.0;
-    /// AP mount height above the tag plane (m).
-    double ap_height_m = 3.0;
     /// Residual suppression applied to other APs' carrier leak (dB):
     /// canceller notch + DC blocking leave only phase-noise sidebands.
     double ap_suppression_db = 90.0;
-    /// Processing rejection of unaligned cross-cell backscatter bursts (dB).
-    double tag_suppression_db = 20.0;
-    /// Hotspot count for layout_kind::clustered.
-    std::size_t clusters = 4;
-    /// Gaussian spread of each hotspot (m).
-    double cluster_sigma_m = 0.8;
     std::uint64_t seed = 0x5ca1ab1e;
 };
 

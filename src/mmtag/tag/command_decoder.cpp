@@ -5,13 +5,10 @@
 
 namespace mmtag::tag {
 
-command_decoder::command_decoder(const config& cfg) : cfg_(cfg)
+command_decoder::command_decoder(const config& cfg)
 {
     if (cfg.sample_rate_hz <= 0.0) throw std::invalid_argument("command_decoder: fs <= 0");
     if (cfg.unit_s <= 0.0) throw std::invalid_argument("command_decoder: unit <= 0");
-    if (!(cfg.threshold_fraction > 0.0 && cfg.threshold_fraction < 1.0)) {
-        throw std::invalid_argument("command_decoder: threshold fraction in (0, 1)");
-    }
     unit_samples_ = static_cast<std::size_t>(std::round(cfg.unit_s * cfg.sample_rate_hz));
     if (unit_samples_ < 4) throw std::invalid_argument("command_decoder: unit too short");
 }
@@ -21,12 +18,13 @@ std::vector<command_decoder::run> command_decoder::slice(
 {
     std::vector<run> runs;
     if (envelope.empty()) return runs;
-    // Adaptive slicer: threshold between the observed extremes.
+    // Adaptive slicer: threshold halfway between the observed extremes.
     const auto [lo_it, hi_it] = std::minmax_element(envelope.begin(), envelope.end());
     const double lo = *lo_it;
     const double hi = *hi_it;
     if (hi - lo < 1e-12) return runs; // no modulation present
-    const double threshold = lo + cfg_.threshold_fraction * (hi - lo);
+    constexpr double threshold_fraction = 0.5;
+    const double threshold = lo + threshold_fraction * (hi - lo);
 
     bool current = envelope[0] >= threshold;
     std::size_t length = 0;

@@ -19,9 +19,6 @@ public:
     struct config {
         double sample_rate_hz = 250e6;
         double unit_s = 2e-6; ///< must match the AP's PIE unit
-        /// Slicer threshold as a fraction between the observed low and high
-        /// envelope levels.
-        double threshold_fraction = 0.5;
     };
 
     explicit command_decoder(const config& cfg);
@@ -45,7 +42,6 @@ public:
 private:
     [[nodiscard]] double units(std::size_t samples) const;
 
-    config cfg_;
     std::size_t unit_samples_;
 };
 

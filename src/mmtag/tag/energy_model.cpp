@@ -4,24 +4,27 @@
 
 namespace mmtag::tag {
 
-energy_model::energy_model() : energy_model(config{}) {}
+namespace {
 
-energy_model::energy_model(const config& cfg) : cfg_(cfg)
-{
-    if (cfg.energy_per_transition_j < 0.0 || cfg.switch_static_w < 0.0 ||
-        cfg.detector_bias_w < 0.0 || cfg.mcu_active_w < 0.0 || cfg.mcu_sleep_w < 0.0) {
-        throw std::invalid_argument("energy_model: negative component budget");
-    }
-}
+/// Effective energy per switch transition including the driver's CV^2 swing
+/// on the control line (GaAs switches need volts of swing on tens of pF at
+/// high toggle rates).
+constexpr double energy_per_transition_j = 3.7e-9;
+constexpr double switch_static_w = 1.8e-3; ///< bias of the switch die(s)
+constexpr double detector_bias_w = 0.3e-3; ///< envelope detector + comparator
+constexpr double mcu_active_w = 5.76e-3;   ///< MSP430-class MCU, active
+constexpr double mcu_sleep_w = 2e-6;       ///< LPM3-class sleep
+
+} // namespace
 
 double energy_model::sleep_power_w() const
 {
-    return cfg_.mcu_sleep_w;
+    return mcu_sleep_w;
 }
 
 double energy_model::listen_power_w() const
 {
-    return cfg_.mcu_sleep_w + cfg_.detector_bias_w;
+    return mcu_sleep_w + detector_bias_w;
 }
 
 double energy_model::transmit_power_w(double symbol_rate_hz,
@@ -32,16 +35,16 @@ double energy_model::transmit_power_w(double symbol_rate_hz,
         throw std::invalid_argument("energy_model: negative transition density");
     }
     const double dynamic =
-        symbol_rate_hz * transitions_per_symbol * cfg_.energy_per_transition_j;
-    return cfg_.mcu_active_w + cfg_.switch_static_w + cfg_.detector_bias_w + dynamic;
+        symbol_rate_hz * transitions_per_symbol * energy_per_transition_j;
+    return mcu_active_w + switch_static_w + detector_bias_w + dynamic;
 }
 
 double energy_model::frame_energy_j(const modulated_frame& frame) const
 {
     if (frame.duration_s <= 0.0) throw std::invalid_argument("energy_model: empty frame");
-    const double static_power = cfg_.mcu_active_w + cfg_.switch_static_w + cfg_.detector_bias_w;
+    const double static_power = mcu_active_w + switch_static_w + detector_bias_w;
     return static_power * frame.duration_s +
-           static_cast<double>(frame.transitions) * cfg_.energy_per_transition_j;
+           static_cast<double>(frame.transitions) * energy_per_transition_j;
 }
 
 double energy_model::energy_per_bit(const phy::frame_config& frame, double symbol_rate_hz) const

@@ -1,6 +1,7 @@
 // Tag power/energy accounting. The tag has no mmWave actives; its budget is
 // the switch driver (dynamic CV^2 f — dominant while transmitting), the
-// switch and envelope-detector bias, and the MCU.
+// switch and envelope-detector bias, and the MCU. The component powers are
+// constants in energy_model.cpp.
 #pragma once
 
 #include <cstddef>
@@ -13,22 +14,6 @@ namespace mmtag::tag {
 
 class energy_model {
 public:
-    struct config {
-        /// Effective energy per switch transition including the driver's
-        /// CV^2 swing on the control line (GaAs switches need volts of
-        /// swing on tens of pF at high toggle rates).
-        double energy_per_transition_j = 3.7e-9;
-        double switch_static_w = 1.8e-3;   ///< bias of the switch die(s)
-        double detector_bias_w = 0.3e-3;   ///< envelope detector + comparator
-        double mcu_active_w = 5.76e-3;     ///< MSP430-class MCU, active
-        double mcu_sleep_w = 2e-6;         ///< LPM3-class sleep
-    };
-
-    energy_model();
-    explicit energy_model(const config& cfg);
-
-    [[nodiscard]] const config& parameters() const { return cfg_; }
-
     /// Average power while asleep (RTC only).
     [[nodiscard]] double sleep_power_w() const;
 
@@ -48,9 +33,6 @@ public:
     /// memoryless symbol stream: (M-1)/M).
     [[nodiscard]] double energy_per_bit(const phy::frame_config& frame,
                                         double symbol_rate_hz) const;
-
-private:
-    config cfg_;
 };
 
 } // namespace mmtag::tag

@@ -54,9 +54,7 @@ modulated_frame backscatter_modulator::modulate_symbols(std::span<const cf64> sy
     for (std::size_t i = 0; i < cfg_.guard_symbols; ++i) states.push_back(bank_.absorb_state());
     for (cf64 symbol : symbols) states.push_back(bank_.state_for_symbol(symbol));
     for (std::size_t i = 0; i < cfg_.guard_symbols; ++i) states.push_back(bank_.absorb_state());
-    modulated_frame frame = realize(states);
-    frame.symbol_count = symbols.size();
-    return frame;
+    return realize(states);
 }
 
 modulated_frame backscatter_modulator::realize(const std::vector<std::size_t>& states) const

@@ -16,7 +16,6 @@ namespace mmtag::tag {
 /// A modulated frame, ready to be handed to the channel.
 struct modulated_frame {
     cvec gamma;                    ///< per-sample reflection coefficient
-    std::size_t symbol_count = 0;  ///< preamble + header + payload symbols
     std::size_t transitions = 0;   ///< switch state changes
     double duration_s = 0.0;
     std::vector<std::size_t> states; ///< per-symbol switch states (diagnostics)

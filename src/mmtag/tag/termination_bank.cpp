@@ -1,21 +1,15 @@
 #include "mmtag/tag/termination_bank.hpp"
 
-#include <random>
 #include <stdexcept>
 
 #include "mmtag/antenna/termination.hpp"
 
 namespace mmtag::tag {
 
-termination_bank::termination_bank(const config& cfg) : cfg_(cfg)
+termination_bank::termination_bank(const config& cfg)
 {
     if (cfg.stub_loss_db < 0.0) throw std::invalid_argument("termination_bank: negative loss");
     const std::size_t m = phy::constellation_size(cfg.scheme);
-    std::mt19937_64 rng(cfg.phase_error_seed);
-    // Unit draws scaled by the tolerance: libstdc++ computes N(0, s) as
-    // N(0, 1) * s, so the phases match a N(0, s) draw bit for bit, and a zero
-    // tolerance never builds N(0, 0), which the standard does not allow.
-    std::normal_distribution<double> gaussian(0.0, 1.0);
 
     gammas_.reserve(m + 1);
     for (std::size_t p = 0; p < m; ++p) {
@@ -24,12 +18,8 @@ termination_bank::termination_bank(const config& cfg) : cfg_(cfg)
         // the short's pi into the target.
         const double target_phase = two_pi * static_cast<double>(p) / static_cast<double>(m);
         const double beta_length = wrap_phase(pi - target_phase) / 2.0;
-        cf64 gamma = antenna::line_transform_lossy(antenna::gamma_short(), beta_length,
-                                                   cfg.stub_loss_db);
-        if (cfg.phase_error_rms_rad > 0.0) {
-            gamma *= std::polar(1.0, cfg.phase_error_rms_rad * gaussian(rng));
-        }
-        gammas_.push_back(gamma);
+        gammas_.push_back(antenna::line_transform_lossy(antenna::gamma_short(), beta_length,
+                                                        cfg.stub_loss_db));
     }
     gammas_.push_back(antenna::gamma_matched()); // absorptive state
 }

@@ -17,8 +17,6 @@ public:
     struct config {
         phy::modulation scheme = phy::modulation::qpsk;
         double stub_loss_db = 0.5;            ///< one-way stub line loss
-        double phase_error_rms_rad = 0.0;     ///< fabrication tolerance
-        std::uint64_t phase_error_seed = 1;   ///< fixed per physical tag
     };
 
     explicit termination_bank(const config& cfg);
@@ -40,7 +38,6 @@ public:
     [[nodiscard]] std::size_t state_for_symbol(cf64 symbol) const;
 
 private:
-    config cfg_;
     cvec gammas_;
 };
 

@@ -127,18 +127,6 @@ TEST(van_atta, flat_plate_is_specular_not_retro)
     EXPECT_NEAR(specular, 64.0, 1e-6);
 }
 
-TEST(van_atta, pair_phase_errors_degrade_gain)
-{
-    van_atta_array::config clean;
-    clean.element_count = 16;
-    clean.line_loss_db = 0.0;
-    van_atta_array a(clean, std::make_shared<isotropic_element>());
-    van_atta_array::config rough = clean;
-    rough.pair_phase_error_rms_rad = 0.6;
-    van_atta_array b(rough, std::make_shared<isotropic_element>());
-    EXPECT_LT(b.monostatic_gain(0.2), a.monostatic_gain(0.2));
-}
-
 TEST(van_atta, validation)
 {
     van_atta_array::config cfg;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mmtag/cli/commands.hpp"
@@ -400,6 +401,43 @@ TEST(commands, scale_rejects_zero_frames)
     EXPECT_EQ(code, 1);
     EXPECT_EQ(errors.rfind("error: run_scale: frames must be >= 1\n", 0), 0u) << errors;
     EXPECT_EQ(printed.find("delivered"), std::string::npos) << printed;
+}
+
+/// Runs mmtag_sim with `args`; returns the exit code and the stderr text.
+std::pair<int, std::string> dispatch_capturing_errors(std::vector<const char*> args)
+{
+    args.insert(args.begin(), "mmtag_sim");
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int code = dispatch(static_cast<int>(args.size()), args.data());
+    std::string errors = testing::internal::GetCapturedStderr();
+    (void)testing::internal::GetCapturedStdout();
+    return {code, std::move(errors)};
+}
+
+TEST(commands, scale_rejects_zero_tags)
+{
+    const auto [code, errors] = dispatch_capturing_errors({"scale", "--tags", "0"});
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(errors.rfind("error: topology: no tags\n", 0), 0u) << errors;
+}
+
+TEST(commands, link_rejects_zero_frames_and_zero_payload)
+{
+    const auto [frames_code, frames_errors] = dispatch_capturing_errors({"link", "--frames", "0"});
+    EXPECT_EQ(frames_code, 1);
+    EXPECT_EQ(frames_errors.rfind("error: --frames must be >= 1\n", 0), 0u) << frames_errors;
+    const auto [payload_code, payload_errors] =
+        dispatch_capturing_errors({"link", "--payload", "0"});
+    EXPECT_EQ(payload_code, 1);
+    EXPECT_EQ(payload_errors.rfind("error: --payload must be >= 1\n", 0), 0u) << payload_errors;
+}
+
+TEST(commands, faults_rejects_zero_payload)
+{
+    const auto [code, errors] = dispatch_capturing_errors({"faults", "--payload", "0"});
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(errors.rfind("error: --payload must be >= 1\n", 0), 0u) << errors;
 }
 
 TEST(commands, unwritable_trace_path_warns_once)

@@ -15,7 +15,6 @@ ap::query_encoder::config encoder_config()
     ap::query_encoder::config cfg;
     cfg.sample_rate_hz = 50e6;
     cfg.unit_s = 2e-6;
-    cfg.low_level = 0.1;
     return cfg;
 }
 
@@ -174,11 +173,11 @@ TEST(command_channel, duration_scales_with_ones)
 TEST(command_channel, validation)
 {
     auto bad = encoder_config();
-    bad.low_level = 0.9;
+    bad.unit_s = 50e-9; // 2.5 samples at 50 MS/s
     EXPECT_THROW(ap::query_encoder{bad}, std::invalid_argument);
 
     auto decoder_bad = decoder_config();
-    decoder_bad.threshold_fraction = 0.0;
+    decoder_bad.sample_rate_hz = 0.0;
     EXPECT_THROW(tag::command_decoder{decoder_bad}, std::invalid_argument);
 }
 

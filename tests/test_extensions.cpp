@@ -2,6 +2,7 @@
 // tag-path fading, and the sample-level multi-tag simulator.
 #include <gtest/gtest.h>
 
+#include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/dsp/estimators.hpp"
@@ -190,6 +191,22 @@ TEST_F(multitag_fixture, single_tag_matches_link_simulator)
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].delivered);
     EXPECT_GT(outcomes[0].snr_db, 25.0);
+}
+
+TEST_F(multitag_fixture, capture_duration_is_what_run_advances_the_clock_by)
+{
+    auto sim = make(3);
+    const double slot = sim.burst_duration_s(16) * 1.05;
+    const std::vector<tag_burst> bursts{
+        {0, phy::random_bytes(16, 1), 0.0, std::nullopt},
+        {1, phy::random_bytes(16, 2), slot, ap::rate_table().front()},
+        {2, phy::random_bytes(16, 3), 3.0 * slot, std::nullopt},
+    };
+    const double predicted = sim.capture_duration_s(bursts);
+    (void)sim.run(bursts);
+    EXPECT_EQ(sim.clock_s(), predicted);
+    (void)sim.run(bursts);
+    EXPECT_EQ(sim.clock_s(), predicted + predicted);
 }
 
 TEST_F(multitag_fixture, validation)

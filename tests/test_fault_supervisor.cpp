@@ -127,12 +127,12 @@ TEST(fault_schedule, events_sorted_clamped_and_inside_horizon)
         EXPECT_GE(event.duration_s, cfg.min_duration_s);
         EXPECT_LE(event.duration_s, cfg.max_duration_s);
         if (event.kind == fault::fault_kind::blockage) {
-            EXPECT_GE(event.magnitude, cfg.blockage_depth_db_min);
-            EXPECT_LE(event.magnitude, cfg.blockage_depth_db_max);
+            EXPECT_GE(event.magnitude, 8.0); // dB
+            EXPECT_LE(event.magnitude, 25.0);
         }
         if (event.kind == fault::fault_kind::lo_step) {
-            EXPECT_GE(event.magnitude, cfg.lo_step_hz_min);
-            EXPECT_LE(event.magnitude, cfg.lo_step_hz_max);
+            EXPECT_GE(event.magnitude, 50e3); // Hz
+            EXPECT_LE(event.magnitude, 400e3);
         }
     }
 }

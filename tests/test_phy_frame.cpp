@@ -135,7 +135,7 @@ TEST_P(frame_round_trip, clean_decode)
     ASSERT_TRUE(result.has_value());
     EXPECT_TRUE(result->crc_ok);
     EXPECT_EQ(result->payload, payload);
-    EXPECT_EQ(result->symbols_consumed,
+    EXPECT_EQ(frame_span.size(),
               header_symbol_count + payload_symbol_count(payload.size(), cfg));
 }
 

@@ -159,11 +159,10 @@ TEST(pa, p1db_below_saturation)
     power_amplifier::config cfg;
     cfg.gain_db = 30.0;
     cfg.output_saturation_dbm = 30.0;
-    cfg.smoothness = 2.0;
     power_amplifier pa(cfg);
     // Rapp compression is 1 dB where (1 + r^2p)^(1/2p) = 10^(1/20), with r the
-    // driven amplitude over the saturation amplitude.
-    const double p2 = 2.0 * cfg.smoothness;
+    // driven amplitude over the saturation amplitude and p = 2.
+    const double p2 = 2.0 * 2.0;
     const double ratio = std::pow(std::pow(10.0, p2 / 20.0) - 1.0, 1.0 / p2);
     const double p1db_in = cfg.output_saturation_dbm + to_db(ratio * ratio) - cfg.gain_db;
     // At the 1 dB compression input, gain must be 29 dB.
@@ -206,17 +205,6 @@ TEST(mixer, balanced_mixer_has_huge_irr)
 {
     quadrature_mixer mixer{quadrature_mixer::config{}};
     EXPECT_GT(measured_irr_db(mixer), 150.0);
-}
-
-TEST(mixer, imbalance_sets_image_rejection)
-{
-    quadrature_mixer::config cfg;
-    cfg.iq_gain_imbalance_db = 0.5;
-    cfg.iq_phase_imbalance_deg = 2.0;
-    quadrature_mixer mixer(cfg);
-    const double irr = measured_irr_db(mixer);
-    EXPECT_GT(irr, 25.0);
-    EXPECT_LT(irr, 40.0); // classic ballpark for 0.5 dB / 2 deg
 }
 
 TEST(adc, quantization_noise_tracks_bits)

@@ -216,6 +216,44 @@ TEST(ScaleDes, AccountingInvariantsHold)
     EXPECT_LE(r.fairness_index(), 1.0 + 1e-12);
 }
 
+TEST(ScaleDes, MoreApsThanTagsLeavesEmptyCellsIdle)
+{
+    // 3 tags under 8 APs: most cells are empty, and an empty cell runs no
+    // rounds at all.
+    auto cfg = small_config();
+    cfg.topology.tag_count = 3;
+    cfg.topology.ap_count = 8;
+    cfg.faulted = 1;
+    cfg.trials = 2;
+    const auto topo = scale::make_deployment(cfg.topology, cfg.scenario);
+    std::vector<bool> empty_cell(cfg.topology.ap_count);
+    std::size_t busy_cells = 0;
+    for (std::size_t ap = 0; ap < empty_cell.size(); ++ap) {
+        empty_cell[ap] = topo.cells[ap].empty();
+        if (!empty_cell[ap]) ++busy_cells;
+    }
+    ASSERT_LT(busy_cells, cfg.topology.ap_count);
+
+    const scale_result r = scale::run_scale(cfg, 1, nullptr, shared_cache_dir());
+    EXPECT_EQ(r.events, r.rounds + r.data_slots + r.probe_slots);
+    EXPECT_LE(r.delivered, r.data_slots);
+    EXPECT_EQ(r.rounds, cfg.frames * busy_cells * cfg.trials);
+    ASSERT_EQ(r.event_logs.size(), cfg.trials);
+    for (const auto& log : r.event_logs) {
+        std::istringstream lines(log);
+        std::string line;
+        while (std::getline(lines, line)) {
+            std::istringstream fields(line);
+            unsigned long long seq = 0;
+            double time_s = 0.0;
+            std::size_t ap = empty_cell.size();
+            fields >> seq >> time_s >> ap;
+            ASSERT_LT(ap, empty_cell.size()) << line;
+            EXPECT_FALSE(empty_cell[ap]) << line;
+        }
+    }
+}
+
 TEST(ScaleDes, FaultsDriveQuarantineAndReadmission)
 {
     auto cfg = small_config();
