@@ -18,9 +18,9 @@ namespace mmtag::bench {
 
 /// The flags every experiment binary accepts. A bench names its own extras
 /// (`--fault-seed`, ...) to parse() (via run() below) and reads them with
-/// extra_u64/extra_double. Malformed input, or a flag that is neither common
-/// nor a named extra, prints one `error:` line and exits 2, so bench mains
-/// stay one-liners.
+/// extra_u64. Malformed input, or a flag that is neither common nor a named
+/// extra, prints one `error:` line and exits 2, so bench mains stay
+/// one-liners.
 struct bench_options {
     bool csv = false;        ///< machine-readable table on stdout
     std::string json_path;   ///< --json PATH; empty = bench/out/BENCH_<id>.json
@@ -52,13 +52,6 @@ struct bench_options {
     {
         std::uint64_t value = fallback;
         or_exit([&] { value = flags.get_uint(key, fallback); });
-        return value;
-    }
-
-    [[nodiscard]] double extra_double(const std::string& key, double fallback) const
-    {
-        double value = fallback;
-        or_exit([&] { value = flags.get_double(key, fallback); });
         return value;
     }
 

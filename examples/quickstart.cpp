@@ -6,11 +6,13 @@
 //
 //   $ ./quickstart [distance_m]
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "mmtag/core/link_budget.hpp"
 #include "mmtag/core/link_simulator.hpp"
-#include "mmtag/phy/bitio.hpp"
 
 int main(int argc, char** argv)
 {
@@ -39,7 +41,8 @@ int main(int argc, char** argv)
 
     // The actual exchange.
     core::link_simulator sim(cfg);
-    const auto payload = phy::string_to_bytes("hello from a 21 mW tag at 24 GHz!");
+    const std::string message = "hello from a 21 mW tag at 24 GHz!";
+    const std::vector<std::uint8_t> payload{message.begin(), message.end()};
     const auto result = sim.run_frame(payload);
 
     if (!result.rx.frame_found) {
@@ -48,8 +51,9 @@ int main(int argc, char** argv)
     }
     std::printf("  sync quality %.1f, measured SNR %.1f dB, EVM %.1f dB\n",
                 result.rx.sync_quality, result.rx.snr_db, result.rx.evm_db);
+    const std::string received{result.rx.payload.begin(), result.rx.payload.end()};
     std::printf("  CRC %s, payload: \"%s\"\n", result.rx.crc_ok ? "ok" : "FAILED",
-                phy::bytes_to_string(result.rx.payload).c_str());
+                received.c_str());
     std::printf("  tag spent %.2f uJ (%.2f nJ/bit) on this frame\n",
                 result.tag_energy_j * 1e6,
                 result.tag_energy_j / static_cast<double>(result.bits) * 1e9);

@@ -12,7 +12,7 @@
 #                       section (git, wall time, jobs, host)
 #   cli/NAME.txt        stdout of the CLI subcommands, and json/NAME.json for
 #                       the ones that write a result file
-#   examples/NAME.txt   stdout of the five examples
+#   examples/NAME.txt   stdout of the examples
 # Everything runs in a fresh temporary working directory, so the benches'
 # bench/out caches start cold and every printed path is relative. Lines
 # containing " wall" (timings) are the only lines dropped.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates every reconstructed experiment (R1..R20) into results/.
+# Regenerates every reconstructed experiment (R1..R23) into results/.
 # Usage: scripts/run_all_experiments.sh [build-dir] [--csv]
 set -euo pipefail
 

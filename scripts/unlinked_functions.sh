@@ -3,12 +3,13 @@
 #
 # Usage: scripts/unlinked_functions.sh BUILD_DIR
 #
-# Builds the library and every entry point (tools/mmtag_sim, bench/*,
-# examples/*, and perfbench configured from perfbench/) into BUILD_DIR at
-# -O0 -fno-inline with one section per function, links with --gc-sections,
-# and prints each mmtag:: function defined in libmmtag's objects that no
-# linked binary keeps. The test binary is not an entry point. Names are
-# selected by mangled prefix (_ZN5mmtag / _ZNK5mmtag, so std:: template
+# Builds the library and every entry point (tools/mmtag_sim, bench/*, and
+# perfbench configured from perfbench/) into BUILD_DIR at -O0 -fno-inline
+# with one section per function, links with --gc-sections, and prints each
+# mmtag:: function defined in libmmtag's objects that no linked binary keeps.
+# Neither the test binary nor the examples are entry points: an example may
+# use only library code that the CLI, a bench or perfbench also links. Names
+# are selected by mangled prefix (_ZN5mmtag / _ZNK5mmtag, so std:: template
 # instantiations never match) and printed demangled without parameter lists,
 # one per line, sorted. Overloads therefore share a line.
 set -euo pipefail
@@ -28,12 +29,11 @@ configure() {
     -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" > "$2.configure.log"
 }
 
-benches=() examples=()
+benches=()
 for src in "$root"/bench/bench_*.cpp; do benches+=("$(basename "$src" .cpp)"); done
-for src in "$root"/examples/*.cpp; do examples+=("$(basename "$src" .cpp)"); done
 
 configure "$root" "$build/main"
-cmake --build "$build/main" -j "$(nproc)" --target mmtag mmtag_sim "${benches[@]}" "${examples[@]}" \
+cmake --build "$build/main" -j "$(nproc)" --target mmtag mmtag_sim "${benches[@]}" \
   > "$build/main.build.log"
 configure "$root/perfbench" "$build/perfbench"
 cmake --build "$build/perfbench" -j "$(nproc)" --target mmtag_perfbench \
@@ -46,7 +46,7 @@ mmtag_functions() {
 }
 
 binaries=("$build/main/tools/mmtag_sim" "$build/perfbench/mmtag_perfbench")
-binaries+=("${benches[@]/#/$build/main/bench/}" "${examples[@]/#/$build/main/examples/}")
+binaries+=("${benches[@]/#/$build/main/bench/}")
 
 mmtag_functions "$build/main/src/libmmtag.a" > "$build/defined.txt"
 mmtag_functions "${binaries[@]}" > "$build/linked.txt"

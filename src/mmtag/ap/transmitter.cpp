@@ -1,6 +1,5 @@
 #include "mmtag/ap/transmitter.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mmtag::ap {
@@ -39,18 +38,6 @@ ap_transmitter::query ap_transmitter::generate(std::size_t count)
     out.rf.reserve(count);
     for (cf64 lo_sample : out.lo) {
         out.rf.push_back(pa_.process(drive_amplitude_ * lo_sample));
-    }
-    return out;
-}
-
-ap_transmitter::query ap_transmitter::generate_modulated(std::span<const double> envelope)
-{
-    query out;
-    out.lo = lo_.generate(envelope.size());
-    out.rf.reserve(envelope.size());
-    for (std::size_t i = 0; i < envelope.size(); ++i) {
-        const double level = std::clamp(envelope[i], 0.0, 1.0);
-        out.rf.push_back(pa_.process(drive_amplitude_ * level * out.lo[i]));
     }
     return out;
 }

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "mmtag/common.hpp"
 #include "mmtag/rf/amplifier.hpp"
@@ -33,10 +32,6 @@ public:
 
     /// Generates `count` samples of CW query.
     [[nodiscard]] query generate(std::size_t count);
-
-    /// Generates an amplitude-modulated query (the PIE command channel):
-    /// the carrier is scaled by `envelope` (values in [0, 1]) before the PA.
-    [[nodiscard]] query generate_modulated(std::span<const double> envelope);
 
 private:
     config cfg_;

@@ -70,15 +70,6 @@ void backscatter_channel::redraw_fading(std::uint64_t seed)
     fading_ = rician_coefficient(cfg_.rician_k_db, rng);
 }
 
-cvec backscatter_channel::incident_at_tag(std::span<const cf64> tx) const
-{
-    cvec out(tx.size(), cf64{});
-    for (std::size_t k = one_way_delay_; k < tx.size(); ++k) {
-        out[k] = one_way_amplitude_ * tx[k - one_way_delay_];
-    }
-    return out;
-}
-
 cvec backscatter_channel::ap_received(std::span<const cf64> tx,
                                       std::span<const cf64> tag_gamma) const
 {

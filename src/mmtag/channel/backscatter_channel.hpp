@@ -45,7 +45,7 @@ public:
         /// Tag monostatic backscatter gain at unit |Gamma| (from the
         /// van_atta_array model evaluated at tag_incidence_rad) [dB].
         double tag_backscatter_gain_db = 18.0;
-        /// Tag receive aperture gain for the downlink/wake-up path [dB].
+        /// Tag receive aperture gain for the AP→tag path [dB].
         double tag_aperture_gain_db = 9.0;
         /// Direct TX->RX coupling relative to TX power [dB], the dominant
         /// self-interference term.
@@ -80,10 +80,6 @@ public:
     /// Draws a fresh fading realization (used per frame in fading sweeps).
     void redraw_fading(std::uint64_t seed);
 
-    /// Signal arriving at the tag's antenna port (for the envelope detector
-    /// and for generating the reflection): amplitude-scaled, delayed TX.
-    [[nodiscard]] cvec incident_at_tag(std::span<const cf64> tx) const;
-
     /// Full AP receive-antenna signal. `tag_gamma` is the tag's reflection
     /// coefficient waveform on the tag's clock (index k multiplies the TX
     /// sample that reaches the tag at time k); out-of-range indices clamp to
@@ -101,7 +97,7 @@ public:
     [[nodiscard]] double tag_path_power(double tx_power_w) const;
 
     /// Power collected by the tag's aperture for a `tx_power_w` query [W]
-    /// (the wake-up/downlink budget).
+    /// (the AP→tag column of `mmtag_sim budget`).
     [[nodiscard]] double tag_incident_power(double tx_power_w) const;
 
     /// Static (unmodulated) interference power [W] for a unit-power query:

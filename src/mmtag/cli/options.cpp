@@ -1,5 +1,6 @@
 #include "mmtag/cli/options.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace mmtag::cli {
@@ -69,6 +70,7 @@ double option_set::get_double(const std::string& key, double fallback) const
         std::size_t used = 0;
         const double value = std::stod(*text, &used);
         if (used != text->size()) throw std::invalid_argument("trailing junk");
+        if (!std::isfinite(value)) throw std::invalid_argument("not finite");
         return value;
     } catch (const std::exception&) {
         throw std::invalid_argument("--" + key + " expects a number, got '" + *text + "'");

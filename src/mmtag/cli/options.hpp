@@ -33,6 +33,7 @@ public:
     /// Typed getters: return the default when absent, throw
     /// std::invalid_argument when present but unparseable/out of range, or
     /// given bare ("--json needs a value").
+    /// A finite number: "nan", "inf" and "-inf" are rejected like junk.
     [[nodiscard]] double get_double(const std::string& key, double fallback) const;
     /// Strict non-negative integer: rejects a leading sign (stoull would
     /// silently wrap "-1" to 2^64-1), scientific notation ("1e3"), trailing

@@ -125,7 +125,7 @@ channel::backscatter_channel::config make_channel_config(const system_config& cf
         chan.tag_backscatter_gain_db =
             to_db(std::max(plate.monostatic_gain(cfg.tag_incidence_rad), 1e-12));
     }
-    // Receive aperture for the wake-up path: N-element collecting area.
+    // Receive aperture for the AP→tag path: N-element collecting area.
     chan.tag_aperture_gain_db =
         to_db(static_cast<double>(cfg.van_atta.element_count) *
               radiator->gain(cfg.tag_incidence_rad) + 1e-12);

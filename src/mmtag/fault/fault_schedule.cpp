@@ -18,6 +18,11 @@ constexpr double lo_step_hz_max = 400e3;
 constexpr double interferer_db_min = 10.0;
 constexpr double interferer_db_max = 25.0;
 
+// Cap on the expected event count (rate x horizon) of a generated schedule.
+// Real runs stay in the tens; a rate typed in the wrong unit would otherwise
+// fill memory one event at a time.
+constexpr double max_expected_events = 1e6;
+
 } // namespace
 
 const char* fault_kind_name(fault_kind kind)
@@ -35,13 +40,20 @@ const char* fault_kind_name(fault_kind kind)
 fault_schedule::fault_schedule(const config& cfg, std::uint64_t seed)
     : cfg_(cfg), seed_(seed)
 {
-    if (cfg.horizon_s <= 0.0) {
-        throw std::invalid_argument("fault_schedule: horizon must be > 0");
+    // Each check is written so that NaN fails it.
+    if (!(cfg.horizon_s > 0.0) || !std::isfinite(cfg.horizon_s)) {
+        throw std::invalid_argument("fault_schedule: horizon must be finite and > 0");
     }
-    if (cfg.event_rate_hz < 0.0) {
-        throw std::invalid_argument("fault_schedule: event rate must be >= 0");
+    if (!(cfg.event_rate_hz >= 0.0) || !std::isfinite(cfg.event_rate_hz)) {
+        throw std::invalid_argument("fault_schedule: event rate must be finite and >= 0");
     }
-    if (cfg.min_duration_s <= 0.0 || cfg.max_duration_s < cfg.min_duration_s) {
+    if (!(cfg.event_rate_hz * cfg.horizon_s <= max_expected_events)) {
+        throw std::invalid_argument("fault_schedule: event rate x horizon above 1e6 events");
+    }
+    if (!(cfg.mean_duration_s > 0.0) || !std::isfinite(cfg.mean_duration_s)) {
+        throw std::invalid_argument("fault_schedule: mean duration must be finite and > 0");
+    }
+    if (!(cfg.min_duration_s > 0.0) || !(cfg.max_duration_s >= cfg.min_duration_s)) {
         throw std::invalid_argument("fault_schedule: invalid duration bounds");
     }
     const double weights[] = {cfg.blockage_weight, cfg.dropout_weight,
@@ -49,11 +61,11 @@ fault_schedule::fault_schedule(const config& cfg, std::uint64_t seed)
                               cfg.brownout_weight};
     double total_weight = 0.0;
     for (double w : weights) {
-        if (w < 0.0) throw std::invalid_argument("fault_schedule: negative weight");
+        if (!(w >= 0.0)) throw std::invalid_argument("fault_schedule: negative weight");
         total_weight += w;
     }
     if (cfg.event_rate_hz == 0.0) return;
-    if (total_weight <= 0.0) {
+    if (!(total_weight > 0.0)) {
         throw std::invalid_argument("fault_schedule: all kinds disabled");
     }
 
@@ -98,8 +110,8 @@ fault_schedule::fault_schedule(const config& cfg, std::uint64_t seed)
 fault_schedule::fault_schedule(double horizon_s, std::vector<fault_event> events)
     : seed_(0), events_(normalize(std::move(events)))
 {
-    if (horizon_s <= 0.0) {
-        throw std::invalid_argument("fault_schedule: horizon must be > 0");
+    if (!(horizon_s > 0.0) || !std::isfinite(horizon_s)) {
+        throw std::invalid_argument("fault_schedule: horizon must be finite and > 0");
     }
     cfg_ = config{};
     cfg_.horizon_s = horizon_s;

@@ -55,6 +55,10 @@ public:
         double max_duration_s = 10e-3;
     };
 
+    /// Draws the schedule. Throws std::invalid_argument on a horizon or mean
+    /// duration that is not finite and > 0, a rate that is not finite and
+    /// >= 0, or a rate whose expected event count (rate x horizon) is above
+    /// 1e6.
     fault_schedule(const config& cfg, std::uint64_t seed);
 
     /// Builds a schedule from an explicit event list (the path the multi-tag

@@ -29,16 +29,6 @@ std::vector<std::uint8_t> bits_to_bytes(std::span<const std::uint8_t> bits)
     return bytes;
 }
 
-std::vector<std::uint8_t> string_to_bytes(const std::string& text)
-{
-    return {text.begin(), text.end()};
-}
-
-std::string bytes_to_string(std::span<const std::uint8_t> bytes)
-{
-    return {bytes.begin(), bytes.end()};
-}
-
 std::size_t hamming_distance(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b)
 {
     if (a.size() != b.size()) throw std::invalid_argument("hamming_distance: length mismatch");

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace mmtag::phy {
@@ -13,10 +12,6 @@ namespace mmtag::phy {
 
 /// Packs bits (0/1) into bytes, MSB first; length must be a multiple of 8.
 [[nodiscard]] std::vector<std::uint8_t> bits_to_bytes(std::span<const std::uint8_t> bits);
-
-/// String <-> byte conveniences for examples and tests.
-[[nodiscard]] std::vector<std::uint8_t> string_to_bytes(const std::string& text);
-[[nodiscard]] std::string bytes_to_string(std::span<const std::uint8_t> bytes);
 
 /// Hamming distance between two equal-length bit vectors.
 [[nodiscard]] std::size_t hamming_distance(std::span<const std::uint8_t> a,

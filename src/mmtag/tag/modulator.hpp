@@ -37,7 +37,6 @@ public:
 
     [[nodiscard]] const config& parameters() const { return cfg_; }
     [[nodiscard]] std::size_t samples_per_symbol() const { return samples_per_symbol_; }
-    [[nodiscard]] const termination_bank& bank() const { return bank_; }
 
     /// Modulates one payload into a reflection waveform.
     [[nodiscard]] modulated_frame modulate(std::span<const std::uint8_t> payload) const;

@@ -87,6 +87,11 @@ TEST(options, rejects_bad_numbers)
     const auto opts = parse({"link", "--distance", "abc", "--frames", "2.5"});
     EXPECT_THROW((void)opts.get_double("distance", 0.0), std::invalid_argument);
     EXPECT_THROW((void)opts.get_uint("frames", 0), std::invalid_argument);
+    for (const char* non_finite : {"nan", "inf", "-inf"}) {
+        const auto parsed = parse({"link", "--distance", non_finite});
+        EXPECT_THROW((void)parsed.get_double("distance", 0.0), std::invalid_argument)
+            << non_finite;
+    }
 }
 
 TEST(options, tracks_unconsumed_keys)
@@ -438,6 +443,24 @@ TEST(commands, faults_rejects_zero_payload)
     const auto [code, errors] = dispatch_capturing_errors({"faults", "--payload", "0"});
     EXPECT_EQ(code, 1);
     EXPECT_EQ(errors.rfind("error: --payload must be >= 1\n", 0), 0u) << errors;
+}
+
+TEST(commands, faults_rejects_non_finite_fault_rate)
+{
+    // An unchecked "inf" or "1e9" appends schedule events until memory runs
+    // out ("inf": every Poisson gap draws 0). "nan" goes first and is
+    // asserted, so a parser that accepts it stops the test before them.
+    for (const char* rate : {"nan", "inf"}) {
+        const auto [code, errors] = dispatch_capturing_errors({"faults", "--fault-rate", rate});
+        ASSERT_EQ(code, 1) << rate;
+        const std::string expected =
+            std::string("error: --fault-rate expects a number, got '") + rate + "'\n";
+        EXPECT_EQ(errors.rfind(expected, 0), 0u) << errors;
+    }
+    const auto [code, errors] = dispatch_capturing_errors({"faults", "--fault-rate", "1e9"});
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(errors.rfind("error: fault_schedule: event rate x horizon above 1e6", 0), 0u)
+        << errors;
 }
 
 TEST(commands, unwritable_trace_path_warns_once)

@@ -137,6 +137,46 @@ TEST(fault_schedule, events_sorted_clamped_and_inside_horizon)
     }
 }
 
+TEST(fault_schedule, rejects_non_finite_and_runaway_configs)
+{
+    // NaN fails every ordered comparison, so each check must be written to
+    // reject it. The NaN horizon goes first and is asserted: without the
+    // checks, the infinite and runaway rates below append events until
+    // memory runs out.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto cfg = busy_schedule();
+    cfg.horizon_s = nan;
+    ASSERT_THROW(fault::fault_schedule(cfg, 1), std::invalid_argument);
+    cfg.horizon_s = inf;
+    EXPECT_THROW(fault::fault_schedule(cfg, 1), std::invalid_argument);
+
+    for (const double rate : {nan, inf, -inf, 1e9}) {
+        cfg = busy_schedule();
+        cfg.event_rate_hz = rate;
+        EXPECT_THROW(fault::fault_schedule(cfg, 1), std::invalid_argument) << rate;
+    }
+    // The cap is on rate x horizon: 1e6 expected events is the most allowed.
+    cfg = busy_schedule();
+    cfg.event_rate_hz = 1e6 / cfg.horizon_s * 1.001;
+    EXPECT_THROW(fault::fault_schedule(cfg, 1), std::invalid_argument);
+
+    for (const double mean : {nan, inf, 0.0}) {
+        cfg = busy_schedule();
+        cfg.mean_duration_s = mean;
+        EXPECT_THROW(fault::fault_schedule(cfg, 1), std::invalid_argument) << mean;
+    }
+    cfg = busy_schedule();
+    cfg.min_duration_s = nan;
+    EXPECT_THROW(fault::fault_schedule(cfg, 1), std::invalid_argument);
+    cfg = busy_schedule();
+    cfg.blockage_weight = nan;
+    EXPECT_THROW(fault::fault_schedule(cfg, 1), std::invalid_argument);
+
+    EXPECT_THROW(fault::fault_schedule(nan, {}), std::invalid_argument);
+    EXPECT_THROW(fault::fault_schedule(inf, {}), std::invalid_argument);
+}
+
 TEST(fault_schedule, kind_counts_sum_to_total_and_active_filters)
 {
     const fault::fault_schedule schedule(busy_schedule(), 9);

@@ -2,10 +2,13 @@
 // AP pipeline, exercised exactly the way the benches drive it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "mmtag/core/link_budget.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/core/network.hpp"
-#include "mmtag/phy/bitio.hpp"
 
 namespace mmtag::core {
 namespace {
@@ -16,7 +19,8 @@ using core::fast_scenario;
 TEST(integration, frame_delivered_at_two_meters)
 {
     link_simulator sim(fast_scenario());
-    const auto payload = phy::string_to_bytes("hello mmWave backscatter");
+    const std::string text = "hello mmWave backscatter";
+    const std::vector<std::uint8_t> payload{text.begin(), text.end()};
     const auto result = sim.run_frame(payload);
     ASSERT_TRUE(result.rx.frame_found);
     EXPECT_TRUE(result.rx.crc_ok);

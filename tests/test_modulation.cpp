@@ -179,12 +179,6 @@ TEST(bitio, msb_first_convention)
     EXPECT_EQ(bits[15], 1);
 }
 
-TEST(bitio, string_round_trip)
-{
-    const std::string text = "mmtag backscatter";
-    EXPECT_EQ(bytes_to_string(string_to_bytes(text)), text);
-}
-
 TEST(bitio, hamming_distance_basic)
 {
     const std::vector<std::uint8_t> a{0, 1, 1, 0};

@@ -5,7 +5,6 @@
 
 #include <random>
 
-#include "mmtag/ap/query_encoder.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/core/supervised_link.hpp"
 #include "mmtag/fault/fault_injector.hpp"
@@ -15,7 +14,6 @@
 #include "mmtag/phy/frame.hpp"
 #include "mmtag/phy/line_code.hpp"
 #include "mmtag/phy/preamble.hpp"
-#include "mmtag/tag/command_decoder.hpp"
 
 namespace mmtag {
 namespace {
@@ -52,35 +50,6 @@ TEST(robustness, preamble_detector_gates_noise)
     }
     // At quality >= 3 the m-sequence's sidelobe structure keeps noise out.
     EXPECT_LT(detections, 5u);
-}
-
-TEST(robustness, command_parser_rejects_random_bits)
-{
-    std::size_t accepts = 0;
-    for (std::uint64_t trial = 0; trial < 3000; ++trial) {
-        const auto bits = phy::random_bits(40, 9000 + trial);
-        if (ap::parse_command_bits(bits)) ++accepts;
-    }
-    // CRC-8 (1/256) x valid-kind (4/256): expect ~0.05 accepts in 3000.
-    EXPECT_LT(accepts, 3u);
-}
-
-TEST(robustness, command_decoder_survives_garbage_envelopes)
-{
-    tag::command_decoder::config cfg;
-    cfg.sample_rate_hz = 50e6;
-    cfg.unit_s = 2e-6;
-    const tag::command_decoder decoder(cfg);
-    std::mt19937_64 rng(77);
-    std::uniform_real_distribution<double> level(0.0, 1.0);
-    for (int trial = 0; trial < 50; ++trial) {
-        std::vector<double> envelope(20000);
-        for (auto& v : envelope) v = level(rng);
-        EXPECT_NO_THROW((void)decoder.decode(envelope));
-    }
-    // Degenerate inputs.
-    EXPECT_FALSE(decoder.decode(std::vector<double>{}).has_value());
-    EXPECT_FALSE(decoder.decode(std::vector<double>(10, 0.5)).has_value());
 }
 
 TEST(robustness, viterbi_handles_random_streams_of_valid_length)

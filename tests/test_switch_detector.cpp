@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "mmtag/rf/envelope_detector.hpp"
 #include "mmtag/rf/rf_switch.hpp"
 
 namespace mmtag::rf {
@@ -83,43 +82,6 @@ TEST(rf_switch, validation)
     const cvec two_ports{cf64{1.0, 0.0}, cf64{0.0, 0.0}};
     EXPECT_THROW((void)sw.state_waveform(std::vector<std::size_t>{5}, two_ports, 4, 1e9),
                  std::invalid_argument); // state out of range
-}
-
-TEST(envelope_detector, output_tracks_input_power)
-{
-    envelope_detector::config cfg;
-    cfg.responsivity_v_per_w = 1000.0;
-    cfg.video_bandwidth_hz = 50e6;
-    cfg.sample_rate_hz = 1e9;
-    cfg.noise_equivalent_power_w = 0.0;
-    envelope_detector detector(cfg, 3);
-    const cvec rf(2000, cf64{0.1, 0.0}); // 10 mW incident
-    const rvec v = detector.detect(rf);
-    EXPECT_NEAR(v.back(), 1000.0 * 0.01, 1e-4); // 10 V/W * 10 mW
-}
-
-TEST(envelope_detector, video_filter_smooths_fast_modulation)
-{
-    envelope_detector::config cfg;
-    cfg.responsivity_v_per_w = 1000.0;
-    cfg.video_bandwidth_hz = 1e6; // slow video bandwidth
-    cfg.sample_rate_hz = 1e9;
-    cfg.noise_equivalent_power_w = 0.0;
-    envelope_detector detector(cfg, 4);
-    // 100 MHz OOK: far above the video corner, detector sees the average.
-    cvec rf(20000);
-    for (std::size_t i = 0; i < rf.size(); ++i) {
-        rf[i] = (i / 5) % 2 == 0 ? cf64{0.1, 0.0} : cf64{};
-    }
-    const rvec v = detector.detect(rf);
-    EXPECT_NEAR(v.back(), 1000.0 * 0.01 / 2.0, 0.5);
-}
-
-TEST(envelope_detector, validation)
-{
-    envelope_detector::config cfg;
-    cfg.video_bandwidth_hz = 1e12; // above Nyquist
-    EXPECT_THROW(envelope_detector(cfg, 1), std::invalid_argument);
 }
 
 } // namespace
