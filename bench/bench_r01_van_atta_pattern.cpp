@@ -6,16 +6,15 @@
 // field of view (element-pattern limited); the plate collapses off broadside.
 #include <memory>
 
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/antenna/element.hpp"
 #include "mmtag/antenna/van_atta.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r01_van_atta_pattern(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R1", "Van Atta retro-reflection pattern vs incidence angle", csv);
 
     const auto patch = std::make_shared<antenna::patch_element>();
     auto make_array = [&](std::size_t n) {
@@ -50,10 +49,5 @@ static int experiment(const bench::bench_options& opts)
                     rad_to_deg(va4.field_of_view(3.0)), rad_to_deg(va8.field_of_view(3.0)),
                     rad_to_deg(va16.field_of_view(3.0)));
     }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

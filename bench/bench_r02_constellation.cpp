@@ -5,7 +5,7 @@
 // short range; EVM grows slightly with constellation order (load-modulation
 // stub loss + switch leakage), matching the paper's clean "symbols separate
 // cleanly" microbenchmark.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/phy/bitio.hpp"
 
@@ -29,10 +29,9 @@ void ascii_scatter(const cvec& symbols)
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r02_constellation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R2", "received constellations and EVM through the full chain", csv);
 
     bench::table out({"modulation", "snr_dB", "evm_dB", "evm_pct", "crc"}, csv);
     for (auto scheme : {phy::modulation::bpsk, phy::modulation::qpsk, phy::modulation::psk8,
@@ -58,10 +57,5 @@ static int experiment(const bench::bench_options& opts)
         }
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

@@ -3,16 +3,15 @@
 // analytic link budget. Expected shape: ~40 dB/decade roll-off (two-way
 // channel) with a constant implementation gap of a few dB; the link clears
 // QPSK-1/2 thresholds out to roughly the paper-class 8 m.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_budget.hpp"
 #include "mmtag/core/link_simulator.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r03_snr_vs_distance(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R3", "uplink SNR vs distance (measured vs analytic budget)", csv);
 
     bench::table out({"distance_m", "budget_snr_dB", "measured_snr_dB", "gap_dB",
                       "rx_power_dBm", "per"},
@@ -31,10 +30,5 @@ static int experiment(const bench::bench_options& opts)
                      bench::fmt("%.2f", report.per)});
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

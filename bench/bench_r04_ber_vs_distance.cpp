@@ -7,10 +7,9 @@
 // Runs on the parallel Monte-Carlo runtime: each (distance, rate) point fans
 // TRIALS independent links (counter-seeded, bit-identical for any --jobs)
 // out across the pool and merges their link_reports in trial order.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/core/metrics.hpp"
-#include "mmtag/runtime/result_writer.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
 
 using namespace mmtag;
@@ -35,10 +34,8 @@ constexpr std::size_t kPayloadBytes = 48;
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r04_ber_vs_distance(const bench::bench_options& opts)
 {
-    bench::banner("R4", "BER vs distance for three uplink data rates", opts.csv);
-
     const std::size_t rate_count = std::size(kRates);
     const std::size_t point_count = std::size(kDistances) * rate_count;
 
@@ -61,8 +58,7 @@ static int experiment(const bench::bench_options& opts)
             return sim.run_trials(kFramesPerTrial, kPayloadBytes);
         });
 
-    runtime::result_writer results("R4", "BER vs distance for three uplink data rates",
-                                   {"distance_m", "rate"}, opts.seed);
+    runtime::result_writer results(opts.id, opts.title, {"distance_m", "rate"}, opts.seed);
     bench::table out({"distance_m", "rate", "snr_dB", "ber", "ber_ci95", "per"}, opts.csv);
     for (std::size_t point = 0; point < point_count; ++point) {
         const auto& report = outcome.points[point].aggregate;
@@ -80,18 +76,6 @@ static int experiment(const bench::bench_options& opts)
                           runtime::result_writer::metrics(report));
     }
     out.print();
-    const auto written = results.write(opts.json_path, outcome.wall_s, outcome.jobs,
-                                       outcome.trials_per_s());
-    if (!opts.csv) {
-        std::printf("\n%s\n", runtime::summary_line(point_count, outcome.trials,
-                                                    outcome.wall_s, outcome.jobs)
-                                  .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {.results = std::move(results), .points = point_count, .tasks = outcome.trials,
+            .jobs = outcome.jobs};
 }

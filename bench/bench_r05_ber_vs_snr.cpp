@@ -10,11 +10,10 @@
 #include <cmath>
 #include <random>
 
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/metrics.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/modulation.hpp"
-#include "mmtag/runtime/result_writer.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
 
 using namespace mmtag;
@@ -54,10 +53,8 @@ core::error_counter simulate_chunk(const sweep_cell& cell, std::size_t bits,
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r05_ber_vs_snr(const bench::bench_options& opts)
 {
-    bench::banner("R5", "BER vs Eb/N0 per modulation, simulated vs theory", opts.csv);
-
     constexpr std::size_t kChunks = 8; // trials per sweep point
     std::vector<sweep_cell> cells;
     for (auto scheme : {phy::modulation::bpsk, phy::modulation::qpsk, phy::modulation::psk8,
@@ -81,8 +78,7 @@ static int experiment(const bench::bench_options& opts)
             return simulate_chunk(cells[point], cells[point].bits_target / kChunks, seed);
         });
 
-    runtime::result_writer results("R5", "BER vs Eb/N0 per modulation vs theory",
-                                   {"ebn0_db", "modulation"}, opts.seed);
+    runtime::result_writer results(opts.id, opts.title, {"ebn0_db", "modulation"}, opts.seed);
     bench::table out({"ebn0_dB", "modulation", "simulated", "ci95", "theory"}, opts.csv);
     for (std::size_t point = 0; point < cells.size(); ++point) {
         const auto& cell = cells[point];
@@ -100,18 +96,6 @@ static int experiment(const bench::bench_options& opts)
         results.add_point(std::move(axis), kChunks, std::move(metrics));
     }
     out.print();
-    const auto written = results.write(opts.json_path, outcome.wall_s, outcome.jobs,
-                                       outcome.trials_per_s());
-    if (!opts.csv) {
-        std::printf("\n%s\n", runtime::summary_line(cells.size(), outcome.trials,
-                                                    outcome.wall_s, outcome.jobs)
-                                  .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {.results = std::move(results), .points = cells.size(), .tasks = outcome.trials,
+            .jobs = outcome.jobs};
 }

@@ -3,7 +3,7 @@
 // selected (modulation, FEC). Expected shape: a staircase of goodput that
 // steps down with distance, always outperforming any single fixed rate
 // outside that rate's sweet spot.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/core/link_simulator.hpp"
 
@@ -23,10 +23,9 @@ core::link_report run_at(core::system_config cfg, phy::modulation scheme, phy::f
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r06_rate_adaptation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R6", "goodput vs distance: rate adaptation vs fixed rates", csv);
 
     bench::table out({"distance_m", "snr_dB", "selected", "adaptive_Mbps",
                       "fixed_qpsk12_Mbps", "fixed_16psk_Mbps"},
@@ -52,10 +51,5 @@ static int experiment(const bench::bench_options& opts)
                      bench::fmt("%.2f", fixed_fast.goodput_bps / 1e6)});
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

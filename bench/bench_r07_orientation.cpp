@@ -3,15 +3,14 @@
 // link alive across the element pattern's field of view while the un-paired
 // aperture (specular plate) dies within a few degrees of broadside. This is
 // the design-justifying ablation for the passive retro-reflector.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r07_orientation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R7", "link vs tag rotation: Van Atta vs flat plate", csv);
 
     bench::table out({"rotation_deg", "van_atta_snr_dB", "van_atta_per", "plate_snr_dB",
                       "plate_per"},
@@ -34,10 +33,5 @@ static int experiment(const bench::bench_options& opts)
                      bench::fmt("%.2f", plate_report.per)});
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

@@ -4,7 +4,7 @@
 // SNR collapses); background subtraction holds the link to within a few dB
 // of the interference-free bound until coupling overwhelms the ADC's
 // dynamic range.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 
 using namespace mmtag;
@@ -24,10 +24,9 @@ const char* mode_name(ap::cancellation_mode mode)
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r08_cancellation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R8", "canceller modes vs TX leakage level", csv);
 
     bench::table out({"leakage_dB", "mode", "snr_dB", "per", "suppression_dB"}, csv);
     for (double leakage : {-80.0, -60.0, -45.0, -30.0}) {
@@ -48,10 +47,5 @@ static int experiment(const bench::bench_options& opts)
         }
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

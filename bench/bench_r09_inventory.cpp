@@ -2,15 +2,14 @@
 // Framed slotted ALOHA with Q adaptation discovering 1-200 tags. Expected
 // shape: slots scale ~linearly in population (constant efficiency near the
 // 1/e framed-ALOHA optimum); a lossy PHY inflates the slot count by ~1/p.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/mac/slotted_aloha.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r09_inventory(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R9", "slotted-ALOHA inventory cost vs population", csv);
 
     bench::table out({"tags", "slots", "rounds", "singles", "collisions", "idle",
                       "efficiency", "theory_peak"},
@@ -41,10 +40,5 @@ static int experiment(const bench::bench_options& opts)
                      bench::fmt("%.3f", mac::aloha_inventory::theoretical_peak_efficiency(tags))});
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

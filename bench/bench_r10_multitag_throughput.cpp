@@ -17,11 +17,10 @@
 #include <algorithm>
 #include <random>
 
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/core/network.hpp"
 #include "mmtag/phy/bitio.hpp"
-#include "mmtag/runtime/result_writer.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
 
 using namespace mmtag;
@@ -168,12 +167,9 @@ throughput_aggregate sampled_trial(std::size_t tag_count, std::uint64_t seed)
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r10_multitag_throughput(const bench::bench_options& opts)
 {
-    bench::banner("R10", "TDMA network goodput vs number of tags", opts.csv);
-
-    runtime::result_writer results("R10", "TDMA network goodput vs number of tags",
-                                   {"section", "tags"}, opts.seed);
+    runtime::result_writer results(opts.id, opts.title, {"section", "tags"}, opts.seed);
 
     // Analytic arm: populations to 20, averaged over random placements.
     runtime::sweep_options analytic;
@@ -252,24 +248,8 @@ static int experiment(const bench::bench_options& opts)
         results.add_point(std::move(axis), kSampledTrials, std::move(metrics));
     }
     sampled_table.print();
-
-    const double wall_s = analytic_out.wall_s + sampled_out.wall_s;
-    const std::size_t trials = analytic_out.trials + sampled_out.trials;
-    const auto written =
-        results.write(opts.json_path, wall_s, sampled_out.jobs,
-                      runtime::per_second(trials, wall_s));
-    if (!opts.csv) {
-        std::printf("\n%s\n",
-                    runtime::summary_line(std::size(kAnalyticPopulations) +
-                                              std::size(kSampledPopulations),
-                                          trials, wall_s, sampled_out.jobs)
-                        .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {.results = std::move(results),
+            .points = std::size(kAnalyticPopulations) + std::size(kSampledPopulations),
+            .tasks = analytic_out.trials + sampled_out.trials,
+            .jobs = sampled_out.jobs};
 }

@@ -4,16 +4,15 @@
 // across data rates (anchor: the 2.4 nJ/bit figure cited for mmTag), and the
 // comparison against the component-budget active radio and a phased-array
 // tag.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/baselines.hpp"
 #include "mmtag/tag/energy_model.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r11_energy(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R11", "tag power, energy per bit, and baselines", csv);
 
     const tag::energy_model model;
 
@@ -61,10 +60,5 @@ static int experiment(const bench::bench_options& opts)
                      ref.notes});
     }
     cmp.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

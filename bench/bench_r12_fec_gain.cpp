@@ -4,7 +4,7 @@
 // ~5 dB at 1e-4 over uncoded.
 #include <random>
 
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/fec/convolutional.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/frame.hpp"
@@ -63,10 +63,9 @@ double coded_ber(phy::fec_mode mode, double ebn0_db, std::size_t info_bits,
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r12_fec_gain(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R12", "decoded BER vs Eb/N0: uncoded vs convolutional rates", csv);
 
     bench::table out({"ebn0_dB", "uncoded", "conv_1_2", "conv_2_3", "conv_3_4"}, csv);
     for (double ebn0 = 1.0; ebn0 <= 9.0; ebn0 += 1.0) {
@@ -82,10 +81,5 @@ static int experiment(const bench::bench_options& opts)
         out.add_row(row);
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

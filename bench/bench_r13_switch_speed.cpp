@@ -4,16 +4,15 @@
 // shape: EVM degrades as the symbol period approaches the transition time,
 // and the modulator refuses rates beyond the device ceiling — the paper's
 // "rate limited by switching speed" observation.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/rf/rf_switch.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r13_switch_speed(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R13", "link quality vs switch rise/fall time at 5 Msym/s", csv);
 
     bench::table out({"rise_fall_ns", "max_sym_rate_Msps", "snr_dB", "evm_dB", "per"}, csv);
     for (double rise_ns : {0.0, 2.0, 10.0, 25.0, 50.0, 80.0}) {
@@ -47,10 +46,5 @@ static int experiment(const bench::bench_options& opts)
             std::printf("rejected as expected.\n");
         }
     }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

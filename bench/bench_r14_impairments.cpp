@@ -5,15 +5,14 @@
 // shape: the link is ADC-limited below ~12 bits, phase-noise-limited only
 // for very poor synthesizers (self-coherent operation cancels common phase
 // noise), and degrades dB-for-dB with noise figure at long range.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r14_impairments(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R14", "sensitivity to ADC bits, LO linewidth, and noise figure", csv);
 
     if (!csv) std::printf("ADC resolution (static interference / tag ~ 30 dB):\n");
     bench::table adc({"adc_bits", "snr_dB", "per"}, csv);
@@ -51,10 +50,5 @@ static int experiment(const bench::bench_options& opts)
                     bench::fmt("%.2f", report.per)});
     }
     nf.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

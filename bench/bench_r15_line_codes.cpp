@@ -4,16 +4,15 @@
 // Expected shape: in-band-at-DC power drops orders of magnitude from NRZ to
 // Miller-4 while transitions/bit (and hence tag power) grow ~linearly with
 // the subcarrier order.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/phy/line_code.hpp"
 #include "mmtag/tag/energy_model.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r15_line_codes(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R15", "line-code trade: DC avoidance vs switching energy", csv);
 
     const tag::energy_model model;
     const double bit_rate = 5e6;
@@ -38,10 +37,5 @@ static int experiment(const bench::bench_options& opts)
         std::printf("\nDC band = +-1%% of the chip rate, random data. NRZ parks its\n"
                     "spectrum on the canceller; Miller-4 moves it 4 bit-rates away.\n");
     }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

@@ -7,7 +7,7 @@
 // interference through the capture window and defeats cancellation. The tag
 // signal sits ~50 dB below the statics, so the link collapses: this is why
 // backscatter readers are built self-coherent.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 
 using namespace mmtag;
@@ -24,10 +24,9 @@ struct lo_case {
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r16_lo_architecture(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R16", "self-coherent vs independent-LO receiver", csv);
 
     const lo_case cases[] = {
         {"self-coherent, ideal TX", ap::lo_mode::self_coherent, 0.0, 0.0, 0.0},
@@ -61,10 +60,5 @@ static int experiment(const bench::bench_options& opts)
                     "broken by 100 Hz of *anything* — the statics must stay parked at\n"
                     "DC for cancellation to find them.\n");
     }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

@@ -4,7 +4,7 @@
 // as K drops toward Rayleigh, per-frame SNR spreads over many dB and PER
 // rises even though the *mean* budget is unchanged — the argument for link
 // margin and ARQ in deployments.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/dsp/estimators.hpp"
 #include "mmtag/mac/arq.hpp"
@@ -12,10 +12,9 @@
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r17_fading(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R17", "link vs Rician K-factor at 6 m (+ ARQ recovery)", csv);
 
     constexpr std::size_t frames = 40;
     bench::table out({"k_factor_dB", "mean_snr_dB", "snr_std_dB", "per",
@@ -49,10 +48,5 @@ static int experiment(const bench::bench_options& opts)
                                             static_cast<double>(arq_stats.frames_offered))});
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

@@ -4,16 +4,15 @@
 // separation decodes both; any substantial overlap between equal-power tags
 // destroys both (what the slotted-ALOHA model assumes); a strong/weak pair
 // exhibits capture — the near tag survives the collision.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/phy/bitio.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r18_collisions(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R18", "two-tag overlap and capture at the sample level", csv);
 
     const auto base = core::fast_scenario();
 
@@ -46,10 +45,5 @@ static int experiment(const bench::bench_options& opts)
                                outcomes[1].delivered ? "yes" : "no"});
     }
     capture_table.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

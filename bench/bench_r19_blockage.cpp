@@ -5,7 +5,7 @@
 // transitions are ~ms). Expected shape: PER tracks the blockage duty cycle
 // once the two-way shadow exceeds the link margin; stop-and-wait ARQ restores
 // delivery at the cost of duty-cycle-dependent retransmissions.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/ap/receiver.hpp"
 #include "mmtag/ap/transmitter.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
@@ -45,10 +45,9 @@ bool run_frame(const core::system_config& cfg, channel::backscatter_channel& cha
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r19_blockage(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R19", "frame loss under body blockage, with ARQ recovery", csv);
 
     auto cfg = core::fast_scenario();
     cfg.distance_m = 4.0; // ~21 dB of margin over QPSK-1/2
@@ -93,10 +92,5 @@ static int experiment(const bench::bench_options& opts)
         }
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

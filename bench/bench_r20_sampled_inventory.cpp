@@ -4,16 +4,15 @@
 // just superposed RF. Expected shape: rounds-to-complete and collision
 // fractions agree — validating that the MAC abstraction used for the large
 // population sweeps (R9/R10) is faithful to the physical layer.
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/inventory_round.hpp"
 #include "mmtag/mac/slotted_aloha.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r20_sampled_inventory(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
-    bench::banner("R20", "sample-accurate inventory vs the MAC model", csv);
 
     bench::table out({"tags", "slots", "sampled_rounds", "sampled_identified",
                       "sampled_collision_frac", "model_collision_frac"},
@@ -63,10 +62,5 @@ static int experiment(const bench::bench_options& opts)
                      bench::fmt("%.3f", model_collisions / model_slots)});
     }
     out.print();
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment);
+    return {};
 }

@@ -12,14 +12,11 @@
 // The (cell x arm) grid — the heaviest workload in the bench suite — fans
 // out across the runtime's thread pool; every arm owns its simulator and
 // injector, so results are bit-identical for any --jobs value.
-#include <chrono>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/core/supervised_link.hpp"
 #include "mmtag/fault/fault_injector.hpp"
-#include "mmtag/runtime/result_writer.hpp"
-#include "mmtag/runtime/sweep_runner.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
 
 using namespace mmtag;
@@ -53,17 +50,13 @@ constexpr fault_cell kCells[] = {{0.0, 2e-3}, {150.0, 1e-3}, {150.0, 3e-3},
 
 } // namespace
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r21_fault_recovery(const bench::bench_options& opts)
 {
-    bench::banner("R21", "goodput and recovery under injected faults, supervisor on/off",
-                  opts.csv);
-
     constexpr std::size_t frames = 500;
     constexpr std::size_t payload_bytes = 24;
     const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
 
     const ap::supervisor_config sup_cfg{};
-    constexpr std::size_t baseline_retries = 8;
     const std::size_t cell_count = std::size(kCells);
 
     // Task grid: [0] fault-free reference, then (cell, arm) pairs. Each task
@@ -72,7 +65,6 @@ static int experiment(const bench::bench_options& opts)
     std::vector<ap::supervised_report> base_reports(cell_count);
     ap::supervised_report reference;
 
-    const auto start = std::chrono::steady_clock::now();
     runtime::thread_pool pool(opts.jobs);
     pool.parallel_for(1 + 2 * cell_count, [&](std::size_t task) {
         if (task == 0) {
@@ -94,16 +86,13 @@ static int experiment(const bench::bench_options& opts)
             sup_reports[cell_index] = core::run_supervised_link(link, injector, sup_cfg,
                                                                 frames, payload_bytes);
         } else {
-            base_reports[cell_index] = core::run_baseline_link(
-                link, injector, baseline_retries, frames, payload_bytes);
+            base_reports[cell_index] =
+                core::run_baseline_link(link, injector, frames, payload_bytes);
         }
     });
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-    runtime::result_writer results(
-        "R21", "goodput and recovery under injected faults, supervisor on/off",
-        {"fault_rate_hz", "mean_duration_ms"}, fault_seed);
+    runtime::result_writer results(opts.id, opts.title, {"fault_rate_hz", "mean_duration_ms"},
+                                   fault_seed);
     bench::table out({"fault_rate_hz", "mean_dur_ms", "sup_goodput_mbps",
                       "base_goodput_mbps", "sup_delivery", "base_delivery",
                       "outages", "detect_ms", "recover_ms", "reacq", "retained"},
@@ -147,20 +136,6 @@ static int experiment(const bench::bench_options& opts)
         results.add_point(std::move(axis), 1, std::move(metrics));
     }
     out.print();
-
-    const std::size_t tasks = 1 + 2 * cell_count;
-    const auto written =
-        results.write(opts.json_path, wall_s, pool.jobs(),
-                      runtime::per_second(tasks, wall_s));
-    if (!opts.csv) {
-        std::printf("\n%s\n", runtime::summary_line(cell_count, tasks, wall_s, pool.jobs())
-                                  .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment, {"fault-seed"});
+    return {.results = std::move(results), .points = cell_count, .tasks = 1 + 2 * cell_count,
+            .jobs = pool.jobs()};
 }

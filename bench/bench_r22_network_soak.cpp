@@ -13,23 +13,17 @@
 // Each cell's (trial x arm) grid fans out across the runtime thread pool
 // inside net::run_soak; results fold in trial order and are bit-identical
 // for any --jobs value.
-#include <chrono>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "experiments.hpp"
 #include "mmtag/net/soak_harness.hpp"
-#include "mmtag/runtime/result_writer.hpp"
-#include "mmtag/runtime/sweep_runner.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r22_network_soak(const bench::bench_options& opts)
 {
-    bench::banner("R22", "network chaos soak: degradation and re-admission vs faulted tags",
-                  opts.csv);
-
     constexpr std::size_t tag_count = 6;
     constexpr std::size_t max_faulted = 3;
     const std::size_t rounds = opts.extra_u64("rounds", 36);
@@ -37,7 +31,6 @@ static int experiment(const bench::bench_options& opts)
     const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
 
     std::vector<net::soak_report> reports;
-    const auto start = std::chrono::steady_clock::now();
     runtime::thread_pool pool(opts.jobs);
     for (std::size_t faulted = 0; faulted <= max_faulted; ++faulted) {
         net::soak_config cfg;
@@ -49,12 +42,8 @@ static int experiment(const bench::bench_options& opts)
         cfg.fault_seed = fault_seed;
         reports.push_back(net::run_soak(cfg, pool));
     }
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-    runtime::result_writer results(
-        "R22", "network chaos soak: degradation and re-admission vs faulted tags",
-        {"faulted_tags"}, opts.seed);
+    runtime::result_writer results(opts.id, opts.title, {"faulted_tags"}, opts.seed);
     bench::table out({"faulted", "faulted_delivery", "healthy_share", "transitions",
                       "readmissions", "max_readmit", "invariants"},
                      opts.csv);
@@ -109,23 +98,9 @@ static int experiment(const bench::bench_options& opts)
         results.add_point(std::move(axis), trials, std::move(metrics));
     }
     out.print();
-
-    const std::size_t tasks = 2 * trials * (max_faulted + 1);
-    const auto written =
-        results.write(opts.json_path, wall_s, pool.jobs(),
-                      runtime::per_second(tasks, wall_s));
-    if (!opts.csv) {
-        std::printf("\n%s\n",
-                    runtime::summary_line(max_faulted + 1, tasks, wall_s, pool.jobs())
-                        .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
     // The soak is a resilience gate, not just a report: a tripped invariant
     // is a bench failure.
-    return all_passed ? 0 : 1;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment, {"rounds", "trials", "fault-seed"});
+    return {.results = std::move(results), .points = max_faulted + 1,
+            .tasks = 2 * trials * (max_faulted + 1), .jobs = pool.jobs(),
+            .status = all_passed ? 0 : 1};
 }

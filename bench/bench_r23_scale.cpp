@@ -10,23 +10,17 @@
 //
 // Trials fan out across the runtime thread pool inside scale::run_scale and
 // fold in trial order; the emitted JSON is bit-identical for any --jobs.
-#include <chrono>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "mmtag/runtime/result_writer.hpp"
-#include "mmtag/runtime/sweep_runner.hpp"
+#include "experiments.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
 #include "mmtag/scale/des_engine.hpp"
 
 using namespace mmtag;
 
-static int experiment(const bench::bench_options& opts)
+bench::measured bench::r23_scale(const bench::bench_options& opts)
 {
-    bench::banner("R23", "scale-out: goodput, fairness, re-admission vs tag count",
-                  opts.csv);
-
     const std::vector<std::size_t> tag_counts{100, 300, 1000, 3000, 10000};
     const std::size_t aps = opts.extra_u64("aps", 4);
     const std::size_t frames = opts.extra_u64("frames", 30);
@@ -34,7 +28,6 @@ static int experiment(const bench::bench_options& opts)
     const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
 
     std::vector<scale::scale_result> results_per_point;
-    const auto start = std::chrono::steady_clock::now();
     std::size_t jobs_used = 1;
     for (const std::size_t tags : tag_counts) {
         scale::scale_config cfg;
@@ -49,12 +42,8 @@ static int experiment(const bench::bench_options& opts)
         jobs_used = result.jobs;
         results_per_point.push_back(std::move(result));
     }
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-    runtime::result_writer results(
-        "R23", "scale-out: goodput, fairness, re-admission vs tag count", {"tags"},
-        opts.seed);
+    runtime::result_writer results(opts.id, opts.title, {"tags"}, opts.seed);
     bench::table out({"tags", "goodput_mbps", "fairness", "delivery", "readmissions",
                       "readmit_mean", "readmit_max"},
                      opts.csv);
@@ -96,23 +85,8 @@ static int experiment(const bench::bench_options& opts)
     }
     out.print();
 
-    const std::size_t total_trials = trials * tag_counts.size();
     std::uint64_t total_events = 0;
     for (const auto& r : results_per_point) total_events += r.events;
-    const auto written =
-        results.write(opts.json_path, wall_s, jobs_used,
-                      runtime::per_second(total_trials, wall_s));
-    if (!opts.csv) {
-        std::printf("\n%s, %.0f events/s\n",
-                    runtime::summary_line(tag_counts.size(), total_trials, wall_s, jobs_used)
-                        .c_str(),
-                    runtime::per_second(total_events, wall_s));
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
-    return 0;
-}
-
-int main(int argc, char** argv)
-{
-    return bench::run(argc, argv, experiment, {"aps", "frames", "trials", "fault-seed"});
+    return {.results = std::move(results), .points = tag_counts.size(),
+            .tasks = trials * tag_counts.size(), .jobs = jobs_used, .events = total_events};
 }

@@ -1,48 +1,57 @@
-// Shared plumbing for the experiment harnesses: the common flag parser
-// (--csv/--json/--jobs/--seed, on the CLI's cli::option_set) and
-// aligned-table/CSV printing.
+// The driver behind `mmtag_bench ID [--flags]`: one place for flag parsing
+// (on the CLI's cli::option_set), the banner, wall timing, the
+// BENCH_<id>.json result file and the summary line. Plus the aligned-table/CSV
+// printing the experiments share.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <initializer_list>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "mmtag/cli/options.hpp"
+#include "mmtag/runtime/result_writer.hpp"
+#include "mmtag/runtime/sweep_runner.hpp"
 
 namespace mmtag::bench {
 
-/// The flags every experiment binary accepts. A bench names its own extras
-/// (`--fault-seed`, ...) to parse() (via run() below) and reads them with
-/// extra_u64. Malformed input, or a flag that is neither common nor a named
-/// extra, prints one `error:` line and exits 2, so bench mains stay
-/// one-liners.
+/// One experiment's command line. `--csv` is common to every experiment;
+/// any other flag is accepted only when the experiment lists it (see
+/// experiment::flags). Malformed input, or a flag the experiment does not
+/// list, prints one `error:` line and exits 2 before the experiment runs.
 struct bench_options {
+    const char* id = "";     ///< the experiment's id, for its result_writer
+    const char* title = "";  ///< the experiment's title, likewise
     bool csv = false;        ///< machine-readable table on stdout
     std::string json_path;   ///< --json PATH; empty = bench/out/BENCH_<id>.json
     std::size_t jobs = 0;    ///< --jobs N parallel executors; 0 = auto
     std::uint64_t seed = 1;  ///< --seed S: base of the per-trial seeding scheme
-    cli::option_set flags;   ///< the whole command line, extras included
+    cli::option_set flags;   ///< the whole command line, experiment-only flags included
 
-    static bench_options parse(int argc, char** argv,
-                               std::initializer_list<const char*> extras = {})
+    static bench_options parse(int argc, char** argv, const std::vector<std::string>& reads)
     {
         bench_options opts;
         or_exit([&] {
             opts.flags = cli::option_set::parse_flags(argc, argv);
-            opts.csv = opts.flags.get_flag("csv");
-            opts.json_path = opts.flags.get_string("json", "");
-            opts.jobs = static_cast<std::size_t>(opts.flags.get_uint("jobs", 0));
-            opts.seed = opts.flags.get_uint("seed", 1);
+            const auto listed = [&](const std::string& key) {
+                return std::find(reads.begin(), reads.end(), key) != reads.end();
+            };
+            // Nothing is read yet, so unconsumed() is every key given.
             for (const auto& key : opts.flags.unconsumed()) {
-                const bool named = std::find(extras.begin(), extras.end(), key) !=
-                                   extras.end();
-                if (!named) throw std::invalid_argument("unknown option --" + key);
+                if (key != "csv" && !listed(key)) {
+                    throw std::invalid_argument("unknown option --" + key);
+                }
             }
+            opts.csv = opts.flags.get_flag("csv");
+            if (listed("json")) opts.json_path = opts.flags.get_string("json", "");
+            if (listed("jobs")) opts.jobs = opts.flags.get_uint("jobs", 0);
+            if (listed("seed")) opts.seed = opts.flags.get_uint("seed", 1);
         });
         return opts;
     }
@@ -67,23 +76,6 @@ private:
         }
     }
 };
-
-/// A bench main: parses the flags (naming the bench's `extras`) and runs
-/// `experiment` on them. A std::invalid_argument out of the experiment is a
-/// well-formed value the library rejects (R22 `--rounds 0`); like a malformed
-/// flag it prints one `error:` line and exits 2. Any other exception escapes.
-template <typename Experiment>
-int run(int argc, char** argv, Experiment&& experiment,
-        std::initializer_list<const char*> extras = {})
-{
-    const auto opts = bench_options::parse(argc, argv, extras);
-    try {
-        return experiment(opts);
-    } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 2;
-    }
-}
 
 /// Simple column-aligned table with an optional CSV mode.
 class table {
@@ -153,10 +145,76 @@ inline std::string fmt(const char* format, double value)
     return buffer;
 }
 
-inline void banner(const char* id, const char* title, bool csv)
+/// What an experiment hands back to the driver. An experiment that writes a
+/// result file returns its result_writer with the point, task and job counts
+/// the summary line reports; the others return only their exit status.
+struct measured {
+    std::optional<runtime::result_writer> results{};
+    std::size_t points = 0;
+    std::size_t tasks = 0;
+    std::size_t jobs = 1;
+    std::uint64_t events = 0;  ///< > 0 adds an events/s figure to the summary
+    int status = 0;            ///< the process exit status
+};
+
+/// One row of the experiment table: `flags` are the flags it reads besides
+/// `--csv` (jobs, seed, json and its own, such as fault-seed).
+struct experiment {
+    const char* id;
+    const char* title;
+    std::vector<std::string> flags;
+    measured (*run)(const bench_options&);
+};
+
+/// `mmtag_bench ID [--flags]`: runs experiment ID from `experiments`. No argument
+/// or `help` lists one `ID  title` line per experiment. An unknown ID exits 2.
+/// The driver prints the banner, times the run, writes the result file and
+/// prints the summary line. A std::invalid_argument out of the experiment is
+/// a well-formed value the library rejects (R22 `--rounds 0`); like a
+/// malformed flag it prints one `error:` line and exits 2. Any other
+/// exception escapes.
+inline int run(int argc, char** argv, std::span<const experiment> experiments)
 {
-    if (csv) return;
-    std::printf("\n=== %s: %s ===\n\n", id, title);
+    const std::string id = argc > 1 ? argv[1] : "help";
+    if (id == "help") {
+        for (const auto& entry : experiments) std::printf("%-3s  %s\n", entry.id, entry.title);
+        return 0;
+    }
+    const auto entry = std::find_if(experiments.begin(), experiments.end(),
+                                    [&](const experiment& e) { return id == e.id; });
+    if (entry == experiments.end()) {
+        std::fprintf(stderr, "error: unknown experiment '%s' (mmtag_bench help lists them)\n",
+                     id.c_str());
+        return 2;
+    }
+    auto opts = bench_options::parse(argc - 1, argv + 1, entry->flags);
+    opts.id = entry->id;
+    opts.title = entry->title;
+    if (!opts.csv) std::printf("\n=== %s: %s ===\n\n", entry->id, entry->title);
+
+    const auto start = std::chrono::steady_clock::now();
+    measured out;
+    try {
+        out = entry->run(opts);
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
+    }
+    const double wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    if (!out.results) return out.status;
+
+    const auto written = out.results->write(opts.json_path, wall_s, out.jobs,
+                                            runtime::per_second(out.tasks, wall_s));
+    if (!opts.csv) {
+        std::string summary = runtime::summary_line(out.points, out.tasks, wall_s, out.jobs);
+        if (out.events > 0) {
+            summary += fmt(", %.0f events/s", runtime::per_second(out.events, wall_s));
+        }
+        std::printf("\n%s\n", summary.c_str());
+        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
+    }
+    return out.status;
 }
 
 } // namespace mmtag::bench

@@ -5,11 +5,13 @@
 #
 # Usage: scripts/golden_outputs.sh BUILD_DIR OUT_DIR
 #
-# BUILD_DIR is a configured and built tree (tools/, bench/, examples/).
+# BUILD_DIR is a configured and built tree (tools/, bench/mmtag_bench, examples/).
 # OUT_DIR receives:
-#   bench/RNN.csv       R1-R23 `--csv` stdout
-#   json/RNN.json       R4/R5/R10/R21/R22/R23 result JSON without its "run"
-#                       section (git, wall time, jobs, host)
+#   bench/RNN.csv       `mmtag_bench ID --csv` stdout of every experiment
+#                       that `mmtag_bench help` lists
+#   json/RNN.json       the result JSON, without its "run" section (git, wall
+#                       time, jobs, host), of each experiment that reads
+#                       --json (R4/R5/R10/R21/R22/R23)
 #   cli/NAME.txt        stdout of the CLI subcommands, and json/NAME.json for
 #                       the ones that write a result file
 #   examples/NAME.txt   stdout of the examples
@@ -48,12 +50,16 @@ with open(sys.argv[2], "w") as f:
 EOF
 }
 
-for bench in "$build"/bench/bench_r*; do
-  id="$(basename "$bench" | sed -E 's/^bench_(r[0-9]+)_.*/\1/' | tr r R)"
-  "$bench" --csv --json "results/$id.json" | untimed > "$out/bench/$id.csv"
-done
-for id in R04 R05 R10 R21 R22 R23; do
-  strip_run "results/$id.json" "$out/json/$id.json"
+bench="$build/bench/mmtag_bench"
+json_ids=" R4 R5 R10 R21 R22 R23 "
+for id in $("$bench" help | awk '{ print $1 }'); do
+  name="$(printf 'R%02d' "${id#R}")"
+  if [[ "$json_ids" == *" $id "* ]]; then
+    "$bench" "$id" --csv --json "results/$name.json" | untimed > "$out/bench/$name.csv"
+    strip_run "results/$name.json" "$out/json/$name.json"
+  else
+    "$bench" "$id" --csv | untimed > "$out/bench/$name.csv"
+  fi
 done
 
 sim="$build/tools/mmtag_sim"

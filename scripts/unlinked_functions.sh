@@ -3,9 +3,10 @@
 #
 # Usage: scripts/unlinked_functions.sh BUILD_DIR
 #
-# Builds the library and every entry point (tools/mmtag_sim, bench/*, and
-# perfbench configured from perfbench/) into BUILD_DIR at -O0 -fno-inline
-# with one section per function, links with --gc-sections, and prints each
+# Builds the library and every entry point (tools/mmtag_sim, the two bench
+# binaries mmtag_bench and bench_perf_kernels, and perfbench configured from
+# perfbench/) into BUILD_DIR at -O0 -fno-inline with one section per
+# function, links with --gc-sections, and prints each
 # mmtag:: function defined in libmmtag's objects that no linked binary keeps.
 # Neither the test binary nor the examples are entry points: an example may
 # use only library code that the CLI, a bench or perfbench also links. Names
@@ -29,8 +30,7 @@ configure() {
     -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" > "$2.configure.log"
 }
 
-benches=()
-for src in "$root"/bench/bench_*.cpp; do benches+=("$(basename "$src" .cpp)"); done
+benches=(mmtag_bench bench_perf_kernels)
 
 configure "$root" "$build/main"
 cmake --build "$build/main" -j "$(nproc)" --target mmtag mmtag_sim "${benches[@]}" \

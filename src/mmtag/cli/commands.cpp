@@ -223,6 +223,7 @@ int run_inventory(const option_set& options)
     const auto seeds = static_cast<std::size_t>(options.get_uint("seeds", 10));
     const double success = options.get_double("success", 0.98);
     reject_leftovers(options);
+    if (tag_count == 0) throw std::invalid_argument("--tags must be >= 1");
     if (seeds == 0) throw std::invalid_argument("--seeds must be >= 1");
 
     mac::aloha_config cfg;
@@ -324,8 +325,7 @@ int run_faults(const option_set& options)
             sup_trials[trial] =
                 core::run_supervised_link(link, injector, task_cfg, frames, payload);
         } else {
-            base_trials[trial] =
-                core::run_baseline_link(link, injector, 8, frames, payload);
+            base_trials[trial] = core::run_baseline_link(link, injector, frames, payload);
         }
     });
     const double wall_s =

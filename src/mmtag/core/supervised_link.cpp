@@ -11,6 +11,9 @@ namespace mmtag::core {
 
 namespace {
 
+/// Retransmissions per frame of the supervisor-off baseline.
+constexpr std::size_t baseline_max_retries = 8;
+
 ap::supervised_report run(link_simulator& link, fault::fault_injector* faults,
                           const ap::supervisor_config& cfg, std::size_t frames,
                           std::size_t payload_bytes)
@@ -75,15 +78,14 @@ ap::supervised_report run_supervised_link(link_simulator& link,
 }
 
 ap::supervised_report run_baseline_link(link_simulator& link,
-                                        fault::fault_injector* faults,
-                                        std::size_t max_retries, std::size_t frames,
+                                        fault::fault_injector* faults, std::size_t frames,
                                         std::size_t payload_bytes)
 {
     // Supervision disabled: the streak threshold is unreachable, so no
     // outage is ever declared, no backoff is inserted, the rate never
     // falls back, and the watchdog never reacquires.
     ap::supervisor_config cfg;
-    cfg.arq.max_retries = max_retries;
+    cfg.arq.max_retries = baseline_max_retries;
     cfg.arq.initial_backoff_s = 0.0;
     cfg.outage_streak = std::numeric_limits<std::size_t>::max();
     cfg.rate_fallback = false;

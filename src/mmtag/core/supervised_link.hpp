@@ -26,11 +26,10 @@ namespace mmtag::core {
                                                         std::size_t payload_bytes);
 
 /// Supervisor-off baseline: the same traffic and fault exposure, but plain
-/// stop-and-wait ARQ at the fixed configured rate — no backoff, no MCS
-/// fallback, no watchdog, so a persistent fault is a goodput cliff.
+/// stop-and-wait ARQ (8 retries) at the fixed configured rate — no backoff,
+/// no MCS fallback, no watchdog, so a persistent fault is a goodput cliff.
 [[nodiscard]] ap::supervised_report run_baseline_link(link_simulator& link,
                                                       fault::fault_injector* faults,
-                                                      std::size_t max_retries,
                                                       std::size_t frames,
                                                       std::size_t payload_bytes);
 

@@ -1,10 +1,19 @@
 #include "mmtag/fault/multi_tag_faults.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <stdexcept>
 
 namespace mmtag::fault {
+
+namespace {
+
+// Cap on the expected storm count and on the brownout onsets per tag, as
+// fault_schedule caps its events: the soak and DES defaults stay in the tens.
+constexpr double max_expected_events = 1e6;
+
+} // namespace
 
 multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_count,
                                std::size_t faulted_count, std::uint64_t seed)
@@ -15,21 +24,31 @@ multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_coun
     if (faulted_count > tag_count) {
         throw std::invalid_argument("multi_tag_plan: faulted_count > tag_count");
     }
-    if (cfg.horizon_s <= 0.0) {
-        throw std::invalid_argument("multi_tag_plan: horizon must be > 0");
+    // Each check is written so that NaN fails it.
+    if (!(cfg.horizon_s > 0.0) || !std::isfinite(cfg.horizon_s)) {
+        throw std::invalid_argument("multi_tag_plan: horizon must be finite and > 0");
     }
     if (!(cfg.active_fraction > 0.0 && cfg.active_fraction <= 1.0)) {
         throw std::invalid_argument("multi_tag_plan: active_fraction must be in (0, 1]");
     }
-    if (cfg.storm_rate_hz < 0.0 || cfg.background_rate_hz < 0.0 ||
-        cfg.brownout_period_s < 0.0) {
-        throw std::invalid_argument("multi_tag_plan: negative rate or period");
+    for (const double value :
+         {cfg.storm_rate_hz, cfg.background_rate_hz, cfg.brownout_period_s}) {
+        if (!(value >= 0.0) || !std::isfinite(value)) {
+            throw std::invalid_argument("multi_tag_plan: rate or period not finite and >= 0");
+        }
     }
     if (cfg.storm_rate_hz > 0.0 && cfg.storm_span == 0) {
         throw std::invalid_argument("multi_tag_plan: storm_span must be >= 1");
     }
-
     const double active_end = cfg.horizon_s * cfg.active_fraction;
+    if (!(cfg.storm_rate_hz * active_end <= max_expected_events)) {
+        throw std::invalid_argument("multi_tag_plan: storm rate x active window above 1e6");
+    }
+    if (cfg.brownout_period_s > 0.0 &&
+        !(active_end / cfg.brownout_period_s <= max_expected_events)) {
+        throw std::invalid_argument("multi_tag_plan: brownout onsets per tag above 1e6");
+    }
+
     std::vector<std::vector<fault_event>> events(tag_count);
 
     std::mt19937_64 rng(seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL);

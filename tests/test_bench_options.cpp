@@ -1,34 +1,38 @@
-// bench_util flag parsing: the strict numeric contract. strtoull would
-// happily wrap "--jobs -1" to 2^64-1 and truncate "--seed 1e3" to 1; the
-// parser must instead print one error line and exit(2). The same holds for
-// a flag that is neither common nor one of the bench's named extras.
+// The bench driver's flag contract. strtoull would happily wrap "--jobs -1"
+// to 2^64-1 and truncate "--seed 1e3" to 1; the parser must instead print one
+// error line and exit(2). The same holds for a flag the experiment does not
+// list, and for an unknown experiment id. The driver is exercised on a small
+// fake table, so none of the real experiments is linked here.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "../bench/bench_util.hpp"
+#include "mmtag/runtime/json_io.hpp"
 
 namespace mmtag::bench {
 namespace {
 
 /// Runs bench_options::parse over a brace-list of flags (argv[0] included),
-/// for a bench whose extras are `--trials`, `--snr-db` and `--verbose`.
-bench_options parse_flags(std::vector<std::string> flags)
+/// for an experiment that reads the flags `reads`.
+bench_options parse_flags(const std::vector<std::string>& reads, std::vector<std::string> flags)
 {
     flags.insert(flags.begin(), "bench_test");
     std::vector<char*> argv;
     argv.reserve(flags.size());
     for (auto& flag : flags) argv.push_back(flag.data());
-    return bench_options::parse(static_cast<int>(argv.size()), argv.data(),
-                                {"trials", "snr-db", "verbose"});
+    return bench_options::parse(static_cast<int>(argv.size()), argv.data(), reads);
 }
 
 TEST(bench_options, parses_well_formed_flags)
 {
     const auto opts = parse_flags(
+        {"jobs", "seed", "json", "trials", "snr-db", "verbose"},
         {"--csv", "--jobs", "4", "--seed", "99", "--json", "out.json",
          "--trials", "250", "--snr-db", "-2.5", "--verbose"});
     EXPECT_TRUE(opts.csv);
@@ -42,72 +46,89 @@ TEST(bench_options, parses_well_formed_flags)
 
 TEST(bench_options_death, negative_jobs_exits_with_code_2)
 {
-    EXPECT_EXIT(parse_flags({"--jobs", "-1"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse_flags({"jobs"}, {"--jobs", "-1"}), testing::ExitedWithCode(2),
                 "--jobs expects a non-negative integer");
 }
 
 TEST(bench_options_death, scientific_notation_seed_exits)
 {
-    EXPECT_EXIT(parse_flags({"--seed", "1e3"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse_flags({"seed"}, {"--seed", "1e3"}), testing::ExitedWithCode(2),
                 "--seed expects a non-negative integer");
 }
 
 TEST(bench_options_death, trailing_junk_in_extra_u64_exits)
 {
-    const auto opts = parse_flags({"--trials", "12x"});
+    const auto opts = parse_flags({"trials"}, {"--trials", "12x"});
     EXPECT_EXIT((void)opts.extra_u64("trials", 1), testing::ExitedWithCode(2),
                 "--trials expects a non-negative integer");
 }
 
 TEST(bench_options_death, overflowing_u64_exits)
 {
-    EXPECT_EXIT(parse_flags({"--seed", "99999999999999999999999999"}),
+    EXPECT_EXIT(parse_flags({"seed"}, {"--seed", "99999999999999999999999999"}),
                 testing::ExitedWithCode(2),
                 "--seed expects a non-negative integer");
 }
 
 TEST(bench_options_death, missing_value_exits)
 {
-    EXPECT_EXIT(parse_flags({"--json"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse_flags({"json"}, {"--json"}), testing::ExitedWithCode(2),
                 "--json needs a value");
 }
 
 TEST(bench_options, named_extras_need_not_be_read_at_parse)
 {
-    const auto opts = parse_flags({"--trials", "3", "--csv"});
+    const auto opts = parse_flags({"trials"}, {"--trials", "3", "--csv"});
     EXPECT_TRUE(opts.csv);
     EXPECT_EQ(opts.extra_u64("trials", 1), 3u);
 }
 
 TEST(bench_options_death, unknown_flag_exits)
 {
-    EXPECT_EXIT(parse_flags({"--jobz", "4", "--csv"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse_flags({"jobs"}, {"--jobz", "4", "--csv"}), testing::ExitedWithCode(2),
                 "unknown option --jobz");
+    // --jobs, --seed and --json are accepted only where they are read; only
+    // --csv is common to every experiment.
+    EXPECT_EXIT(parse_flags({}, {"--csv", "--jobs", "4"}), testing::ExitedWithCode(2),
+                "^error: unknown option --jobs\n$");
+    EXPECT_EXIT(parse_flags({"jobs", "json"}, {"--seed", "9"}), testing::ExitedWithCode(2),
+                "^error: unknown option --seed\n$");
+    EXPECT_EXIT(parse_flags({"fault-seed"}, {"--json", "x.json"}), testing::ExitedWithCode(2),
+                "^error: unknown option --json\n$");
 }
 
 TEST(bench_options_death, unexpected_positional_exits)
 {
-    EXPECT_EXIT(parse_flags({"stray"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse_flags({}, {"stray"}), testing::ExitedWithCode(2),
                 "unexpected argument 'stray'");
 }
 
-/// Runs bench::run over a brace-list of flags with `experiment` as the body.
-template <typename Experiment>
-int run_flags(std::vector<std::string> flags, Experiment experiment)
+/// Runs the driver over a one-experiment table: `FAKE` reads `--trials` and
+/// has `body` as its function. `args` starts with the experiment id.
+int run_flags(std::vector<std::string> args, measured (*body)(const bench_options&))
 {
-    flags.insert(flags.begin(), "bench_test");
+    const experiment table[] = {{"FAKE", "a fake experiment", {"trials"}, body}};
+    args.insert(args.begin(), "mmtag_bench");
     std::vector<char*> argv;
-    argv.reserve(flags.size());
-    for (auto& flag : flags) argv.push_back(flag.data());
-    return run(static_cast<int>(argv.size()), argv.data(), experiment, {"trials"});
+    argv.reserve(args.size());
+    for (auto& arg : args) argv.push_back(arg.data());
+    return run(static_cast<int>(argv.size()), argv.data(), table);
+}
+
+/// An experiment body that leaves a mark on stderr, so a death test can
+/// tell whether it ran.
+measured marks_stderr(const bench_options&)
+{
+    std::fprintf(stderr, "experiment ran\n");
+    return {};
 }
 
 TEST(bench_options_death, library_rejection_in_the_bench_body_exits_with_code_2)
 {
     // A well-formed flag whose value the library rejects, e.g.
-    // bench_r22_network_soak --rounds 0: one error line, then exit 2.
-    EXPECT_EXIT(std::exit(run_flags({"--trials", "0"},
-                                    [](const bench_options&) -> int {
+    // mmtag_bench R22 --rounds 0: one error line, then exit 2.
+    EXPECT_EXIT(std::exit(run_flags({"FAKE", "--trials", "0"},
+                                    [](const bench_options&) -> measured {
                                         throw std::invalid_argument(
                                             "run_soak: rounds must be >= 1");
                                     })),
@@ -116,28 +137,89 @@ TEST(bench_options_death, library_rejection_in_the_bench_body_exits_with_code_2)
 
 TEST(bench_options_death, partial_double_in_extra_exits)
 {
-    // A bench reads a numeric extra in its body through flags.get_double;
-    // bench::run turns the parse error into one error line and exit 2.
-    EXPECT_EXIT(std::exit(run_flags({"--trials", "3.x"},
+    // An experiment reads a numeric flag in its body through flags.get_double;
+    // the driver turns the parse error into one error line and exit 2.
+    EXPECT_EXIT(std::exit(run_flags({"FAKE", "--trials", "3.x"},
                                     [](const bench_options& opts) {
-                                        return static_cast<int>(
-                                            opts.flags.get_double("trials", 1.0));
+                                        return measured{.status = static_cast<int>(
+                                                            opts.flags.get_double("trials", 1.0))};
                                     })),
                 testing::ExitedWithCode(2), "^error: --trials expects a number, got '3.x'\n$");
 }
 
 TEST(bench_options, run_returns_the_experiment_status_and_lets_other_errors_escape)
 {
-    EXPECT_EQ(run_flags({"--trials", "3"},
+    EXPECT_EQ(run_flags({"FAKE", "--csv", "--trials", "3"},
                         [](const bench_options& opts) {
-                            return static_cast<int>(opts.extra_u64("trials", 1));
+                            return measured{
+                                .status = static_cast<int>(opts.extra_u64("trials", 1))};
                         }),
               3);
-    EXPECT_THROW(run_flags({},
-                           [](const bench_options&) -> int {
+    EXPECT_THROW(run_flags({"FAKE", "--csv"},
+                           [](const bench_options&) -> measured {
                                throw std::runtime_error("disk on fire");
                            }),
                  std::runtime_error);
+}
+
+TEST(bench_options_death, a_rejected_flag_stops_the_driver_before_the_experiment_runs)
+{
+    EXPECT_EXIT(std::exit(run_flags({"FAKE", "--jobs", "4"}, marks_stderr)),
+                testing::ExitedWithCode(2), "^error: unknown option --jobs\n$");
+    EXPECT_EXIT(std::exit(run_flags({"FAKE", "--csv=maybe"}, marks_stderr)),
+                testing::ExitedWithCode(2), "^error: --csv is a flag; got 'maybe'\n$");
+}
+
+TEST(bench_driver, unknown_experiment_exits_2_with_one_error_line)
+{
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_flags({"R99", "--csv"}, marks_stderr), 2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "error: unknown experiment 'R99' (mmtag_bench help lists them)\n");
+}
+
+TEST(bench_driver, help_and_no_argument_list_the_table)
+{
+    for (const auto& args : {std::vector<std::string>{"help"}, std::vector<std::string>{}}) {
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(run_flags(args, marks_stderr), 0);
+        EXPECT_EQ(testing::internal::GetCapturedStdout(), "FAKE  a fake experiment\n");
+    }
+}
+
+TEST(bench_driver, writes_the_result_file_and_the_summary_line)
+{
+    const auto path = std::filesystem::temp_directory_path() / "mmtag_bench_driver_test.json";
+    std::filesystem::remove(path);
+    const experiment table[] = {
+        {"R0", "a fake JSON experiment", {"json"}, [](const bench_options& opts) {
+             runtime::result_writer results(opts.id, opts.title, {"x"}, 7);
+             auto axis = runtime::json_value::object();
+             axis.set("x", runtime::json_value::number(1.0));
+             results.add_point(std::move(axis), 2, runtime::json_value::object());
+             return measured{.results = std::move(results), .points = 1, .tasks = 2,
+                             .jobs = 1, .events = 10};
+         }}};
+    std::string json = path.string();
+    std::string args[] = {"mmtag_bench", "R0", "--json", json};
+    char* argv[] = {args[0].data(), args[1].data(), args[2].data(), args[3].data()};
+
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(run(4, argv, table), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(out.rfind("\n=== R0: a fake JSON experiment ===\n\n\nsweep: 1 points, 2 trials", 0),
+              0u)
+        << out;
+    EXPECT_NE(out.find(" events/s\nwrote " + json + "\n"), std::string::npos) << out;
+
+    const auto text = runtime::read_text_file(json);
+    ASSERT_TRUE(text.has_value());
+    const auto doc = runtime::parse_json(*text);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->find("id")->as_string(), "R0");
+    EXPECT_EQ(doc->find("title")->as_string(), "a fake JSON experiment");
+    EXPECT_EQ(doc->find("points")->size(), 1u);
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -445,6 +445,14 @@ TEST(commands, faults_rejects_zero_payload)
     EXPECT_EQ(errors.rfind("error: --payload must be >= 1\n", 0), 0u) << errors;
 }
 
+TEST(commands, inventory_rejects_zero_tags)
+{
+    // Zero tags used to exit 0 and print "mean efficiency 0.000".
+    const auto [code, errors] = dispatch_capturing_errors({"inventory", "--tags", "0"});
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(errors.rfind("error: --tags must be >= 1\n", 0), 0u) << errors;
+}
+
 TEST(commands, faults_rejects_non_finite_fault_rate)
 {
     // An unchecked "inf" or "1e9" appends schedule events until memory runs

@@ -280,4 +280,35 @@ TEST(multi_tag_plan, rejects_degenerate_configurations)
     EXPECT_THROW(multi_tag_plan(cfg, 4, 2, 1), std::invalid_argument);
 }
 
+TEST(multi_tag_plan, rejects_non_finite_and_unbounded_rates_and_periods)
+{
+    // NaN used to pass every check and switch the fault family off. These
+    // come first and are fatal, so an unchecked infinite rate below (which
+    // draws zero-length storm gaps forever) is never reached.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double multi_tag_config::*field :
+         {&multi_tag_config::horizon_s, &multi_tag_config::storm_rate_hz,
+          &multi_tag_config::background_rate_hz, &multi_tag_config::brownout_period_s}) {
+        multi_tag_config cfg = plan_config();
+        cfg.*field = nan;
+        ASSERT_THROW(multi_tag_plan(cfg, 4, 2, 1), std::invalid_argument);
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double multi_tag_config::*field :
+         {&multi_tag_config::horizon_s, &multi_tag_config::storm_rate_hz,
+          &multi_tag_config::background_rate_hz, &multi_tag_config::brownout_period_s}) {
+        multi_tag_config cfg = plan_config();
+        cfg.*field = inf;
+        EXPECT_THROW(multi_tag_plan(cfg, 4, 2, 1), std::invalid_argument);
+    }
+    // Finite but above 1e6 expected storms over the 30 ms active window, and
+    // a period so small that the onset count overflows a size_t.
+    multi_tag_config cfg = plan_config();
+    cfg.storm_rate_hz = 1e9;
+    EXPECT_THROW(multi_tag_plan(cfg, 4, 2, 1), std::invalid_argument);
+    cfg = plan_config();
+    cfg.brownout_period_s = 1e-300;
+    EXPECT_THROW(multi_tag_plan(cfg, 4, 2, 1), std::invalid_argument);
+}
+
 } // namespace
