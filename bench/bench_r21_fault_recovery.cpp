@@ -54,7 +54,7 @@ bench::measured bench::r21_fault_recovery(const bench::bench_options& opts)
 {
     constexpr std::size_t frames = 500;
     constexpr std::size_t payload_bytes = 24;
-    const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
+    const std::uint64_t fault_seed = opts.flags.get_uint("fault-seed", 42);
 
     const ap::supervisor_config sup_cfg{};
     const std::size_t cell_count = std::size(kCells);

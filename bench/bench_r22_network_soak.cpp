@@ -26,9 +26,9 @@ bench::measured bench::r22_network_soak(const bench::bench_options& opts)
 {
     constexpr std::size_t tag_count = 6;
     constexpr std::size_t max_faulted = 3;
-    const std::size_t rounds = opts.extra_u64("rounds", 36);
-    const std::size_t trials = opts.extra_u64("trials", 1);
-    const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
+    const std::size_t rounds = opts.flags.get_uint("rounds", 36);
+    const std::size_t trials = opts.flags.get_uint("trials", 1);
+    const std::uint64_t fault_seed = opts.flags.get_uint("fault-seed", 42);
 
     std::vector<net::soak_report> reports;
     runtime::thread_pool pool(opts.jobs);

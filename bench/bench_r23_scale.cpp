@@ -22,10 +22,10 @@ using namespace mmtag;
 bench::measured bench::r23_scale(const bench::bench_options& opts)
 {
     const std::vector<std::size_t> tag_counts{100, 300, 1000, 3000, 10000};
-    const std::size_t aps = opts.extra_u64("aps", 4);
-    const std::size_t frames = opts.extra_u64("frames", 30);
-    const std::size_t trials = opts.extra_u64("trials", 1);
-    const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
+    const std::size_t aps = opts.flags.get_uint("aps", 4);
+    const std::size_t frames = opts.flags.get_uint("frames", 30);
+    const std::size_t trials = opts.flags.get_uint("trials", 1);
+    const std::uint64_t fault_seed = opts.flags.get_uint("fault-seed", 42);
 
     std::vector<scale::scale_result> results_per_point;
     std::size_t jobs_used = 1;

@@ -1,5 +1,8 @@
-// The experiments R1..R23, one per bench_rNN_*.cpp; mmtag_bench.cpp lists them.
+// The experiments R1..R23, one per bench_rNN_*.cpp, and experiments(), their
+// table (experiments.cpp).
 #pragma once
+
+#include <span>
 
 #include "bench_util.hpp"
 
@@ -28,5 +31,8 @@ measured r20_sampled_inventory(const bench_options& opts);
 measured r21_fault_recovery(const bench_options& opts);
 measured r22_network_soak(const bench_options& opts);
 measured r23_scale(const bench_options& opts);
+
+/// mmtag_bench's table, one row per experiment.
+[[nodiscard]] std::span<const cli::command> experiments();
 
 } // namespace mmtag::bench

@@ -52,7 +52,7 @@ EOF
 
 bench="$build/bench/mmtag_bench"
 json_ids=" R4 R5 R10 R21 R22 R23 "
-for id in $("$bench" help | awk '{ print $1 }'); do
+for id in $("$bench" help | awk '!/^ / { print $1 }'); do
   name="$(printf 'R%02d' "${id#R}")"
   if [[ "$json_ids" == *" $id "* ]]; then
     "$bench" "$id" --csv --json "results/$name.json" | untimed > "$out/bench/$name.csv"

@@ -10,7 +10,7 @@ bench="$build_dir/bench/mmtag_bench"
 out_dir="results"
 mkdir -p "$out_dir"
 
-for id in $("$bench" help | awk '{ print $1 }'); do
+for id in $("$bench" help | awk '!/^ / { print $1 }'); do
   echo "== $id"
   if [[ "$format_flag" == "--csv" ]]; then
     "$bench" "$id" --csv > "$out_dir/$id.csv"

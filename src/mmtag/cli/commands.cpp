@@ -30,24 +30,22 @@ namespace mmtag::cli {
 
 namespace {
 
-void reject_leftovers(const option_set& options)
-{
-    const auto leftover = options.unconsumed();
-    if (!leftover.empty()) {
-        throw std::invalid_argument("unknown option --" + leftover.front());
-    }
-}
-
-/// --metrics[=FILE] / --trace=FILE shared by the Monte-Carlo commands.
-struct obs_options {
+/// --jobs N, --json PATH, --metrics[=FILE] and --trace FILE: the flags the
+/// Monte-Carlo commands share. A flag the command's row does not list is
+/// never given, so it reads as its default.
+struct run_options {
+    std::size_t jobs = 0;     ///< 0: all cores
+    std::string json_path;    ///< empty: no result document
     bool metrics = false;
     std::string metrics_path; ///< empty: embed/print only, no standalone file
     std::string trace_path;   ///< empty: tracing off
 };
 
-obs_options parse_obs_options(const option_set& options)
+run_options parse_run_options(const option_set& options, std::uint64_t default_jobs)
 {
-    obs_options out;
+    run_options out;
+    out.jobs = static_cast<std::size_t>(options.get_uint("jobs", default_jobs));
+    out.json_path = options.get_string("json", "");
     // A bare `--metrics` collects and embeds/prints, but writes no file.
     if (const auto path = options.get_flag_or_string("metrics")) {
         out.metrics = true;
@@ -55,20 +53,6 @@ obs_options parse_obs_options(const option_set& options)
     }
     out.trace_path = options.get_string("trace", "");
     return out;
-}
-
-/// --jobs N / --json PATH on top of the obs options: the commands that fan
-/// trials out over the pool and write a result document (soak/scale/sweep).
-struct run_options : obs_options {
-    std::size_t jobs = 0;  ///< 0: all cores
-    std::string json_path; ///< empty: no result document
-};
-
-run_options parse_run_options(const option_set& options)
-{
-    return {parse_obs_options(options),
-            static_cast<std::size_t>(options.get_uint("jobs", 0)),
-            options.get_string("json", "")};
 }
 
 /// Starts a trace session scoped to the command when a path was given;
@@ -101,7 +85,7 @@ void write_text_file(const std::string& path, const std::string& text)
 
 /// --metrics: prints the deterministic snapshot after the report, or writes
 /// it to FILE for --metrics=FILE. Does nothing without --metrics.
-void emit_metrics(const obs_options& obs_opts, const obs::metrics_registry& registry)
+void emit_metrics(const run_options& obs_opts, const obs::metrics_registry& registry)
 {
     if (!obs_opts.metrics) return;
     const std::string snapshot =
@@ -113,20 +97,33 @@ void emit_metrics(const obs_options& obs_opts, const obs::metrics_registry& regi
     }
 }
 
+/// Reads --key through `parse`, naming the flag in the error a bad value
+/// raises: "--scheme: unknown modulation 'x' (...)".
+template <typename Parse>
+auto parse_option(const option_set& options, const std::string& key,
+                  const std::string& fallback, Parse parse)
+{
+    const std::string text = options.get_string(key, fallback);
+    try {
+        return parse(text);
+    } catch (const std::invalid_argument& error) {
+        throw std::invalid_argument("--" + key + ": " + error.what());
+    }
+}
+
 /// --scheme/--fec: sets the uplink frame format, which the receiver shares.
 void apply_frame_options(const option_set& options, core::system_config& cfg)
 {
     if (options.has("scheme")) {
-        cfg.modulator.frame.scheme = phy::parse_modulation(options.get_string("scheme", ""));
+        cfg.modulator.frame.scheme = parse_option(options, "scheme", "", phy::parse_modulation);
     }
     if (options.has("fec")) {
-        cfg.modulator.frame.fec = phy::parse_fec(options.get_string("fec", ""));
+        cfg.modulator.frame.fec = parse_option(options, "fec", "", phy::parse_fec);
     }
     cfg.receiver.frame = cfg.modulator.frame;
 }
 
-} // namespace
-
+/// Exit 2: no frame got through.
 int run_link(const option_set& options)
 {
     const std::string preset = options.get_string("preset", "default");
@@ -147,7 +144,6 @@ int run_link(const option_set& options)
     }
     const auto frames = static_cast<std::size_t>(options.get_uint("frames", 10));
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 32));
-    reject_leftovers(options);
     if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
     if (payload == 0) throw std::invalid_argument("--payload must be >= 1");
 
@@ -176,7 +172,6 @@ int run_budget(const option_set& options)
     const double start = options.get_double("start", 0.5);
     const double stop = options.get_double("stop", 10.0);
     const auto points = static_cast<std::size_t>(options.get_uint("points", 8));
-    reject_leftovers(options);
 
     const core::link_budget budget(cfg);
     std::printf("%-10s %-14s %-14s %-10s\n", "range_m", "at_tag_dBm", "at_AP_dBm",
@@ -194,13 +189,13 @@ int run_budget(const option_set& options)
     return 0;
 }
 
+/// Exit 2: the inventory left a tag unidentified.
 int run_network(const option_set& options)
 {
     const auto tag_count = static_cast<std::size_t>(options.get_uint("tags", 20));
     const double max_range = options.get_double("max-range", 8.0);
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 256));
     const std::uint64_t seed = options.get_uint("seed", 1);
-    reject_leftovers(options);
     if (tag_count == 0) throw std::invalid_argument("--tags must be >= 1");
 
     const auto tags = core::uniform_population(tag_count, 1.0, max_range, seed);
@@ -217,12 +212,12 @@ int run_network(const option_set& options)
     return report.inventory.complete() ? 0 : 2;
 }
 
+/// Exit 2: a seed's inventory did not complete.
 int run_inventory(const option_set& options)
 {
     const auto tag_count = static_cast<std::size_t>(options.get_uint("tags", 50));
     const auto seeds = static_cast<std::size_t>(options.get_uint("seeds", 10));
     const double success = options.get_double("success", 0.98);
-    reject_leftovers(options);
     if (tag_count == 0) throw std::invalid_argument("--tags must be >= 1");
     if (seeds == 0) throw std::invalid_argument("--seeds must be >= 1");
 
@@ -248,6 +243,8 @@ int run_inventory(const option_set& options)
     return incomplete == 0 ? 0 : 2;
 }
 
+/// Exit 2 when the supervised arm loses the goodput comparison, 3 when
+/// outages occurred but no recovery completed.
 int run_faults(const option_set& options)
 {
     const double fault_rate = options.get_double("fault-rate", 150.0);
@@ -258,9 +255,7 @@ int run_faults(const option_set& options)
     const std::uint64_t seed = options.get_uint("seed", 11);
     const std::uint64_t fault_seed = options.get_uint("fault-seed", 42);
     const auto trials = static_cast<std::size_t>(options.get_uint("trials", 1));
-    const auto jobs = static_cast<std::size_t>(options.get_uint("jobs", 1));
-    const obs_options obs_opts = parse_obs_options(options);
-    reject_leftovers(options);
+    const run_options obs_opts = parse_run_options(options, 1);
     if (fault_rate < 0.0) throw std::invalid_argument("--fault-rate must be >= 0");
     if (mean_duration_ms <= 0.0) {
         throw std::invalid_argument("--mean-duration must be > 0");
@@ -305,7 +300,7 @@ int run_faults(const option_set& options)
     std::vector<obs::metrics_registry> task_metrics(obs_opts.metrics ? 2 * trials : 0);
     const trace_session trace(obs_opts.trace_path);
     const auto start = std::chrono::steady_clock::now();
-    runtime::thread_pool pool(jobs);
+    runtime::thread_pool pool(obs_opts.jobs);
     pool.parallel_for(2 * trials, [&](std::size_t task) {
         const std::size_t trial = task / 2;
         const bool supervised = task % 2 == 0;
@@ -366,6 +361,7 @@ int run_faults(const option_set& options)
     return sup.goodput_bps >= base.goodput_bps ? 0 : 2;
 }
 
+/// Exit 3 when any invariant fails.
 int run_soak(const option_set& options)
 {
     net::soak_config cfg;
@@ -378,8 +374,7 @@ int run_soak(const option_set& options)
     cfg.fault_seed = options.get_uint("fault-seed", 42);
     cfg.min_range_m = options.get_double("min-range", cfg.min_range_m);
     cfg.max_range_m = options.get_double("max-range", cfg.max_range_m);
-    const run_options obs_opts = parse_run_options(options);
-    reject_leftovers(options);
+    const run_options obs_opts = parse_run_options(options, 0);
 
     std::printf("soak: %zu tags (%zu faulted), %zu rounds x %zu trials, "
                 "seed %llu, fault seed %llu\n",
@@ -430,7 +425,7 @@ int run_scale(const option_set& options)
     scale::scale_config cfg;
     cfg.topology.tag_count = static_cast<std::size_t>(options.get_uint("tags", 1000));
     cfg.topology.ap_count = static_cast<std::size_t>(options.get_uint("aps", 4));
-    cfg.topology.layout = scale::parse_layout(options.get_string("layout", "grid"));
+    cfg.topology.layout = parse_option(options, "layout", "grid", scale::parse_layout);
     cfg.topology.floor_m = options.get_double("floor", cfg.topology.floor_m);
     cfg.frames = static_cast<std::size_t>(options.get_uint("frames", 50));
     cfg.payload_bytes = static_cast<std::size_t>(options.get_uint("payload", 16));
@@ -440,8 +435,7 @@ int run_scale(const option_set& options)
     cfg.fault_seed = options.get_uint("fault-seed", 42);
     cfg.trials = static_cast<std::size_t>(options.get_uint("trials", 1));
     cfg.scenario = core::fast_scenario();
-    const run_options obs_opts = parse_run_options(options);
-    reject_leftovers(options);
+    const run_options obs_opts = parse_run_options(options, 0);
 
     std::printf("scale: %zu tags, %zu APs (%s layout), %zu rounds x %zu trials, "
                 "seed %llu, fault seed %llu (%zu tags faulted)\n",
@@ -485,8 +479,6 @@ int run_scale(const option_set& options)
     return 0;
 }
 
-namespace {
-
 /// Sweep aggregate pairing the link report with the trial's observability
 /// registry, so metrics ride the same pre-allocated-slot + ordered-fold path
 /// as the report itself (and stay --jobs-invariant for free).
@@ -501,8 +493,6 @@ struct observed_report {
     }
 };
 
-} // namespace
-
 int run_sweep(const option_set& options)
 {
     const double start_m = options.get_double("start", 1.0);
@@ -512,14 +502,14 @@ int run_sweep(const option_set& options)
     const auto frames = static_cast<std::size_t>(options.get_uint("frames", 6));
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 32));
     const std::uint64_t seed = options.get_uint("seed", 1);
-    const run_options obs_opts = parse_run_options(options);
+    const run_options obs_opts = parse_run_options(options, 0);
 
     auto cfg = core::fast_scenario();
     apply_frame_options(options, cfg);
-    reject_leftovers(options);
     if (points == 0) throw std::invalid_argument("--points must be >= 1");
     if (trials == 0) throw std::invalid_argument("--trials must be >= 1");
     if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
+    if (payload == 0) throw std::invalid_argument("--payload must be >= 1");
     if (stop_m < start_m) throw std::invalid_argument("--stop must be >= --start");
 
     const auto distance_at = [&](std::size_t point) {
@@ -591,70 +581,45 @@ int run_sweep(const option_set& options)
     return 0;
 }
 
-const char* usage()
+} // namespace
+
+std::span<const command> commands()
 {
-    return "usage: mmtag_sim <command> [--key value ...]\n"
-           "\n"
-           "commands:\n"
-           "  link       end-to-end single-link simulation\n"
-           "             --distance M --angle DEG --scheme bpsk|qpsk|8psk|16psk\n"
-           "             --fec none|1/2|2/3|3/4 --frames N --payload BYTES\n"
-           "             --reflector van-atta|plate --k-factor DB --seed S\n"
-           "  budget     analytic link budget sweep\n"
-           "             --start M --stop M --points N --tx-power DBM --elements N\n"
-           "  network    inventory + TDMA over a random population\n"
-           "             --tags N --max-range M --payload BYTES --seed S\n"
-           "  inventory  slotted-ALOHA statistics\n"
-           "             --tags N --seeds N --success P\n"
-           "  faults     fault-injected link, supervisor on vs off\n"
-           "             --fault-rate HZ --mean-duration MS --frames N\n"
-           "             --payload BYTES --distance M --seed S --fault-seed S\n"
-           "             --trials N --jobs N (0 = auto)\n"
-           "             --metrics[=FILE] --trace FILE\n"
-           "  soak       chaos soak: network supervisor vs multi-tag faults,\n"
-           "             invariant-checked (exit 3 on any failure)\n"
-           "             --tags N --faulted N --rounds N --payload BYTES\n"
-           "             --trials N --seed S --fault-seed S --min-range M\n"
-           "             --max-range M --jobs N (0 = auto)\n"
-           "             --json PATH --metrics[=FILE] --trace FILE\n"
-           "  scale      PHY-abstracted discrete-event network simulation\n"
-           "             --tags N --aps N --layout grid|poisson|clustered\n"
-           "             --floor M --frames N --payload BYTES --faulted N --seed S\n"
-           "             --fault-seed S --trials N --jobs N (0 = auto)\n"
-           "             --json PATH --metrics[=FILE] --trace FILE\n"
-           "  sweep      parallel BER/goodput vs distance Monte-Carlo sweep\n"
-           "             --start M --stop M --points N --trials N --frames N\n"
-           "             --payload BYTES --scheme MOD --fec MODE --seed S\n"
-           "             --jobs N (0 = auto) --json PATH\n"
-           "             --metrics[=FILE] (observability counters/histograms;\n"
-           "             embedded in --json output, schema result/2)\n"
-           "             --trace FILE (Chrome trace_event JSON)\n"
-           "  help       this text\n";
+    static const command table[] = {
+        {"link", "end-to-end single-link simulation",
+         {"preset", "distance", "angle", "scheme", "fec", "frames", "payload", "seed",
+          "reflector", "k-factor"},
+         run_link},
+        {"budget", "analytic link budget sweep",
+         {"start", "stop", "points", "tx-power", "elements"}, run_budget},
+        {"network", "inventory + TDMA over a random population",
+         {"tags", "max-range", "payload", "seed"}, run_network},
+        {"inventory", "slotted-ALOHA statistics", {"tags", "seeds", "success"}, run_inventory},
+        {"faults", "fault-injected link, supervisor on vs off",
+         {"fault-rate", "mean-duration", "frames", "payload", "distance", "seed", "fault-seed",
+          "trials", "jobs", "metrics", "trace"},
+         run_faults},
+        {"soak", "chaos soak: network supervisor vs multi-tag faults, invariant-checked",
+         {"tags", "faulted", "rounds", "payload", "trials", "seed", "fault-seed", "min-range",
+          "max-range", "jobs", "json", "metrics", "trace"},
+         run_soak},
+        {"scale", "PHY-abstracted discrete-event network simulation",
+         {"tags", "aps", "layout", "floor", "frames", "payload", "faulted", "seed", "fault-seed",
+          "trials", "jobs", "json", "metrics", "trace"},
+         run_scale},
+        {"sweep", "parallel BER/goodput vs distance Monte-Carlo sweep",
+         {"start", "stop", "points", "trials", "frames", "payload", "scheme", "fec", "seed",
+          "jobs", "json", "metrics", "trace"},
+         run_sweep},
+    };
+    return table;
 }
 
 int dispatch(int argc, const char* const* argv)
 {
-    try {
-        const auto options = option_set::parse(argc, argv);
-        if (options.command() == "link") return run_link(options);
-        if (options.command() == "budget") return run_budget(options);
-        if (options.command() == "network") return run_network(options);
-        if (options.command() == "inventory") return run_inventory(options);
-        if (options.command() == "faults") return run_faults(options);
-        if (options.command() == "soak") return run_soak(options);
-        if (options.command() == "scale") return run_scale(options);
-        if (options.command() == "sweep") return run_sweep(options);
-        if (options.command() == "help") {
-            std::printf("%s", usage());
-            return 0;
-        }
-        std::fprintf(stderr, "unknown command '%s'\n%s", options.command().c_str(),
-                     usage());
-        return 1;
-    } catch (const std::exception& error) {
-        std::fprintf(stderr, "error: %s\n%s", error.what(), usage());
-        return 1;
-    }
+    return run(argc, argv, commands(),
+               {.program = "mmtag_sim", .noun = "command", .bad_input_status = 1,
+                .no_argument_status = 1});
 }
 
 } // namespace mmtag::cli

@@ -1,67 +1,19 @@
-// Subcommand implementations for the mmtag_sim tool. Each returns a process
-// exit code and prints to stdout; errors print to stderr via the caller.
+// The mmtag_sim commands. Each row of commands() names the flags its
+// command reads; `mmtag_sim help` lists them.
 #pragma once
 
-#include "mmtag/cli/options.hpp"
+#include <span>
+
+#include "mmtag/cli/driver.hpp"
 
 namespace mmtag::cli {
 
-/// `link`: run the end-to-end single-link simulation.
-/// Options: --distance (m), --angle (deg), --scheme, --fec, --frames,
-/// --payload (bytes), --seed, --reflector (van-atta|plate), --k-factor (dB).
-int run_link(const option_set& options);
+/// mmtag_sim's table: link, budget, network, inventory, faults, soak, scale
+/// and sweep. Each command prints to stdout and returns its exit status.
+[[nodiscard]] std::span<const command> commands();
 
-/// `budget`: print the analytic link budget.
-/// Options: --start, --stop, --points, --tx-power (dBm), --elements.
-int run_budget(const option_set& options);
-
-/// `network`: inventory + TDMA over a random population.
-/// Options: --tags, --max-range (m), --payload (bytes), --seed.
-int run_network(const option_set& options);
-
-/// `inventory`: slotted-ALOHA statistics only.
-/// Options: --tags, --seeds, --success (per-slot PHY success probability).
-int run_inventory(const option_set& options);
-
-/// `faults`: fault-injected link, supervisor on vs off. Runs on the
-/// parallel Monte-Carlo runtime: both arms and every fault-seed trial fan
-/// out across the thread pool with deterministic reduction. Returns 0 on
-/// success, 2 when the supervised arm loses the goodput comparison, 3 when
-/// outages occurred but no recovery ever completed.
-/// Options: --fault-rate (events/s), --mean-duration (ms), --frames,
-/// --payload (bytes), --distance (m), --seed, --fault-seed, --trials,
-/// --jobs (0 = auto).
-int run_faults(const option_set& options);
-
-/// `soak`: chaos soak — network supervisor over a multi-tag population under
-/// seeded fault schedules, faulted vs fault-free reference arm per trial on
-/// the parallel runtime, resilience invariants checked on the trace.
-/// Returns 0 when every invariant holds, 3 when any fails.
-/// Options: --tags, --faulted, --rounds, --payload (bytes), --trials,
-/// --seed, --fault-seed, --jobs (0 = auto), --json (path),
-/// --metrics[=FILE], --trace FILE.
-int run_soak(const option_set& options);
-
-/// `scale`: PHY-abstracted discrete-event simulation of a multi-AP,
-/// thousand-tag network. Loads (or calibrates and caches) the per-MCS
-/// PER-vs-SINR table, builds a seeded deployment, and runs the
-/// deterministic DES with per-AP supervisors and multi-tag faults.
-/// Options: --tags, --aps, --layout (grid|poisson|clustered), --frames,
-/// --payload (bytes), --faulted, --seed, --fault-seed, --trials,
-/// --jobs (0 = auto), --json (path), --metrics[=FILE], --trace FILE.
-int run_scale(const option_set& options);
-
-/// `sweep`: BER/goodput vs distance Monte-Carlo sweep on the parallel
-/// runtime; prints the per-point table plus a one-line speedup summary.
-/// Options: --start, --stop, --points, --trials, --frames, --payload,
-/// --scheme, --fec, --seed, --jobs (0 = auto), --json (path).
-int run_sweep(const option_set& options);
-
-/// Usage text for `help` / errors.
-[[nodiscard]] const char* usage();
-
-/// Dispatches to a subcommand; returns the exit code. Unknown commands and
-/// option errors print to stderr and return nonzero.
+/// mmtag_sim's front end: the driver over commands(). Bad input, and a run
+/// with no argument, exit 1.
 int dispatch(int argc, const char* const* argv);
 
 } // namespace mmtag::cli

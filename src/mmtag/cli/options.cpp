@@ -14,20 +14,7 @@ option_set option_set::parse(int argc, const char* const* argv)
         throw std::invalid_argument("first argument must be a subcommand, got '" +
                                     out.command_ + "'");
     }
-    out.parse_options(2, argc, argv);
-    return out;
-}
-
-option_set option_set::parse_flags(int argc, const char* const* argv)
-{
-    option_set out;
-    out.parse_options(1, argc, argv);
-    return out;
-}
-
-void option_set::parse_options(int first, int argc, const char* const* argv)
-{
-    for (int i = first; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         std::string token = argv[i];
         if (token.rfind("--", 0) != 0 || token.size() <= 2) {
             throw std::invalid_argument("unexpected argument '" + token + "'");
@@ -41,11 +28,12 @@ void option_set::parse_options(int first, int argc, const char* const* argv)
         } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
             value = argv[++i];
         }
-        if (values_.count(token) != 0) {
+        if (out.values_.count(token) != 0) {
             throw std::invalid_argument("duplicate option --" + token);
         }
-        values_[token] = std::move(value);
+        out.values_[token] = std::move(value);
     }
+    return out;
 }
 
 const std::string* option_set::value_of(const std::string& key) const

@@ -1,6 +1,6 @@
-// Command-line option parsing for the mmtag_sim tool and the experiment
-// benches. Kept in the library (rather than the tool's main.cpp) so parsing
-// and validation are unit tested like everything else.
+// Command-line option parsing for mmtag_sim and mmtag_bench (through the
+// driver in driver.hpp). Kept in the library so parsing and validation are
+// unit tested like everything else.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,6 @@ public:
     /// Parses argv[1..]; argv[1] must be the subcommand (no leading dashes).
     /// Throws std::invalid_argument on malformed input.
     static option_set parse(int argc, const char* const* argv);
-
-    /// Parses argv[1..] as options only, with no subcommand (the bench
-    /// binaries' command line).
-    static option_set parse_flags(int argc, const char* const* argv);
 
     [[nodiscard]] const std::string& command() const { return command_; }
 
@@ -50,12 +46,11 @@ public:
     /// `true` (so `--metrics=true` never names a file "true").
     [[nodiscard]] std::optional<std::string> get_flag_or_string(const std::string& key) const;
 
-    /// Keys that were supplied but never consumed by a getter; commands call
-    /// this last to reject typos.
+    /// Keys that were supplied but not yet read by a getter (all of them,
+    /// before the first read).
     [[nodiscard]] std::vector<std::string> unconsumed() const;
 
 private:
-    void parse_options(int first, int argc, const char* const* argv);
     /// Marks `key` consumed; nullptr when absent, throws when bare.
     [[nodiscard]] const std::string* value_of(const std::string& key) const;
 

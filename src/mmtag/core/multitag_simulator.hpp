@@ -35,7 +35,7 @@ struct tag_burst {
     /// capture. The frame header self-describes scheme and FEC, so the
     /// receiver decodes an overridden burst with no configuration change.
     /// nullopt = the base configuration's MCS.
-    std::optional<phy::mcs> mcs;
+    std::optional<phy::mcs> mcs = std::nullopt;
 };
 
 struct burst_outcome {

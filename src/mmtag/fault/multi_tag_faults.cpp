@@ -37,6 +37,13 @@ multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_coun
             throw std::invalid_argument("multi_tag_plan: rate or period not finite and >= 0");
         }
     }
+    // A NaN duration would fail the `> 0.0` guards below and drop its family.
+    for (const double value : {cfg.brownout_duration_s, cfg.interferer_duration_s,
+                               cfg.brownout_stagger_s, cfg.interferer_start_s}) {
+        if (!std::isfinite(value)) {
+            throw std::invalid_argument("multi_tag_plan: duration or offset not finite");
+        }
+    }
     if (cfg.storm_rate_hz > 0.0 && cfg.storm_span == 0) {
         throw std::invalid_argument("multi_tag_plan: storm_span must be >= 1");
     }

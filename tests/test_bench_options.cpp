@@ -1,8 +1,8 @@
 // The bench driver's flag contract. strtoull would happily wrap "--jobs -1"
 // to 2^64-1 and truncate "--seed 1e3" to 1; the parser must instead print one
-// error line and exit(2). The same holds for a flag the experiment does not
+// error line and exit 2. The same holds for a flag the experiment does not
 // list, and for an unknown experiment id. The driver is exercised on a small
-// fake table, so none of the real experiments is linked here.
+// fake table; the real tables are checked in test_cli.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,88 +18,112 @@
 namespace mmtag::bench {
 namespace {
 
-/// Runs bench_options::parse over a brace-list of flags (argv[0] included),
-/// for an experiment that reads the flags `reads`.
-bench_options parse_flags(const std::vector<std::string>& reads, std::vector<std::string> flags)
+/// Runs the driver over a one-experiment table: `FAKE` reads `reads` (and
+/// --csv) and has `body` as its function. `args` starts with the experiment
+/// id. Returns the exit status.
+int run_table(const std::vector<std::string>& reads, std::vector<std::string> args,
+              measured (*body)(const bench_options&))
 {
-    flags.insert(flags.begin(), "bench_test");
-    std::vector<char*> argv;
-    argv.reserve(flags.size());
-    for (auto& flag : flags) argv.push_back(flag.data());
-    return bench_options::parse(static_cast<int>(argv.size()), argv.data(), reads);
+    const cli::command table[] = {experiment("FAKE", "a fake experiment", body, reads)};
+    args.insert(args.begin(), "mmtag_bench");
+    std::vector<const char*> argv;
+    argv.reserve(args.size());
+    for (const auto& arg : args) argv.push_back(arg.c_str());
+    return run(static_cast<int>(argv.size()), argv.data(), table);
+}
+
+/// Runs experiment FAKE, which reads `reads` and nothing else, with `flags`.
+int parse_flags(const std::vector<std::string>& reads, std::vector<std::string> flags)
+{
+    flags.insert(flags.begin(), "FAKE");
+    return run_table(reads, std::move(flags), [](const bench_options&) { return measured{}; });
 }
 
 TEST(bench_options, parses_well_formed_flags)
 {
-    const auto opts = parse_flags(
+    const int status = run_table(
         {"jobs", "seed", "json", "trials", "snr-db", "verbose"},
-        {"--csv", "--jobs", "4", "--seed", "99", "--json", "out.json",
-         "--trials", "250", "--snr-db", "-2.5", "--verbose"});
-    EXPECT_TRUE(opts.csv);
-    EXPECT_EQ(opts.jobs, 4u);
-    EXPECT_EQ(opts.seed, 99u);
-    EXPECT_EQ(opts.json_path, "out.json");
-    EXPECT_EQ(opts.extra_u64("trials", 1), 250u);
-    EXPECT_TRUE(opts.flags.get_flag("verbose"));
-    EXPECT_EQ(opts.extra_u64("absent", 7), 7u);
+        {"FAKE", "--csv", "--jobs", "4", "--seed", "99", "--json", "out.json",
+         "--trials", "250", "--snr-db", "-2.5", "--verbose"},
+        [](const bench_options& opts) {
+            EXPECT_TRUE(opts.csv);
+            EXPECT_EQ(opts.jobs, 4u);
+            EXPECT_EQ(opts.seed, 99u);
+            EXPECT_EQ(opts.json_path, "out.json");
+            EXPECT_EQ(opts.flags.get_uint("trials", 1), 250u);
+            EXPECT_DOUBLE_EQ(opts.flags.get_double("snr-db", 0.0), -2.5);
+            EXPECT_TRUE(opts.flags.get_flag("verbose"));
+            EXPECT_EQ(opts.flags.get_uint("absent", 7), 7u);
+            return measured{};
+        });
+    EXPECT_EQ(status, 0);
 }
 
 TEST(bench_options_death, negative_jobs_exits_with_code_2)
 {
-    EXPECT_EXIT(parse_flags({"jobs"}, {"--jobs", "-1"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(std::exit(parse_flags({"jobs"}, {"--jobs", "-1"})), testing::ExitedWithCode(2),
                 "--jobs expects a non-negative integer");
 }
 
 TEST(bench_options_death, scientific_notation_seed_exits)
 {
-    EXPECT_EXIT(parse_flags({"seed"}, {"--seed", "1e3"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(std::exit(parse_flags({"seed"}, {"--seed", "1e3"})), testing::ExitedWithCode(2),
                 "--seed expects a non-negative integer");
 }
 
 TEST(bench_options_death, trailing_junk_in_extra_u64_exits)
 {
-    const auto opts = parse_flags({"trials"}, {"--trials", "12x"});
-    EXPECT_EXIT((void)opts.extra_u64("trials", 1), testing::ExitedWithCode(2),
-                "--trials expects a non-negative integer");
+    // An experiment's own flag is read in its body; the driver turns the
+    // parse error into the error line and exit 2.
+    EXPECT_EXIT(std::exit(run_table({"trials"}, {"FAKE", "--trials", "12x"},
+                                    [](const bench_options& opts) {
+                                        return measured{.status = static_cast<int>(
+                                                            opts.flags.get_uint("trials", 1))};
+                                    })),
+                testing::ExitedWithCode(2), "--trials expects a non-negative integer");
 }
 
 TEST(bench_options_death, overflowing_u64_exits)
 {
-    EXPECT_EXIT(parse_flags({"seed"}, {"--seed", "99999999999999999999999999"}),
+    EXPECT_EXIT(std::exit(parse_flags({"seed"}, {"--seed", "99999999999999999999999999"})),
                 testing::ExitedWithCode(2),
                 "--seed expects a non-negative integer");
 }
 
 TEST(bench_options_death, missing_value_exits)
 {
-    EXPECT_EXIT(parse_flags({"json"}, {"--json"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(std::exit(parse_flags({"json"}, {"--json"})), testing::ExitedWithCode(2),
                 "--json needs a value");
 }
 
 TEST(bench_options, named_extras_need_not_be_read_at_parse)
 {
-    const auto opts = parse_flags({"trials"}, {"--trials", "3", "--csv"});
-    EXPECT_TRUE(opts.csv);
-    EXPECT_EQ(opts.extra_u64("trials", 1), 3u);
+    EXPECT_EQ(run_table({"trials"}, {"FAKE", "--trials", "3", "--csv"},
+                        [](const bench_options& opts) {
+                            EXPECT_TRUE(opts.csv);
+                            return measured{.status = static_cast<int>(
+                                                opts.flags.get_uint("trials", 1))};
+                        }),
+              3);
 }
 
 TEST(bench_options_death, unknown_flag_exits)
 {
-    EXPECT_EXIT(parse_flags({"jobs"}, {"--jobz", "4", "--csv"}), testing::ExitedWithCode(2),
-                "unknown option --jobz");
+    EXPECT_EXIT(std::exit(parse_flags({"jobs"}, {"--jobz", "4", "--csv"})),
+                testing::ExitedWithCode(2), "unknown option --jobz");
     // --jobs, --seed and --json are accepted only where they are read; only
     // --csv is common to every experiment.
-    EXPECT_EXIT(parse_flags({}, {"--csv", "--jobs", "4"}), testing::ExitedWithCode(2),
-                "^error: unknown option --jobs\n$");
-    EXPECT_EXIT(parse_flags({"jobs", "json"}, {"--seed", "9"}), testing::ExitedWithCode(2),
-                "^error: unknown option --seed\n$");
-    EXPECT_EXIT(parse_flags({"fault-seed"}, {"--json", "x.json"}), testing::ExitedWithCode(2),
-                "^error: unknown option --json\n$");
+    EXPECT_EXIT(std::exit(parse_flags({}, {"--csv", "--jobs", "4"})),
+                testing::ExitedWithCode(2), "^error: unknown option --jobs\n$");
+    EXPECT_EXIT(std::exit(parse_flags({"jobs", "json"}, {"--seed", "9"})),
+                testing::ExitedWithCode(2), "^error: unknown option --seed\n$");
+    EXPECT_EXIT(std::exit(parse_flags({"fault-seed"}, {"--json", "x.json"})),
+                testing::ExitedWithCode(2), "^error: unknown option --json\n$");
 }
 
 TEST(bench_options_death, unexpected_positional_exits)
 {
-    EXPECT_EXIT(parse_flags({}, {"stray"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(std::exit(parse_flags({}, {"stray"})), testing::ExitedWithCode(2),
                 "unexpected argument 'stray'");
 }
 
@@ -107,12 +131,7 @@ TEST(bench_options_death, unexpected_positional_exits)
 /// has `body` as its function. `args` starts with the experiment id.
 int run_flags(std::vector<std::string> args, measured (*body)(const bench_options&))
 {
-    const experiment table[] = {{"FAKE", "a fake experiment", {"trials"}, body}};
-    args.insert(args.begin(), "mmtag_bench");
-    std::vector<char*> argv;
-    argv.reserve(args.size());
-    for (auto& arg : args) argv.push_back(arg.data());
-    return run(static_cast<int>(argv.size()), argv.data(), table);
+    return run_table({"trials"}, std::move(args), body);
 }
 
 /// An experiment body that leaves a mark on stderr, so a death test can
@@ -152,7 +171,7 @@ TEST(bench_options, run_returns_the_experiment_status_and_lets_other_errors_esca
     EXPECT_EQ(run_flags({"FAKE", "--csv", "--trials", "3"},
                         [](const bench_options& opts) {
                             return measured{
-                                .status = static_cast<int>(opts.extra_u64("trials", 1))};
+                                .status = static_cast<int>(opts.flags.get_uint("trials", 1))};
                         }),
               3);
     EXPECT_THROW(run_flags({"FAKE", "--csv"},
@@ -183,7 +202,8 @@ TEST(bench_driver, help_and_no_argument_list_the_table)
     for (const auto& args : {std::vector<std::string>{"help"}, std::vector<std::string>{}}) {
         testing::internal::CaptureStdout();
         EXPECT_EQ(run_flags(args, marks_stderr), 0);
-        EXPECT_EQ(testing::internal::GetCapturedStdout(), "FAKE  a fake experiment\n");
+        EXPECT_EQ(testing::internal::GetCapturedStdout(),
+                  "FAKE  a fake experiment\n      --csv --trials\n");
     }
 }
 
@@ -191,15 +211,15 @@ TEST(bench_driver, writes_the_result_file_and_the_summary_line)
 {
     const auto path = std::filesystem::temp_directory_path() / "mmtag_bench_driver_test.json";
     std::filesystem::remove(path);
-    const experiment table[] = {
-        {"R0", "a fake JSON experiment", {"json"}, [](const bench_options& opts) {
-             runtime::result_writer results(opts.id, opts.title, {"x"}, 7);
-             auto axis = runtime::json_value::object();
-             axis.set("x", runtime::json_value::number(1.0));
-             results.add_point(std::move(axis), 2, runtime::json_value::object());
-             return measured{.results = std::move(results), .points = 1, .tasks = 2,
-                             .jobs = 1, .events = 10};
-         }}};
+    const cli::command table[] = {
+        experiment("R0", "a fake JSON experiment", [](const bench_options& opts) {
+            runtime::result_writer results(opts.id, opts.title, {"x"}, 7);
+            auto axis = runtime::json_value::object();
+            axis.set("x", runtime::json_value::number(1.0));
+            results.add_point(std::move(axis), 2, runtime::json_value::object());
+            return measured{.results = std::move(results), .points = 1, .tasks = 2,
+                            .jobs = 1, .events = 10};
+        }, {"json"})};
     std::string json = path.string();
     std::string args[] = {"mmtag_bench", "R0", "--json", json};
     char* argv[] = {args[0].data(), args[1].data(), args[2].data(), args[3].data()};

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "mmtag/phy/frame.hpp"
 #include "mmtag/runtime/json_io.hpp"
 
+#include "../bench/experiments.hpp"
 #include "json_checker.hpp"
 
 namespace mmtag::cli {
@@ -445,6 +447,14 @@ TEST(commands, faults_rejects_zero_payload)
     EXPECT_EQ(errors.rfind("error: --payload must be >= 1\n", 0), 0u) << errors;
 }
 
+TEST(commands, sweep_rejects_zero_payload)
+{
+    // Zero payload used to exit 0 with a row of 0 bits, BER 0 and goodput 0.
+    const auto [code, errors] = dispatch_capturing_errors({"sweep", "--payload", "0"});
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(errors, "error: --payload must be >= 1\n");
+}
+
 TEST(commands, inventory_rejects_zero_tags)
 {
     // Zero tags used to exit 0 and print "mean efficiency 0.000".
@@ -522,6 +532,92 @@ TEST(commands, scale_times_setup_and_trials_apart_from_the_result)
     }
     EXPECT_EQ(results[0], results[1]);
     fs::remove_all(dir);
+}
+
+struct captured_run {
+    int code;
+    std::string out;
+    std::string errors;
+};
+
+/// Runs one front end with `args`; returns the exit code, stdout and stderr.
+template <typename Front>
+captured_run run_capturing(Front front, std::vector<std::string> args)
+{
+    args.insert(args.begin(), "front_end");
+    std::vector<const char*> argv;
+    for (const auto& arg : args) argv.push_back(arg.c_str());
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int code = front(static_cast<int>(argv.size()), argv.data());
+    std::string errors = testing::internal::GetCapturedStderr();
+    return {code, testing::internal::GetCapturedStdout(), std::move(errors)};
+}
+
+template <typename Front>
+void check_every_row(std::span<const command> table, Front front, int bad_input_status)
+{
+    for (const auto& row : table) {
+        // An unlisted flag stops the driver before the row prints anything.
+        const auto unlisted = run_capturing(front, {row.name, "--no-such-flag"});
+        EXPECT_EQ(unlisted.code, bad_input_status) << row.name;
+        EXPECT_EQ(unlisted.out, "") << row.name;
+        EXPECT_EQ(unlisted.errors, "error: unknown option --no-such-flag\n") << row.name;
+
+        // A listed flag given junk fails naming that flag, so the row reads
+        // it. A free-form path takes any value.
+        for (const auto& flag : row.flags) {
+            if (flag == "json" || flag == "trace" || flag == "metrics") continue;
+            const auto junk = run_capturing(front, {row.name, "--" + flag, "junk"});
+            const std::string named = "error: --" + flag;
+            EXPECT_EQ(junk.code, bad_input_status) << row.name << " --" << flag;
+            ASSERT_EQ(junk.errors.rfind(named, 0), 0u) << row.name << ": " << junk.errors;
+            EXPECT_NE(std::string(" :").find(junk.errors.at(named.size())), std::string::npos)
+                << row.name << ": " << junk.errors;
+            EXPECT_EQ(std::count(junk.errors.begin(), junk.errors.end(), '\n'), 1)
+                << row.name << ": " << junk.errors;
+        }
+    }
+}
+
+TEST(front_ends, every_row_rejects_unlisted_flags_and_reads_each_listed_one)
+{
+    check_every_row(commands(), dispatch, 1);
+    check_every_row(
+        bench::experiments(),
+        [](int argc, const char* const* argv) {
+            return bench::run(argc, argv, bench::experiments());
+        },
+        2);
+}
+
+TEST(front_ends, help_lists_every_row_with_its_flags)
+{
+    const auto help = run_capturing(dispatch, {"help"});
+    EXPECT_EQ(help.code, 0);
+    EXPECT_EQ(help.errors, "");
+    EXPECT_EQ(help.out.rfind("link       end-to-end single-link simulation\n"
+                             "           --preset --distance --angle",
+                             0),
+              0u)
+        << help.out;
+    // Each row's block runs from its `name  summary` line to the next row's.
+    std::vector<std::size_t> starts;
+    for (const auto& row : commands()) {
+        const std::string line =
+            row.name + std::string(11 - row.name.size(), ' ') + row.summary + "\n";
+        starts.push_back(help.out.find(line));
+        ASSERT_NE(starts.back(), std::string::npos) << row.name;
+    }
+    starts.push_back(help.out.size());
+    for (std::size_t i = 0; i < commands().size(); ++i) {
+        const std::string block = help.out.substr(starts[i], starts[i + 1] - starts[i]);
+        for (const auto& flag : commands()[i].flags) {
+            const bool listed = block.find(" --" + flag + " ") != std::string::npos ||
+                                block.find(" --" + flag + "\n") != std::string::npos;
+            EXPECT_TRUE(listed) << flag << " in " << block;
+        }
+    }
 }
 
 TEST(commands, link_plate_at_angle_fails_gracefully)

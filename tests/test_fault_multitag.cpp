@@ -293,7 +293,19 @@ TEST(multi_tag_plan, rejects_non_finite_and_unbounded_rates_and_periods)
         cfg.*field = nan;
         ASSERT_THROW(multi_tag_plan(cfg, 4, 2, 1), std::invalid_argument);
     }
+    // A NaN duration used to switch its family off without an error; an
+    // infinite offset would loop or overflow the onset count, so these are
+    // fatal too.
     const double inf = std::numeric_limits<double>::infinity();
+    for (double multi_tag_config::*field :
+         {&multi_tag_config::brownout_duration_s, &multi_tag_config::interferer_duration_s,
+          &multi_tag_config::brownout_stagger_s, &multi_tag_config::interferer_start_s}) {
+        for (const double value : {nan, inf, -inf}) {
+            multi_tag_config cfg = plan_config();
+            cfg.*field = value;
+            ASSERT_THROW(multi_tag_plan(cfg, 4, 2, 1), std::invalid_argument);
+        }
+    }
     for (double multi_tag_config::*field :
          {&multi_tag_config::horizon_s, &multi_tag_config::storm_rate_hz,
           &multi_tag_config::background_rate_hz, &multi_tag_config::brownout_period_s}) {
