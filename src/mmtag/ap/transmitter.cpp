@@ -1,5 +1,6 @@
 #include "mmtag/ap/transmitter.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace mmtag::ap {
@@ -36,8 +37,31 @@ ap_transmitter::query ap_transmitter::generate(std::size_t count)
     query out;
     out.lo = lo_.generate(count);
     out.rf.reserve(count);
+    // |drive * lo| takes only a few neighbouring values, since |lo| is 1 up
+    // to rounding, so the last few (amplitude, Rapp gain) pairs are kept and
+    // the gain is evaluated once per distinct amplitude. Amplitudes match
+    // only when equal, so each sample is pa_.process(drive * lo) exactly.
+    constexpr std::size_t memo_size = 4;
+    std::array<double, memo_size> amplitudes; // -1: empty, no amplitude is negative
+    amplitudes.fill(-1.0);
+    std::array<double, memo_size> gains{};
+    std::size_t next = 0; // the slot a miss overwrites, round robin
     for (cf64 lo_sample : out.lo) {
-        out.rf.push_back(pa_.process(drive_amplitude_ * lo_sample));
+        const cf64 drive = drive_amplitude_ * lo_sample;
+        const double amplitude = std::abs(drive);
+        if (amplitude < rf::power_amplifier::min_amplitude) {
+            out.rf.emplace_back();
+            continue;
+        }
+        std::size_t slot = 0;
+        while (slot < memo_size && amplitudes[slot] != amplitude) ++slot;
+        if (slot == memo_size) {
+            slot = next;
+            next = (next + 1) % memo_size;
+            amplitudes[slot] = amplitude;
+            gains[slot] = pa_.gain(amplitude);
+        }
+        out.rf.push_back(drive * gains[slot]);
     }
     return out;
 }

@@ -88,12 +88,11 @@ double rain_attenuation_db_per_km(double frequency_hz, double rain_rate_mm_per_h
     return k * std::pow(rain_rate_mm_per_hr, alpha);
 }
 
-double atmospheric_loss_db(double distance_m, double frequency_hz, double rain_rate_mm_per_hr)
+double atmospheric_loss_db(double distance_m, double db_per_km)
 {
     if (distance_m < 0.0) throw std::invalid_argument("atmosphere: negative distance");
     const double km = distance_m / 1000.0;
-    return km * (gaseous_attenuation_db_per_km(frequency_hz) +
-                 rain_attenuation_db_per_km(frequency_hz, rain_rate_mm_per_hr));
+    return km * db_per_km;
 }
 
 } // namespace mmtag::channel

@@ -16,8 +16,8 @@ namespace mmtag::channel {
 /// `frequency_hz` via gamma = k R^alpha (ITU-R P.838 coefficients).
 [[nodiscard]] double rain_attenuation_db_per_km(double frequency_hz, double rain_rate_mm_per_hr);
 
-/// Total atmospheric loss in dB over a one-way path.
-[[nodiscard]] double atmospheric_loss_db(double distance_m, double frequency_hz,
-                                         double rain_rate_mm_per_hr = 0.0);
+/// Total atmospheric loss in dB over a one-way path of `distance_m` whose
+/// specific attenuation (gaseous plus rain) is `db_per_km`.
+[[nodiscard]] double atmospheric_loss_db(double distance_m, double db_per_km);
 
 } // namespace mmtag::channel

@@ -9,6 +9,20 @@
 
 namespace mmtag::channel {
 
+tag_path_amplitudes tag_path_at(const tag_path_gains& gains, double distance_m)
+{
+    const double atmospheric =
+        from_db(-atmospheric_loss_db(distance_m, gains.atmospheric_db_per_km));
+    const double round_trip_power =
+        backscatter_received_power(1.0, gains.ap_tx, gains.ap_rx, gains.tag_backscatter,
+                                   distance_m, gains.frequency_hz);
+    const double one_way_power = one_way_received_power(1.0, gains.ap_tx, gains.tag_aperture,
+                                                        distance_m, gains.frequency_hz);
+    // Two-way gaseous loss; implementation loss budgeted once on the tag path.
+    return {.round_trip = std::sqrt(round_trip_power) * atmospheric * gains.implementation,
+            .one_way = std::sqrt(one_way_power * atmospheric) * std::sqrt(gains.implementation)};
+}
+
 backscatter_channel::backscatter_channel(const config& cfg) : cfg_(cfg)
 {
     if (cfg.sample_rate_hz <= 0.0) throw std::invalid_argument("backscatter_channel: fs <= 0");
@@ -18,26 +32,19 @@ backscatter_channel::backscatter_channel(const config& cfg) : cfg_(cfg)
     one_way_delay_ = static_cast<std::size_t>(std::round(one_way_seconds * cfg.sample_rate_hz));
     round_trip_delay_ = 2 * one_way_delay_;
 
-    const double tx_gain = from_db(cfg.ap_tx_gain_dbi);
-    const double rx_gain = from_db(cfg.ap_rx_gain_dbi);
-    const double backscatter_gain = from_db(cfg.tag_backscatter_gain_db);
-    const double aperture_gain = from_db(cfg.tag_aperture_gain_db);
-    const double atmospheric = from_db(
-        -atmospheric_loss_db(cfg.distance_m, cfg.frequency_hz, cfg.rain_rate_mm_per_hr));
-
+    gains_.frequency_hz = cfg.frequency_hz;
+    gains_.ap_tx = from_db(cfg.ap_tx_gain_dbi);
+    gains_.ap_rx = from_db(cfg.ap_rx_gain_dbi);
+    gains_.tag_backscatter = from_db(cfg.tag_backscatter_gain_db);
+    gains_.tag_aperture = from_db(cfg.tag_aperture_gain_db);
+    gains_.atmospheric_db_per_km =
+        gaseous_attenuation_db_per_km(cfg.frequency_hz) +
+        rain_attenuation_db_per_km(cfg.frequency_hz, cfg.rain_rate_mm_per_hr);
     if (cfg.implementation_loss_db < 0.0) {
         throw std::invalid_argument("backscatter_channel: negative implementation loss");
     }
-    const double implementation = std::pow(10.0, -cfg.implementation_loss_db / 20.0);
-
-    const double round_trip_power = backscatter_received_power(
-        1.0, tx_gain, rx_gain, backscatter_gain, cfg.distance_m, cfg.frequency_hz);
-    // Two-way gaseous loss; implementation loss budgeted once on the tag path.
-    round_trip_amplitude_ = std::sqrt(round_trip_power) * atmospheric * implementation;
-
-    const double one_way_power = one_way_received_power(1.0, tx_gain, aperture_gain,
-                                                        cfg.distance_m, cfg.frequency_hz);
-    one_way_amplitude_ = std::sqrt(one_way_power * atmospheric) * std::sqrt(implementation);
+    gains_.implementation = std::pow(10.0, -cfg.implementation_loss_db / 20.0);
+    round_trip_amplitude_ = tag_path_at(gains_, cfg.distance_m).round_trip;
 
     leakage_amplitude_ = std::pow(10.0, cfg.tx_leakage_db / 20.0);
 
@@ -50,7 +57,7 @@ backscatter_channel::backscatter_channel(const config& cfg) : cfg_(cfg)
         const double lambda = wavelength(cfg.frequency_hz);
         // Radar equation for a point scatterer of RCS sigma, knocked down by
         // the AP's sidelobe discrimination toward it.
-        const double power = tx_gain * rx_gain * lambda * lambda * reflector.rcs_m2 *
+        const double power = gains_.ap_tx * gains_.ap_rx * lambda * lambda * reflector.rcs_m2 *
                              from_db(-reflector.antenna_discrimination_db) /
                              (std::pow(4.0 * pi, 3.0) * std::pow(reflector.distance_m, 4.0));
         clutter_amplitudes_.push_back(std::sqrt(power));
@@ -120,18 +127,6 @@ cvec backscatter_channel::tag_contribution(std::span<const cf64> tx,
         out[k] = tag_gain * gamma_at(k - one_way_delay_) * tx[k - round_trip_delay_];
     }
     return out;
-}
-
-double backscatter_channel::tag_path_power(double tx_power_w) const
-{
-    if (tx_power_w <= 0.0) throw std::invalid_argument("backscatter_channel: tx power <= 0");
-    return tx_power_w * round_trip_amplitude_ * round_trip_amplitude_ * std::norm(fading_);
-}
-
-double backscatter_channel::tag_incident_power(double tx_power_w) const
-{
-    if (tx_power_w <= 0.0) throw std::invalid_argument("backscatter_channel: tx power <= 0");
-    return tx_power_w * one_way_amplitude_ * one_way_amplitude_;
 }
 
 double backscatter_channel::static_interference_power(double tx_power_w) const

@@ -31,6 +31,29 @@ struct scatterer {
     double antenna_discrimination_db = 0.0;
 };
 
+/// The distance-invariant factors of the tag path: linear power gains, the
+/// specific attenuation, and the implementation loss as a field factor.
+struct tag_path_gains {
+    double frequency_hz = 0.0;
+    double ap_tx = 0.0;
+    double ap_rx = 0.0;
+    double tag_backscatter = 0.0;
+    double tag_aperture = 0.0;
+    double atmospheric_db_per_km = 0.0; ///< clear air plus rain
+    double implementation = 0.0;        ///< field factor, 10^(-loss/20)
+};
+
+/// Line-of-sight field amplitudes of the tag path at unit |Gamma|.
+struct tag_path_amplitudes {
+    double round_trip = 0.0; ///< AP -> tag -> AP
+    double one_way = 0.0;    ///< AP -> tag aperture
+};
+
+/// The tag-path amplitudes over `distance_m` (> 0): the radar and Friis
+/// budgets with atmospheric and implementation loss. The channel and the
+/// link budget both evaluate the path through this one function.
+[[nodiscard]] tag_path_amplitudes tag_path_at(const tag_path_gains& gains, double distance_m);
+
 class backscatter_channel {
 public:
     struct config {
@@ -67,6 +90,9 @@ public:
 
     [[nodiscard]] const config& parameters() const { return cfg_; }
 
+    /// The distance-invariant factors of the tag path.
+    [[nodiscard]] const tag_path_gains& path_gains() const { return gains_; }
+
     /// One-way propagation delay in samples.
     [[nodiscard]] std::size_t one_way_delay_samples() const { return one_way_delay_; }
 
@@ -92,24 +118,16 @@ public:
     [[nodiscard]] cvec tag_contribution(std::span<const cf64> tx,
                                         std::span<const cf64> tag_gamma) const;
 
-    /// Received tag-path power [W] for a unit-power CW query at |Gamma| = 1;
-    /// the quantity the link budget predicts.
-    [[nodiscard]] double tag_path_power(double tx_power_w) const;
-
-    /// Power collected by the tag's aperture for a `tx_power_w` query [W]
-    /// (the AP→tag column of `mmtag_sim budget`).
-    [[nodiscard]] double tag_incident_power(double tx_power_w) const;
-
     /// Static (unmodulated) interference power [W] for a unit-power query:
     /// leakage plus all clutter returns.
     [[nodiscard]] double static_interference_power(double tx_power_w) const;
 
 private:
     config cfg_;
+    tag_path_gains gains_;
     std::size_t one_way_delay_;
     std::size_t round_trip_delay_;
     double round_trip_amplitude_;
-    double one_way_amplitude_;
     double leakage_amplitude_;
     cf64 fading_{1.0, 0.0};
     std::vector<std::size_t> clutter_delays_;

@@ -8,12 +8,6 @@ namespace mmtag::cli {
 option_set option_set::parse(int argc, const char* const* argv)
 {
     option_set out;
-    if (argc < 2) throw std::invalid_argument("missing subcommand");
-    out.command_ = argv[1];
-    if (out.command_.empty() || out.command_[0] == '-') {
-        throw std::invalid_argument("first argument must be a subcommand, got '" +
-                                    out.command_ + "'");
-    }
     for (int i = 2; i < argc; ++i) {
         std::string token = argv[i];
         if (token.rfind("--", 0) != 0 || token.size() <= 2) {

@@ -11,18 +11,16 @@
 
 namespace mmtag::cli {
 
-/// Tokenized command line: an optional subcommand plus --key value pairs.
+/// The --key value pairs of a command line, after its command name.
 ///
 /// Accepted forms: `--key value`, `--key=value`, and a bare `--key` (the
 /// next token is absent or starts with "--"). Unknown keys are collected so
 /// callers can reject them with a precise message.
 class option_set {
 public:
-    /// Parses argv[1..]; argv[1] must be the subcommand (no leading dashes).
-    /// Throws std::invalid_argument on malformed input.
+    /// Parses argv[2..]; argv[1] is the command name, which the driver has
+    /// already looked up. Throws std::invalid_argument on malformed input.
     static option_set parse(int argc, const char* const* argv);
-
-    [[nodiscard]] const std::string& command() const { return command_; }
 
     [[nodiscard]] bool has(const std::string& key) const;
 
@@ -54,7 +52,6 @@ private:
     /// Marks `key` consumed; nullptr when absent, throws when bare.
     [[nodiscard]] const std::string* value_of(const std::string& key) const;
 
-    std::string command_;
     std::map<std::string, std::optional<std::string>> values_; ///< nullopt: bare
     mutable std::map<std::string, bool> consumed_;
 };

@@ -66,6 +66,8 @@ public:
 /// Wrap an angle to (-pi, pi].
 [[nodiscard]] inline double wrap_phase(double radians)
 {
+    // std::remainder returns any |x| < pi unchanged; skip its cost there.
+    if (std::abs(radians) < pi) return radians;
     double wrapped = std::remainder(radians, two_pi);
     if (wrapped <= -pi) wrapped += two_pi;
     return wrapped;

@@ -7,36 +7,36 @@
 
 namespace mmtag::core {
 
-link_budget::link_budget(const system_config& cfg) : cfg_(cfg)
+link_budget::link_budget(const system_config& cfg)
 {
     validate(cfg);
+    const channel::backscatter_channel chan(make_channel_config(cfg));
+    gains_ = chan.path_gains();
+    fading_power_ = std::norm(chan.fading_coefficient());
+    tx_power_w_ = dbm_to_watt(cfg.transmitter.tx_power_dbm);
+    // The reflected field is scaled by Gamma_eff = switch insertion loss x
+    // stub loss; both appear once in the reflected power.
+    gamma_loss_db_ = cfg.modulator.rf_switch.insertion_loss_db + cfg.modulator.bank.stub_loss_db;
+    // Per-symbol noise: kT * NF over the symbol-rate bandwidth.
+    const double noise_w = rf::thermal_noise_power(cfg.symbol_rate_hz) *
+                           from_db(cfg.receiver.lna.noise_figure_db);
+    noise_floor_dbm_ = watt_to_dbm(noise_w);
+    static_interference_dbm_ = watt_to_dbm(chan.static_interference_power(tx_power_w_));
 }
 
 link_budget_entry link_budget::at(double distance_m) const
 {
     if (distance_m <= 0.0) throw std::invalid_argument("link_budget: distance <= 0");
-    system_config cfg = cfg_;
-    cfg.distance_m = distance_m;
-    const channel::backscatter_channel chan(make_channel_config(cfg));
-
-    const double tx_power_w = dbm_to_watt(cfg.transmitter.tx_power_dbm);
+    const channel::tag_path_amplitudes path = channel::tag_path_at(gains_, distance_m);
 
     link_budget_entry entry;
     entry.distance_m = distance_m;
-
-    entry.incident_at_tag_dbm = watt_to_dbm(chan.tag_incident_power(tx_power_w));
-    // The reflected field is scaled by Gamma_eff = switch insertion loss x
-    // stub loss; both appear once in the reflected power.
-    const double gamma_loss_db = cfg.modulator.rf_switch.insertion_loss_db +
-                                 cfg.modulator.bank.stub_loss_db;
+    entry.incident_at_tag_dbm = watt_to_dbm(tx_power_w_ * path.one_way * path.one_way);
     entry.received_at_ap_dbm =
-        watt_to_dbm(chan.tag_path_power(tx_power_w)) - gamma_loss_db;
-    entry.static_interference_dbm = watt_to_dbm(chan.static_interference_power(tx_power_w));
-
-    // Per-symbol noise: kT * NF over the symbol-rate bandwidth.
-    const double noise_w = rf::thermal_noise_power(cfg.symbol_rate_hz) *
-                           from_db(cfg.receiver.lna.noise_figure_db);
-    entry.noise_floor_dbm = watt_to_dbm(noise_w);
+        watt_to_dbm(tx_power_w_ * path.round_trip * path.round_trip * fading_power_) -
+        gamma_loss_db_;
+    entry.static_interference_dbm = static_interference_dbm_;
+    entry.noise_floor_dbm = noise_floor_dbm_;
     entry.snr_db = entry.received_at_ap_dbm - entry.noise_floor_dbm;
     return entry;
 }

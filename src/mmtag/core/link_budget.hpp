@@ -16,6 +16,8 @@ struct link_budget_entry {
     double static_interference_dbm = 0.0;
 };
 
+/// Everything but the distance is evaluated once, at construction: at() is
+/// one call of channel::tag_path_at plus the dB conversions.
 class link_budget {
 public:
     explicit link_budget(const system_config& cfg);
@@ -31,7 +33,12 @@ public:
     [[nodiscard]] double max_range_m(double required_snr_db) const;
 
 private:
-    system_config cfg_;
+    channel::tag_path_gains gains_;
+    double fading_power_;            ///< |h|^2 of the tag path's block fading
+    double tx_power_w_;
+    double gamma_loss_db_;
+    double noise_floor_dbm_;
+    double static_interference_dbm_;
 };
 
 } // namespace mmtag::core

@@ -43,16 +43,21 @@ power_amplifier::power_amplifier(const config& cfg)
     saturation_amplitude_ = std::sqrt(dbm_to_watt(cfg.output_saturation_dbm));
 }
 
-cf64 power_amplifier::process(cf64 input) const
+double power_amplifier::gain(double amplitude) const
 {
-    const double amplitude = std::abs(input);
-    if (amplitude < 1e-30) return cf64{};
     const double driven = voltage_gain_ * amplitude;
     const double ratio = driven / saturation_amplitude_;
     constexpr double rapp_smoothness = 2.0; // Rapp p factor
     constexpr double p2 = 2.0 * rapp_smoothness;
     const double compressed = driven / std::pow(1.0 + std::pow(ratio, p2), 1.0 / p2);
-    return input * (compressed / amplitude);
+    return compressed / amplitude;
+}
+
+cf64 power_amplifier::process(cf64 input) const
+{
+    const double amplitude = std::abs(input);
+    if (amplitude < min_amplitude) return cf64{};
+    return input * gain(amplitude);
 }
 
 } // namespace mmtag::rf

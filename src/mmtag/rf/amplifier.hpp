@@ -50,6 +50,13 @@ public:
 
     explicit power_amplifier(const config& cfg);
 
+    /// Inputs below this amplitude give exactly zero output.
+    static constexpr double min_amplitude = 1e-30;
+
+    /// Voltage gain at input amplitude `amplitude` (>= min_amplitude):
+    /// process(x) is x * gain(|x|), bit for bit.
+    [[nodiscard]] double gain(double amplitude) const;
+
     [[nodiscard]] cf64 process(cf64 input) const;
 
 private:

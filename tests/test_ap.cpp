@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "mmtag/ap/canceller.hpp"
 #include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/ap/transmitter.hpp"
@@ -42,6 +45,54 @@ TEST(transmitter, lo_and_rf_phase_locked)
         const cf64 ratio = query.rf[i] / query.lo[i];
         EXPECT_NEAR(ratio.imag(), 0.0, 1e-9);
         EXPECT_NEAR(ratio.real(), std::sqrt(dbm_to_watt(20.0)), 1e-3);
+    }
+}
+
+/// The PA drive level the transmitter solves for: its constructor's
+/// bisection, repeated.
+double solved_drive(const rf::power_amplifier& pa, double tx_power_dbm)
+{
+    const double target_amplitude = std::sqrt(dbm_to_watt(tx_power_dbm));
+    double low = 0.0;
+    double high = target_amplitude * 10.0;
+    for (int i = 0; i < 200; ++i) {
+        const double mid = 0.5 * (low + high);
+        const double out = std::abs(pa.process(cf64{mid, 0.0}));
+        if (out < target_amplitude) low = mid;
+        else high = mid;
+    }
+    return 0.5 * (low + high);
+}
+
+bool same_bits(cf64 a, cf64 b)
+{
+    return std::bit_cast<std::uint64_t>(a.real()) == std::bit_cast<std::uint64_t>(b.real()) &&
+           std::bit_cast<std::uint64_t>(a.imag()) == std::bit_cast<std::uint64_t>(b.imag());
+}
+
+TEST(transmitter, rf_is_the_per_sample_pa_output_bit_for_bit)
+{
+    // From the linear region into deep compression (32.9 dBm against a
+    // 33 dBm saturation), with and without LO phase noise.
+    for (const double tx_power_dbm : {0.0, 27.0, 32.9}) {
+        for (const double linewidth_hz : {0.0, 5e3}) {
+            ap_transmitter::config cfg;
+            cfg.tx_power_dbm = tx_power_dbm;
+            cfg.lo_linewidth_hz = linewidth_hz;
+            cfg.pa.output_saturation_dbm = 33.0;
+            ap_transmitter tx(cfg, 3);
+            const rf::power_amplifier pa(cfg.pa);
+            const double drive = solved_drive(pa, tx_power_dbm);
+            for (int call = 0; call < 2; ++call) {
+                const auto query = tx.generate(20000);
+                ASSERT_EQ(query.rf.size(), query.lo.size());
+                std::size_t mismatches = 0;
+                for (std::size_t i = 0; i < query.rf.size(); ++i) {
+                    if (!same_bits(query.rf[i], pa.process(drive * query.lo[i]))) ++mismatches;
+                }
+                EXPECT_EQ(mismatches, 0u) << tx_power_dbm << " dBm, " << linewidth_hz << " Hz";
+            }
+        }
     }
 }
 

@@ -60,7 +60,7 @@ TEST(atmosphere, rain_monotone_in_rate)
 TEST(atmosphere, negligible_indoors_at_24_ghz)
 {
     // 10 m at 24 GHz: well under 0.01 dB.
-    EXPECT_LT(atmospheric_loss_db(10.0, 24.125e9), 0.01);
+    EXPECT_LT(atmospheric_loss_db(10.0, gaseous_attenuation_db_per_km(24.125e9)), 0.01);
 }
 
 TEST(fading, rician_high_k_is_nearly_los)
@@ -109,7 +109,8 @@ TEST_F(backscatter_channel_fixture, tag_path_power_matches_radar_equation)
     const double expected = backscatter_received_power(
         1.0, from_db(cfg.ap_tx_gain_dbi), from_db(cfg.ap_rx_gain_dbi),
         from_db(cfg.tag_backscatter_gain_db), cfg.distance_m, cfg.frequency_hz);
-    EXPECT_NEAR(chan.tag_path_power(1.0) / expected, 1.0, 0.001);
+    const double amplitude = chan.round_trip_amplitude();
+    EXPECT_NEAR(amplitude * amplitude / expected, 1.0, 0.001);
 }
 
 TEST_F(backscatter_channel_fixture, incident_power_matches_friis)
@@ -119,7 +120,8 @@ TEST_F(backscatter_channel_fixture, incident_power_matches_friis)
     const double expected = one_way_received_power(
         1.0, from_db(cfg.ap_tx_gain_dbi), from_db(cfg.tag_aperture_gain_db),
         cfg.distance_m, cfg.frequency_hz);
-    EXPECT_NEAR(chan.tag_incident_power(1.0) / expected, 1.0, 0.001);
+    const double amplitude = tag_path_at(chan.path_gains(), cfg.distance_m).one_way;
+    EXPECT_NEAR(amplitude * amplitude / expected, 1.0, 0.001);
 }
 
 TEST_F(backscatter_channel_fixture, unmodulated_tag_gives_pure_dc_baseband)
@@ -146,7 +148,7 @@ TEST_F(backscatter_channel_fixture, modulated_tag_reaches_receiver)
     // The modulation must appear: rx is not constant.
     double max_dev = 0.0;
     for (std::size_t i = 10; i < n; ++i) max_dev = std::max(max_dev, std::abs(rx[i] - rx[9]));
-    const double tag_amplitude = std::sqrt(chan.tag_path_power(1.0));
+    const double tag_amplitude = chan.round_trip_amplitude();
     EXPECT_NEAR(max_dev, 2.0 * tag_amplitude, 0.2 * tag_amplitude);
 }
 

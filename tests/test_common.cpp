@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "mmtag/common.hpp"
 
 namespace mmtag {
@@ -47,6 +53,47 @@ TEST(common, wrap_phase_range)
         // Same angle modulo 2 pi.
         EXPECT_NEAR(std::cos(wrapped), std::cos(raw), 1e-12);
         EXPECT_NEAR(std::sin(wrapped), std::sin(raw), 1e-12);
+    }
+}
+
+TEST(common, wrap_phase_matches_the_remainder_form_bit_for_bit)
+{
+    const auto remainder_form = [](double radians) {
+        double wrapped = std::remainder(radians, two_pi);
+        if (wrapped <= -pi) wrapped += two_pi;
+        return wrapped;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> inputs{pi,
+                               -pi,
+                               std::nextafter(pi, 0.0),
+                               std::nextafter(-pi, 0.0),
+                               std::nextafter(pi, inf),
+                               std::nextafter(-pi, -inf),
+                               two_pi,
+                               -two_pi,
+                               0.0,
+                               -0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               1e6,
+                               -1e6,
+                               1e300,
+                               -1e300,
+                               inf,
+                               -inf,
+                               std::numeric_limits<double>::quiet_NaN()};
+    std::mt19937_64 rng(5);
+    std::uniform_real_distribution<double> angle(-4.0 * pi, 4.0 * pi);
+    for (int i = 0; i < 100000; ++i) inputs.push_back(angle(rng));
+    for (const double x : inputs) {
+        const double want = remainder_form(x);
+        const double got = wrap_phase(x);
+        if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(got)) << x;
+        } else {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want)) << x;
+        }
     }
 }
 

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "mmtag/channel/atmosphere.hpp"
+#include "mmtag/channel/path_loss.hpp"
 #include "mmtag/core/baselines.hpp"
 #include "mmtag/core/config.hpp"
 #include "mmtag/core/link_budget.hpp"
 #include "mmtag/core/metrics.hpp"
+#include "mmtag/rf/noise.hpp"
 
 namespace mmtag::core {
 namespace {
@@ -44,6 +52,108 @@ TEST(config, channel_derivation_uses_reflector_model)
     cfg.reflector = reflector_kind::flat_plate;
     const auto plate = make_channel_config(cfg);
     EXPECT_LT(plate.tag_backscatter_gain_db, tilted.tag_backscatter_gain_db - 10.0);
+}
+
+/// The full-channel budget: link_budget::at as it was while it built a whole
+/// backscatter_channel per distance, with the tag-path lines of the channel
+/// constructor and its two power queries inlined as they were written there.
+/// The library, which evaluates the distance-invariant terms once, must
+/// match it bit for bit.
+namespace reference {
+
+link_budget_entry at(const system_config& base, double distance_m)
+{
+    system_config cfg = base;
+    cfg.distance_m = distance_m;
+    const channel::backscatter_channel::config chan_cfg = make_channel_config(cfg);
+    const channel::backscatter_channel chan(chan_cfg);
+
+    // backscatter_channel::backscatter_channel, tag path.
+    const double tx_gain = from_db(chan_cfg.ap_tx_gain_dbi);
+    const double rx_gain = from_db(chan_cfg.ap_rx_gain_dbi);
+    const double backscatter_gain = from_db(chan_cfg.tag_backscatter_gain_db);
+    const double aperture_gain = from_db(chan_cfg.tag_aperture_gain_db);
+    // channel::atmospheric_loss_db: km x (clear air + rain) dB/km.
+    const double km = chan_cfg.distance_m / 1000.0;
+    const double atmospheric_loss_db =
+        km * (channel::gaseous_attenuation_db_per_km(chan_cfg.frequency_hz) +
+              channel::rain_attenuation_db_per_km(chan_cfg.frequency_hz,
+                                                  chan_cfg.rain_rate_mm_per_hr));
+    const double atmospheric = from_db(-atmospheric_loss_db);
+    const double implementation = std::pow(10.0, -chan_cfg.implementation_loss_db / 20.0);
+    const double round_trip_power =
+        channel::backscatter_received_power(1.0, tx_gain, rx_gain, backscatter_gain,
+                                            chan_cfg.distance_m, chan_cfg.frequency_hz);
+    const double round_trip_amplitude =
+        std::sqrt(round_trip_power) * atmospheric * implementation;
+    const double one_way_power = channel::one_way_received_power(
+        1.0, tx_gain, aperture_gain, chan_cfg.distance_m, chan_cfg.frequency_hz);
+    const double one_way_amplitude =
+        std::sqrt(one_way_power * atmospheric) * std::sqrt(implementation);
+
+    // link_budget::at.
+    const double tx_power_w = dbm_to_watt(cfg.transmitter.tx_power_dbm);
+    link_budget_entry entry;
+    entry.distance_m = distance_m;
+    entry.incident_at_tag_dbm =
+        watt_to_dbm(tx_power_w * one_way_amplitude * one_way_amplitude);
+    const double gamma_loss_db = cfg.modulator.rf_switch.insertion_loss_db +
+                                 cfg.modulator.bank.stub_loss_db;
+    entry.received_at_ap_dbm =
+        watt_to_dbm(tx_power_w * round_trip_amplitude * round_trip_amplitude *
+                    std::norm(chan.fading_coefficient())) -
+        gamma_loss_db;
+    entry.static_interference_dbm = watt_to_dbm(chan.static_interference_power(tx_power_w));
+    const double noise_w = rf::thermal_noise_power(cfg.symbol_rate_hz) *
+                           from_db(cfg.receiver.lna.noise_figure_db);
+    entry.noise_floor_dbm = watt_to_dbm(noise_w);
+    entry.snr_db = entry.received_at_ap_dbm - entry.noise_floor_dbm;
+    return entry;
+}
+
+} // namespace reference
+
+bool same_bits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(link_budget, matches_the_full_channel_reference_bit_for_bit)
+{
+    std::vector<std::pair<const char*, system_config>> cases{
+        {"default", default_scenario()}, {"fast", fast_scenario()}};
+    auto plate = fast_scenario();
+    plate.reflector = reflector_kind::flat_plate;
+    plate.tag_incidence_rad = deg_to_rad(20.0);
+    cases.emplace_back("flat plate", plate);
+    auto rain = default_scenario();
+    rain.rain_rate_mm_per_hr = 25.0;
+    cases.emplace_back("rain", rain);
+    auto fading = fast_scenario();
+    fading.rician_k_db = 6.0;
+    fading.seed = 7;
+    cases.emplace_back("rician", fading);
+
+    std::vector<double> distances{0.05, 1000.0};
+    for (int i = 1; i < 400; ++i) {
+        distances.push_back(0.05 * std::pow(1000.0 / 0.05, static_cast<double>(i) / 400.0));
+    }
+    for (const auto& [name, cfg] : cases) {
+        const link_budget budget(cfg);
+        for (const double d : distances) {
+            const link_budget_entry got = budget.at(d);
+            const link_budget_entry want = reference::at(cfg, d);
+            EXPECT_TRUE(same_bits(got.distance_m, want.distance_m)) << name << " " << d;
+            EXPECT_TRUE(same_bits(got.incident_at_tag_dbm, want.incident_at_tag_dbm))
+                << name << " " << d;
+            EXPECT_TRUE(same_bits(got.received_at_ap_dbm, want.received_at_ap_dbm))
+                << name << " " << d;
+            EXPECT_TRUE(same_bits(got.noise_floor_dbm, want.noise_floor_dbm)) << name << " " << d;
+            EXPECT_TRUE(same_bits(got.snr_db, want.snr_db)) << name << " " << d;
+            EXPECT_TRUE(same_bits(got.static_interference_dbm, want.static_interference_dbm))
+                << name << " " << d;
+        }
+    }
 }
 
 TEST(link_budget, snr_decreases_40_db_per_decade)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "mmtag/dsp/estimators.hpp"
 #include "mmtag/rf/adc.hpp"
 #include "mmtag/rf/amplifier.hpp"
@@ -168,6 +171,27 @@ TEST(pa, p1db_below_saturation)
     // At the 1 dB compression input, gain must be 29 dB.
     EXPECT_NEAR(pa_output_dbm(pa, p1db_in) - p1db_in, 29.0, 0.05);
     EXPECT_LT(p1db_in + 30.0, 30.0 + 0.5); // output P1dB below Psat
+}
+
+TEST(pa, process_is_input_times_gain)
+{
+    power_amplifier::config cfg;
+    cfg.gain_db = 30.0;
+    cfg.output_saturation_dbm = 30.0;
+    const power_amplifier pa(cfg);
+    // From deep in the linear region to 40 dB past saturation, at phases
+    // off the real axis.
+    for (double input_dbm = -80.0; input_dbm <= 40.0; input_dbm += 0.37) {
+        const cf64 x = std::polar(std::sqrt(dbm_to_watt(input_dbm)), 0.3 * input_dbm);
+        const cf64 want = x * pa.gain(std::abs(x));
+        const cf64 got = pa.process(x);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.real()),
+                  std::bit_cast<std::uint64_t>(want.real())) << input_dbm;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.imag()),
+                  std::bit_cast<std::uint64_t>(want.imag())) << input_dbm;
+    }
+    const cf64 zero = pa.process(cf64{0.5 * power_amplifier::min_amplitude, 0.0});
+    EXPECT_EQ(zero, cf64{});
 }
 
 TEST(pa, preserves_phase)

@@ -16,8 +16,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "mmtag/obs/metrics_registry.hpp"
 #include "mmtag/scale/des_engine.hpp"
@@ -32,18 +35,39 @@ using scale::event_queue;
 using scale::scale_config;
 using scale::scale_result;
 
-/// One cache directory per test binary run: the first run_scale generates
-/// the (deliberately coarse) table, every later call hits the cache.
+/// A cache directory named after this process, removed again at exit.
+/// ctest runs each case in a process of its own, several at once under -j,
+/// so a shared name would let one case clear the table another is reading.
+class process_cache_dir {
+public:
+    process_cache_dir()
+        : path_((std::filesystem::temp_directory_path() /
+                 ("mmtag_des_test_cache_" + std::to_string(::getpid())))
+                    .string())
+    {
+        std::filesystem::remove_all(path_);
+        std::filesystem::create_directories(path_);
+    }
+    ~process_cache_dir()
+    {
+        std::error_code ignored;
+        std::filesystem::remove_all(path_, ignored);
+    }
+    process_cache_dir(const process_cache_dir&) = delete;
+    process_cache_dir& operator=(const process_cache_dir&) = delete;
+
+    [[nodiscard]] const std::string& path() const { return path_; }
+
+private:
+    std::string path_;
+};
+
+/// One cache directory per test process: the first run_scale generates the
+/// (deliberately coarse) table, every later call hits the cache.
 const std::string& shared_cache_dir()
 {
-    static const std::string dir = [] {
-        namespace fs = std::filesystem;
-        const fs::path path = fs::temp_directory_path() / "mmtag_des_test_cache";
-        fs::remove_all(path);
-        fs::create_directories(path);
-        return path.string();
-    }();
-    return dir;
+    static const process_cache_dir dir;
+    return dir.path();
 }
 
 scale_config small_config()

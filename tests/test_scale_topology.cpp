@@ -4,8 +4,11 @@
 // to the plain link budget when a single AP removes all interference.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "mmtag/core/config.hpp"
 #include "mmtag/core/link_budget.hpp"
@@ -118,6 +121,39 @@ TEST(ScaleTopology, SingleApSinrMatchesLinkBudget)
         const auto point = budget.at(tag.distance_m);
         const double snr_db = point.received_at_ap_dbm - point.noise_floor_dbm;
         EXPECT_NEAR(tag.sinr_db, snr_db, 1e-9);
+    }
+}
+
+/// FNV-1a over the bits of every tag's sinr_db, in tag order.
+std::uint64_t sinr_hash(const deployment& topo)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const auto& tag : topo.tags) {
+        std::uint64_t bits = std::bit_cast<std::uint64_t>(tag.sinr_db);
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= bits & 0xffU;
+            hash *= 0x100000001b3ULL;
+            bits >>= 8;
+        }
+    }
+    return hash;
+}
+
+TEST(ScaleTopology, SinrIsPinnedForEveryLayout)
+{
+    // Pinned while every budget call built a whole backscatter_channel: the
+    // link budget's distance-invariant terms may be hoisted, but no SINR
+    // bit may move.
+    const auto scenario = core::fast_scenario();
+    const std::pair<layout_kind, std::uint64_t> pinned[] = {
+        {layout_kind::warehouse_grid, 0x9f3b2a9ccceb4683ULL},
+        {layout_kind::poisson_disc, 0x6ca0620e0f6cc01bULL},
+        {layout_kind::clustered, 0x75ae0a903a85f82fULL},
+    };
+    for (const auto& [layout, hash] : pinned) {
+        const deployment topo = make_deployment(base_config(layout, 3000, 9), scenario);
+        EXPECT_EQ(sinr_hash(topo), hash)
+            << scale::layout_name(layout) << " 0x" << std::hex << sinr_hash(topo);
     }
 }
 
