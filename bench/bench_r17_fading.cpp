@@ -36,8 +36,7 @@ bench::measured bench::r17_fading(const bench::bench_options& opts)
         const double per = 1.0 - static_cast<double>(delivered) / frames;
 
         // What stop-and-wait ARQ recovers at this frame success rate.
-        const mac::stop_and_wait_arq arq{mac::arq_config{}};
-        const auto arq_stats = arq.run(500, std::max(1.0 - per, 0.01), 17);
+        const auto arq_stats = mac::stop_and_wait(500, std::max(1.0 - per, 0.01), 17);
 
         out.add_row({k_db >= 80.0 ? "LOS" : bench::fmt("%.0f", k_db),
                      bench::fmt("%.1f", snr.count() ? snr.mean() : -100.0),

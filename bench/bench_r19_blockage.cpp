@@ -81,8 +81,7 @@ bench::measured bench::r19_blockage(const bench::bench_options& opts)
                 }
             }
             const double per = 1.0 - static_cast<double>(delivered) / frames;
-            const mac::stop_and_wait_arq arq{mac::arq_config{}};
-            const auto arq_stats = arq.run(400, std::max(1.0 - per, 0.02), 37);
+            const auto arq_stats = mac::stop_and_wait(400, std::max(1.0 - per, 0.02), 37);
             out.add_row({bench::fmt("%.0f", loss_db), bench::fmt("%.1f", duty),
                          bench::fmt("%.2f", per),
                          bench::fmt("%.3f", arq_stats.delivery_ratio()),

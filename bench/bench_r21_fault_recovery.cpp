@@ -9,14 +9,15 @@
 // moment a persistent fault (LO step) lands — it can retransmit forever but
 // never re-locks. Both arms see bit-identical faults per seed.
 //
-// The (cell x arm) grid — the heaviest workload in the bench suite — fans
-// out across the runtime's thread pool; every arm owns its simulator and
-// injector, so results are bit-identical for any --jobs value.
+// The (cell x arm) grid — the heaviest workload in the bench suite — runs
+// through core::run_recovery_arms on the runtime's thread pool; every arm
+// owns its simulator and injector, so results are bit-identical for any
+// --jobs value.
+#include <optional>
 #include <vector>
 
 #include "experiments.hpp"
 #include "mmtag/core/supervised_link.hpp"
-#include "mmtag/fault/fault_injector.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
 
 using namespace mmtag;
@@ -56,40 +57,25 @@ bench::measured bench::r21_fault_recovery(const bench::bench_options& opts)
     constexpr std::size_t payload_bytes = 24;
     const std::uint64_t fault_seed = opts.flags.get_uint("fault-seed", 42);
 
-    const ap::supervisor_config sup_cfg{};
     const std::size_t cell_count = std::size(kCells);
 
-    // Task grid: [0] fault-free reference, then (cell, arm) pairs. Each task
-    // owns its link and injector; seeds match the historical serial bench.
-    std::vector<ap::supervised_report> sup_reports(cell_count);
-    std::vector<ap::supervised_report> base_reports(cell_count);
-    ap::supervised_report reference;
-
-    runtime::thread_pool pool(opts.jobs);
-    pool.parallel_for(1 + 2 * cell_count, [&](std::size_t task) {
-        if (task == 0) {
-            core::link_simulator link(link_config(11));
-            reference = core::run_supervised_link(link, nullptr, sup_cfg, frames,
-                                                  payload_bytes);
-            return;
-        }
-        const std::size_t cell_index = (task - 1) / 2;
-        const bool supervised = (task - 1) % 2 == 0;
+    // Arms: [0] the fault-free supervised reference, then a (supervised,
+    // plain) pair per cell, both arms of a cell seeing the same faults.
+    std::vector<core::recovery_arm> arms{{std::nullopt, true}};
+    for (std::size_t cell_index = 0; cell_index < cell_count; ++cell_index) {
         const auto& cell = kCells[cell_index];
-        const auto sched_cfg = schedule_config(cell.rate_hz, cell.duration_s);
-        const std::uint64_t cell_seed = fault_seed * 1'000'003 + cell_index;
-
-        core::link_simulator link(link_config(11));
-        fault::fault_injector faults{fault::fault_schedule(sched_cfg, cell_seed)};
-        fault::fault_injector* injector = cell.rate_hz > 0.0 ? &faults : nullptr;
-        if (supervised) {
-            sup_reports[cell_index] = core::run_supervised_link(link, injector, sup_cfg,
-                                                                frames, payload_bytes);
-        } else {
-            base_reports[cell_index] =
-                core::run_baseline_link(link, injector, frames, payload_bytes);
+        std::optional<fault::fault_schedule> faults;
+        if (cell.rate_hz > 0.0) {
+            faults.emplace(schedule_config(cell.rate_hz, cell.duration_s),
+                           fault_seed * 1'000'003 + cell_index);
         }
-    });
+        arms.push_back({faults, true});
+        arms.push_back({std::move(faults), false});
+    }
+    runtime::thread_pool pool(opts.jobs);
+    const auto reports =
+        core::run_recovery_arms(link_config(11), arms, frames, payload_bytes, pool);
+    const ap::supervised_report& reference = reports[0];
 
     runtime::result_writer results(opts.id, opts.title, {"fault_rate_hz", "mean_duration_ms"},
                                    fault_seed);
@@ -99,8 +85,8 @@ bench::measured bench::r21_fault_recovery(const bench::bench_options& opts)
                      opts.csv);
     for (std::size_t cell_index = 0; cell_index < cell_count; ++cell_index) {
         const auto& cell = kCells[cell_index];
-        const auto& sup = sup_reports[cell_index];
-        const auto& base = base_reports[cell_index];
+        const auto& sup = reports[1 + 2 * cell_index];
+        const auto& base = reports[2 + 2 * cell_index];
         out.add_row({bench::fmt("%.0f", cell.rate_hz),
                      bench::fmt("%.0f", cell.duration_s * 1e3),
                      bench::fmt("%.3f", sup.goodput_bps / 1e6),
@@ -136,6 +122,6 @@ bench::measured bench::r21_fault_recovery(const bench::bench_options& opts)
         results.add_point(std::move(axis), 1, std::move(metrics));
     }
     out.print();
-    return {.results = std::move(results), .points = cell_count, .tasks = 1 + 2 * cell_count,
+    return {.results = std::move(results), .points = cell_count, .tasks = arms.size(),
             .jobs = pool.jobs()};
 }

@@ -3,13 +3,18 @@
 #
 #   scripts/perf_pair.sh BASE HEAD WORKLOAD N [SEED]
 #
-# Checks BASE and HEAD out as detached git worktrees in a temporary
-# directory and runs `perfbench/run.py --workload WORKLOAD --seed SEED
-# --seconds S --trace 0` N times on each, in pairs, where S is the
-# `run_seconds` of HEAD's BENCHMARK.json. Each pair swaps which side runs
-# first, so a slow drift of the host load falls on both.
-# One uncounted warm-up run per side builds perfbench first (run.py builds
-# on first use). Then it prints, per end-to-end metric of BENCHMARK.json,
+# Checks BASE and HEAD out as detached git worktrees and runs
+# `perfbench/run.py --workload WORKLOAD --seed SEED --seconds S --trace 0`
+# N times on each, in pairs, where S is the `run_seconds` of HEAD's
+# BENCHMARK.json. Each pair swaps which side runs first, so a slow drift of
+# the host load falls on both.
+# Each commit keeps one worktree, named by its full SHA, under
+# `$(git rev-parse --git-common-dir)/perf_pair/`, and perfbench keeps its
+# build in that worktree's .bench_build, so a later call on the same commit
+# skips the checkout, the configure and the build. Remove a cached commit
+# with `git worktree remove --force <dir>`.
+# One uncounted warm-up run per side builds perfbench if needed (run.py
+# builds on first use). Then it prints, per end-to-end metric of BENCHMARK.json,
 # each side's median and quartiles, the HEAD/BASE ratio of the medians and
 # the pairs HEAD won, and each side's digest_sha256. SEED defaults to 1.
 # perfbench is only read.
@@ -40,20 +45,31 @@ if [ "$pairs" -eq 0 ]; then
 fi
 
 repo=$(git rev-parse --show-toplevel)
+cache="$(git -C "$repo" rev-parse --path-format=absolute --git-common-dir)/perf_pair"
 work=$(mktemp -d "${TMPDIR:-/tmp}/perf_pair.XXXXXX")
-cleanup() {
-  for side in base head; do
-    if [ -d "$work/$side" ]; then
-      git -C "$repo" worktree remove --force "$work/$side" || true
-    fi
-  done
-  rm -rf "$work"
+trap 'rm -rf "$work"' EXIT
+
+# checkout REV: the cached detached worktree of REV's commit, added on first use.
+checkout() {
+  local sha dir
+  sha=$(git -C "$repo" rev-parse --verify --quiet "$1^{commit}") || {
+    echo "perf_pair: not a commit: $1" >&2
+    exit 2
+  }
+  dir="$cache/$sha"
+  if [ ! -e "$dir/.git" ]; then
+    # Forget a worktree whose directory was deleted by hand, then add it.
+    git -C "$repo" worktree prune
+    git -C "$repo" worktree add --detach --quiet "$dir" "$sha"
+  fi
+  echo "$dir"
 }
-trap cleanup EXIT
 
 # run SIDE OUTPUT: one perfbench run of the workload on SIDE's checkout.
 run() {
-  if ! python3 "$work/$1/perfbench/run.py" --workload "$workload" --seed "$seed" \
+  local dir
+  if [ "$1" = base ]; then dir=$base_dir; else dir=$head_dir; fi
+  if ! python3 "$dir/perfbench/run.py" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 > "$2" 2> "$2.err"; then
     echo "perf_pair: $1 run failed:" >&2
     cat "$2.err" "$2" >&2
@@ -61,13 +77,21 @@ run() {
   fi
 }
 
-git -C "$repo" worktree add --detach --quiet "$work/base" "$base"
-git -C "$repo" worktree add --detach --quiet "$work/head" "$head"
+base_dir=$(checkout "$base")
+head_dir=$(checkout "$head")
 seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
-  "$work/head/BENCHMARK.json")
+  "$head_dir/BENCHMARK.json")
 for side in base head; do
-  echo "perf_pair: building and warming up $side ($(git -C "$work/$side" rev-parse --short HEAD))" >&2
+  if [ "$side" = base ]; then dir=$base_dir; else dir=$head_dir; fi
+  if [ -f "$dir/.bench_build/perfbench/CMakeCache.txt" ]; then
+    state="reusing the build in $dir"
+  else
+    state="configuring and building in $dir"
+  fi
+  echo "perf_pair: warming up $side ($(git -C "$dir" rev-parse --short HEAD)): $state" >&2
+  start=$(date +%s)
   run "$side" "$work/$side.warmup"
+  echo "perf_pair: $side warm-up took $(( $(date +%s) - start )) s" >&2
 done
 
 for i in $(seq 1 "$pairs"); do
@@ -78,6 +102,7 @@ for i in $(seq 1 "$pairs"); do
   done
 done
 
+cp "$head_dir/BENCHMARK.json" "$work/BENCHMARK.json"
 python3 - "$work" "$pairs" "$workload" "$seed" <<'EOF'
 import json
 import pathlib
@@ -86,7 +111,7 @@ import sys
 
 work = pathlib.Path(sys.argv[1])
 pairs = int(sys.argv[2])
-spec = json.loads((work / "head" / "BENCHMARK.json").read_text())
+spec = json.loads((work / "BENCHMARK.json").read_text())
 better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
 

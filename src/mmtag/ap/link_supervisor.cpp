@@ -1,6 +1,7 @@
 #include "mmtag/ap/link_supervisor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -52,22 +53,23 @@ void recovery_metrics::merge(const recovery_metrics& other)
     recover_max_s = std::max(recover_max_s, other.recover_max_s);
 }
 
-link_supervisor::link_supervisor(const supervisor_config& cfg, rate_option nominal_rate)
-    : cfg_(cfg),
-      arq_(cfg.arq),
+link_supervisor::link_supervisor(rate_option nominal_rate, obs::metrics_registry* metrics)
+    : registry_(metrics),
       adapter_(rate_margin_db),
       nominal_rate_(nominal_rate),
       rate_(nominal_rate)
 {
-    if (cfg.outage_streak == 0) {
-        throw std::invalid_argument("link_supervisor: outage_streak must be >= 1");
-    }
-    if (cfg.watchdog_probes == 0) {
-        throw std::invalid_argument("link_supervisor: watchdog_probes must be >= 1");
-    }
-    if (cfg.reacquisition_time_s < 0.0) {
-        throw std::invalid_argument("link_supervisor: reacquisition time must be >= 0");
-    }
+}
+
+double link_supervisor::backoff_delay_s(std::size_t probe)
+{
+    if (probe == 0) return 0.0;
+    // pow overflows to inf once the ladder outgrows double range; the
+    // non-finite check keeps the wait at the cap for any probe index.
+    const double grown =
+        initial_backoff_s * std::pow(backoff_factor, static_cast<double>(probe - 1));
+    if (!std::isfinite(grown) || grown > max_backoff_s) return max_backoff_s;
+    return grown;
 }
 
 link_supervisor::plan link_supervisor::next_attempt() const
@@ -75,15 +77,14 @@ link_supervisor::plan link_supervisor::next_attempt() const
     plan p;
     p.rate = rate_;
     if (state_ == supervisor_state::outage) {
-        if (cfg_.rate_fallback) p.rate = rate_table().front();
+        p.rate = rate_table().front();
         // Probe instead of retransmitting: a full data frame sent into an
         // outage is airtime lost, so test the link with a short frame first.
         p.probe = true;
         // Backoff counts from the outage declaration: pre-outage retries go
         // out immediately (plain ARQ), so a short fade costs nothing extra.
-        p.wait_s = arq_.backoff_delay_s(
-            std::min<std::size_t>(fail_streak_ + 1 - cfg_.outage_streak, 32));
-        p.reacquire = probes_since_reacquire_ >= cfg_.watchdog_probes;
+        p.wait_s = backoff_delay_s(std::min<std::size_t>(fail_streak_ + 1 - outage_streak, 32));
+        p.reacquire = probes_since_reacquire_ >= watchdog_probes;
     }
     return p;
 }
@@ -92,11 +93,11 @@ void link_supervisor::record(bool delivered, double snr_db, double now_s, bool w
 {
     if (was_probe) {
         ++metrics_.probes;
-        if (cfg_.metrics != nullptr) cfg_.metrics->get_counter("supervisor/probes").add();
+        if (registry_ != nullptr) registry_->get_counter("supervisor/probes").add();
     } else {
         ++metrics_.transmissions;
-        if (cfg_.metrics != nullptr) {
-            cfg_.metrics->get_counter("supervisor/transmissions").add();
+        if (registry_ != nullptr) {
+            registry_->get_counter("supervisor/transmissions").add();
         }
     }
     if (delivered) {
@@ -105,23 +106,19 @@ void link_supervisor::record(bool delivered, double snr_db, double now_s, bool w
             const double recover = std::max(0.0, now_s - declared_s_);
             metrics_.recover_total_s += recover;
             metrics_.recover_max_s = std::max(metrics_.recover_max_s, recover);
-            if (cfg_.metrics != nullptr) {
-                cfg_.metrics->get_counter("supervisor/recoveries").add();
-                cfg_.metrics->get_gauge("supervisor/recover_s").set(recover);
+            if (registry_ != nullptr) {
+                registry_->get_counter("supervisor/recoveries").add();
+                registry_->get_gauge("supervisor/recover_s").set(recover);
             }
             trace_transition("supervisor.recovered", now_s);
         }
         state_ = supervisor_state::nominal;
         fail_streak_ = 0;
         probes_since_reacquire_ = 0;
-        if (cfg_.rate_fallback) {
-            rate_option adapted = adapter_.select_smoothed(snr_db);
-            // Ramp back up, but never above the configured nominal rate.
-            if (adapted.efficiency() > nominal_rate_.efficiency()) {
-                adapted = nominal_rate_;
-            }
-            rate_ = adapted;
-        }
+        rate_option adapted = adapter_.select_smoothed(snr_db);
+        // Ramp back up, but never above the configured nominal rate.
+        if (adapted.efficiency() > nominal_rate_.efficiency()) adapted = nominal_rate_;
+        rate_ = adapted;
         return;
     }
 
@@ -131,7 +128,7 @@ void link_supervisor::record(bool delivered, double snr_db, double now_s, bool w
     if (fail_streak_ != std::numeric_limits<std::size_t>::max()) ++fail_streak_;
     if (state_ == supervisor_state::outage) {
         ++probes_since_reacquire_;
-    } else if (fail_streak_ >= cfg_.outage_streak) {
+    } else if (fail_streak_ >= outage_streak) {
         state_ = supervisor_state::outage;
         ++metrics_.outages;
         declared_s_ = now_s;
@@ -139,15 +136,15 @@ void link_supervisor::record(bool delivered, double snr_db, double now_s, bool w
         metrics_.detect_total_s += detect;
         metrics_.detect_max_s = std::max(metrics_.detect_max_s, detect);
         probes_since_reacquire_ = 0;
-        if (cfg_.metrics != nullptr) {
-            cfg_.metrics->get_counter("supervisor/outages").add();
-            cfg_.metrics->get_gauge("supervisor/detect_s").set(detect);
+        if (registry_ != nullptr) {
+            registry_->get_counter("supervisor/outages").add();
+            registry_->get_gauge("supervisor/detect_s").set(detect);
         }
         trace_transition("supervisor.outage", now_s);
     } else {
         if (state_ != supervisor_state::alert) {
-            if (cfg_.metrics != nullptr) {
-                cfg_.metrics->get_counter("supervisor/alerts").add();
+            if (registry_ != nullptr) {
+                registry_->get_counter("supervisor/alerts").add();
             }
             trace_transition("supervisor.alert", now_s);
         }
@@ -159,8 +156,8 @@ void link_supervisor::note_reacquisition()
 {
     ++metrics_.reacquisitions;
     probes_since_reacquire_ = 0;
-    if (cfg_.metrics != nullptr) {
-        cfg_.metrics->get_counter("supervisor/reacquisitions").add();
+    if (registry_ != nullptr) {
+        registry_->get_counter("supervisor/reacquisitions").add();
     }
     trace_transition("supervisor.reacquire", 0.0);
 }
@@ -177,33 +174,36 @@ double supervised_report::goodput_retained(double fault_free_goodput_bps) const
     return goodput_bps / fault_free_goodput_bps;
 }
 
-void supervised_report::merge(const supervised_report& other)
+void supervised_report::recompute()
 {
-    recovery.merge(other.recovery);
-    const double delivered_bits =
-        goodput_bps * elapsed_s + other.goodput_bps * other.elapsed_s;
-    frames_offered += other.frames_offered;
-    frames_delivered += other.frames_delivered;
-    elapsed_s += other.elapsed_s;
     goodput_bps = elapsed_s > 0.0 ? delivered_bits / elapsed_s : 0.0;
 }
 
-supervised_report run_supervised(const supervisor_config& cfg,
-                                 const rate_option& nominal_rate,
-                                 const link_driver& driver, std::size_t frames,
-                                 double payload_bits)
+void supervised_report::merge(const supervised_report& other)
+{
+    recovery.merge(other.recovery);
+    frames_offered += other.frames_offered;
+    frames_delivered += other.frames_delivered;
+    delivered_bits += other.delivered_bits;
+    elapsed_s += other.elapsed_s;
+    recompute();
+}
+
+supervised_report run_supervised(const rate_option& nominal_rate, const link_driver& driver,
+                                 std::size_t frames, double payload_bits,
+                                 obs::metrics_registry* metrics)
 {
     if (!driver.transmit || !driver.now) {
         throw std::invalid_argument("run_supervised: transmit and now are required");
     }
-    link_supervisor supervisor(cfg, nominal_rate);
+    link_supervisor supervisor(nominal_rate, metrics);
     supervised_report report;
     const double start_s = driver.now();
 
     for (std::size_t f = 0; f < frames; ++f) {
         ++report.frames_offered;
         if (driver.next_frame) driver.next_frame(f);
-        for (std::size_t attempt = 0; attempt < cfg.arq.max_retries; ++attempt) {
+        for (std::size_t attempt = 0; attempt < link_supervisor::max_tries; ++attempt) {
             const auto plan = supervisor.next_attempt();
             if (plan.reacquire && driver.reacquire) {
                 driver.reacquire();
@@ -225,11 +225,9 @@ supervised_report run_supervised(const supervisor_config& cfg,
     }
 
     report.recovery = supervisor.metrics();
+    report.delivered_bits = static_cast<double>(report.frames_delivered) * payload_bits;
     report.elapsed_s = driver.now() - start_s;
-    report.goodput_bps =
-        report.elapsed_s > 0.0
-            ? static_cast<double>(report.frames_delivered) * payload_bits / report.elapsed_s
-            : 0.0;
+    report.recompute();
     return report;
 }
 

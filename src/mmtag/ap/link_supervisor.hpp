@@ -1,9 +1,9 @@
 // AP-side link supervision: outage detection from CRC-failure streaks,
-// retransmission with capped exponential backoff (the mac::arq policy),
-// graceful MCS fallback through rate adaptation down to the most robust
-// mode, and a session watchdog that re-runs acquisition when an outage
-// persists — plus the recovery metrics (time-to-detect, time-to-recover,
-// goodput retained) the R21 experiment reports.
+// robust-mode probes with capped exponential backoff, graceful MCS fallback
+// through rate adaptation down to the most robust mode, and a session
+// watchdog that re-runs acquisition when an outage persists — plus the
+// recovery metrics (time-to-detect, time-to-recover, goodput retained) the
+// R21 experiment reports.
 //
 // The state machine is pure (no RF dependencies); run_supervised() marries
 // it to any link through a small callback bundle, so the same logic drives
@@ -15,7 +15,6 @@
 #include <functional>
 
 #include "mmtag/ap/rate_adaptation.hpp"
-#include "mmtag/mac/arq.hpp"
 
 namespace mmtag::obs {
 class metrics_registry;
@@ -27,30 +26,6 @@ enum class supervisor_state {
     nominal, ///< delivering at the adapted rate
     alert,   ///< failures accumulating, outage not yet declared
     outage,  ///< declared outage: robust-mode probes with backoff
-};
-
-struct supervisor_config {
-    /// Consecutive delivery failures before an outage is declared.
-    std::size_t outage_streak = 3;
-    /// Retry cap, attempt timing, and the capped-exponential backoff policy
-    /// (initial_backoff_s > 0 enables backoff between failed attempts).
-    mac::arq_config arq{.max_retries = 12,
-                        .frame_time_s = 300e-6,
-                        .ack_time_s = 20e-6,
-                        .initial_backoff_s = 80e-6,
-                        .backoff_factor = 2.0,
-                        .max_backoff_s = 0.5e-3,
-                        .ack_loss = 0.0};
-    /// Failed outage probes between acquisition re-runs (session watchdog).
-    std::size_t watchdog_probes = 5;
-    /// Airtime cost of one acquisition re-run (re-lock + canceller retrain).
-    double reacquisition_time_s = 0.6e-3;
-    /// Fall back through the rate ladder during outages and ramp back via
-    /// smoothed SNR; the adapted rate never exceeds the nominal rate.
-    bool rate_fallback = true;
-    /// Optional observability registry: attempt/outage/recovery counters and
-    /// state-transition trace events. Not owned; nullptr disables.
-    obs::metrics_registry* metrics = nullptr;
 };
 
 struct recovery_metrics {
@@ -73,7 +48,27 @@ struct recovery_metrics {
 
 class link_supervisor {
 public:
-    link_supervisor(const supervisor_config& cfg, rate_option nominal_rate);
+    /// Consecutive delivery failures before an outage is declared.
+    static constexpr std::size_t outage_streak = 3;
+    /// Attempts (data frames and probes) per offered frame before the frame
+    /// is dropped.
+    static constexpr std::size_t max_tries = 12;
+    /// Outage backoff: probe k (1-based, counted from the declaration) waits
+    /// min(initial_backoff_s * backoff_factor^(k-1), max_backoff_s).
+    static constexpr double initial_backoff_s = 80e-6;
+    static constexpr double backoff_factor = 2.0;
+    static constexpr double max_backoff_s = 0.5e-3;
+    /// Failed outage probes between acquisition re-runs (session watchdog).
+    static constexpr std::size_t watchdog_probes = 5;
+
+    /// `metrics`: optional observability registry fed attempt/outage/
+    /// recovery counters. Not owned; nullptr disables. State-transition
+    /// trace events go to the active trace session either way.
+    explicit link_supervisor(rate_option nominal_rate,
+                             obs::metrics_registry* metrics = nullptr);
+
+    /// Idle wait before outage probe `probe` (1-based; 0 never waits).
+    [[nodiscard]] static double backoff_delay_s(std::size_t probe);
 
     /// What to do for the next transmission attempt.
     struct plan {
@@ -102,8 +97,7 @@ public:
     [[nodiscard]] const recovery_metrics& metrics() const { return metrics_; }
 
 private:
-    supervisor_config cfg_;
-    mac::stop_and_wait_arq arq_;
+    obs::metrics_registry* registry_;
     rate_adapter adapter_;
     rate_option nominal_rate_;
     rate_option rate_;
@@ -144,25 +138,30 @@ struct supervised_report {
     recovery_metrics recovery;
     std::size_t frames_offered = 0;
     std::size_t frames_delivered = 0;
-    double elapsed_s = 0.0;
-    double goodput_bps = 0.0;
+    double delivered_bits = 0.0; ///< payload bits of the delivered frames
+    double elapsed_s = 0.0;      ///< link time the run occupied
+    double goodput_bps = 0.0;    ///< derived by recompute()
 
     [[nodiscard]] double delivery_ratio() const;
     /// Fraction of a fault-free reference goodput retained.
     [[nodiscard]] double goodput_retained(double fault_free_goodput_bps) const;
 
-    /// Trial-ordered fold: counters add, goodput recombines from the sums of
-    /// delivered bits and elapsed airtime (an elapsed-weighted mean).
+    /// Derives goodput_bps from delivered_bits and elapsed_s, the additive
+    /// fields; the one place goodput is computed.
+    void recompute();
+
+    /// Trial-ordered fold: counters, delivered bits and elapsed time add,
+    /// then goodput is recomputed from the sums.
     void merge(const supervised_report& other);
 };
 
-/// Offers `frames` payloads of `payload_bits` each through the supervisor:
-/// every frame is attempted up to cfg.arq.max_retries times following the
-/// supervisor's backoff/fallback/watchdog plan, then dropped.
-[[nodiscard]] supervised_report run_supervised(const supervisor_config& cfg,
-                                               const rate_option& nominal_rate,
+/// Offers `frames` payloads of `payload_bits` each through a supervisor:
+/// every frame is attempted up to link_supervisor::max_tries times following
+/// the supervisor's backoff/fallback/watchdog plan, then dropped. `metrics`
+/// is passed to the supervisor.
+[[nodiscard]] supervised_report run_supervised(const rate_option& nominal_rate,
                                                const link_driver& driver,
-                                               std::size_t frames,
-                                               double payload_bits);
+                                               std::size_t frames, double payload_bits,
+                                               obs::metrics_registry* metrics = nullptr);
 
 } // namespace mmtag::ap

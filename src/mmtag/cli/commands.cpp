@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -15,7 +16,7 @@
 #include "mmtag/core/metrics.hpp"
 #include "mmtag/core/network.hpp"
 #include "mmtag/core/supervised_link.hpp"
-#include "mmtag/fault/fault_injector.hpp"
+#include "mmtag/fault/fault_schedule.hpp"
 #include "mmtag/io.hpp"
 #include "mmtag/mac/slotted_aloha.hpp"
 #include "mmtag/net/soak_harness.hpp"
@@ -287,50 +288,31 @@ int run_faults(const option_set& options)
                     schedule.count(kind));
     }
 
-    // Task grid on the runtime pool: (trial, arm) pairs, each with its own
-    // simulator and injector. Trial t perturbs the link with fault seed
-    // fault_seed + t (trial 0 reproduces the single-trial output exactly),
-    // and the per-arm reduction folds trials in order — bit-identical for
-    // any --jobs value.
-    const ap::supervisor_config sup_cfg{};
-    std::vector<ap::supervised_report> sup_trials(trials);
-    std::vector<ap::supervised_report> base_trials(trials);
-    // One registry per task, merged in task order after the barrier, so the
-    // observability aggregates are --jobs-invariant like everything else.
-    std::vector<obs::metrics_registry> task_metrics(obs_opts.metrics ? 2 * trials : 0);
+    // One (supervised, plain) pair of arms per trial. Trial t perturbs the
+    // link with fault seed fault_seed + t (trial 0 reproduces the
+    // single-trial output exactly), and each kind of arm folds its trials in
+    // order, so the output is bit-identical for any --jobs value.
+    std::vector<core::recovery_arm> arms;
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+        std::optional<fault::fault_schedule> trial_faults;
+        if (fault_rate > 0.0) trial_faults.emplace(sched_cfg, fault_seed + trial);
+        arms.push_back({trial_faults, true});
+        arms.push_back({std::move(trial_faults), false});
+    }
+    obs::metrics_registry merged;
     const trace_session trace(obs_opts.trace_path);
     const auto start = std::chrono::steady_clock::now();
     runtime::thread_pool pool(obs_opts.jobs);
-    pool.parallel_for(2 * trials, [&](std::size_t task) {
-        const std::size_t trial = task / 2;
-        const bool supervised = task % 2 == 0;
-        const fault::fault_schedule trial_schedule(sched_cfg, fault_seed + trial);
-        core::link_simulator link(cfg);
-        fault::fault_injector faults{trial_schedule};
-        fault::fault_injector* injector = fault_rate > 0.0 ? &faults : nullptr;
-        obs::metrics_registry* registry =
-            obs_opts.metrics ? &task_metrics[task] : nullptr;
-        if (registry != nullptr) {
-            link.attach_metrics(registry);
-            if (injector != nullptr) injector->attach_metrics(registry);
-        }
-        if (supervised) {
-            ap::supervisor_config task_cfg = sup_cfg;
-            task_cfg.metrics = registry;
-            sup_trials[trial] =
-                core::run_supervised_link(link, injector, task_cfg, frames, payload);
-        } else {
-            base_trials[trial] = core::run_baseline_link(link, injector, frames, payload);
-        }
-    });
+    const auto reports = core::run_recovery_arms(cfg, arms, frames, payload, pool,
+                                                 obs_opts.metrics ? &merged : nullptr);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-    ap::supervised_report sup = sup_trials.front();
-    ap::supervised_report base = base_trials.front();
+    ap::supervised_report sup = reports[0];
+    ap::supervised_report base = reports[1];
     for (std::size_t t = 1; t < trials; ++t) {
-        sup.merge(sup_trials[t]);
-        base.merge(base_trials[t]);
+        sup.merge(reports[2 * t]);
+        base.merge(reports[2 * t + 1]);
     }
 
     std::printf("  %-14s %10s %10s\n", "", "supervised", "plain-arq");
@@ -348,11 +330,9 @@ int run_faults(const option_set& options)
                 "mean / %.2f ms max\n",
                 sup.recovery.mean_detect_s() * 1e3, sup.recovery.detect_max_s * 1e3,
                 sup.recovery.mean_recover_s() * 1e3, sup.recovery.recover_max_s * 1e3);
-    std::printf("  runtime: %zu tasks in %.2f s wall (%zu jobs)\n", 2 * trials,
+    std::printf("  runtime: %zu tasks in %.2f s wall (%zu jobs)\n", arms.size(),
                 wall_s, pool.jobs());
 
-    obs::metrics_registry merged;
-    for (const auto& registry : task_metrics) merged.merge(registry);
     emit_metrics(obs_opts, merged);
     // Exit 3: the supervisor saw outages but never completed a recovery —
     // the resilience machinery itself failed, which is worse than merely
@@ -564,15 +544,11 @@ int run_sweep(const option_set& options)
         // wall-clock timer histograms go to the run section instead.
         results.set_metrics(sweep_metrics.to_json(obs::metric_view::deterministic));
         results.set_run_profile(sweep_metrics.to_json(obs::metric_view::timing));
-        if (!obs_opts.metrics_path.empty()) {
-            write_text_file(
-                obs_opts.metrics_path,
-                sweep_metrics.to_json_string(obs::metric_view::deterministic, 2));
-        }
     }
 
     std::printf("%s\n",
                 runtime::summary_line(points, out.trials, out.wall_s, out.jobs).c_str());
+    emit_metrics(obs_opts, sweep_metrics);
     if (!obs_opts.json_path.empty()) {
         const auto written =
             results.write(obs_opts.json_path, out.wall_s, out.jobs, out.trials_per_s());

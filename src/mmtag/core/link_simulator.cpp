@@ -66,43 +66,16 @@ link_simulator::frame_result link_simulator::run_frame(std::span<const std::uint
     if (faults_ != nullptr) imp = faults_->at(clock_s_, window_s);
     result.fault_active = imp.any();
 
-    // Blockage shadows the tag path twice (AP->tag and tag->AP); a brownout
-    // stops the modulation entirely, leaving the absorptive idle state.
-    const double tag_scale =
-        imp.tag_powered ? imp.tag_amplitude * imp.tag_amplitude : 0.0;
+    const double tag_scale = imp.tag_scale();
     if (tag_scale != 1.0) {
         for (auto& g : gamma) g *= tag_scale;
     }
 
     auto query = transmitter_.generate(capture);
-    if (imp.carrier_amplitude != 1.0) {
-        // The PA output collapses; the receive LO keeps running.
-        for (auto& s : query.rf) s *= imp.carrier_amplitude;
-    }
+    imp.apply_to_carrier(query.rf);
     cvec antenna = channel_.ap_received(query.rf, gamma);
-    if (imp.interferer_active()) {
-        // In-band CW burst, referenced to the tag's round-trip return at
-        // unit |Gamma|, offset from the carrier by a fraction of the
-        // symbol rate so it lands inside the receive bandwidth.
-        const double amplitude = channel_.round_trip_amplitude() *
-                                 std::sqrt(transmitter_.tx_power_w()) *
-                                 std::pow(10.0, imp.interferer_rel_db / 20.0);
-        const double step = two_pi * 0.35 * cfg_.symbol_rate_hz / cfg_.sample_rate_hz;
-        for (std::size_t i = 0; i < antenna.size(); ++i) {
-            const double phase = step * static_cast<double>(i);
-            antenna[i] += amplitude * cf64{std::cos(phase), std::sin(phase)};
-        }
-    }
-    if (imp.lo_offset_hz != 0.0) {
-        // The synthesizer stepped but the transmit-side LO record the
-        // receiver mixes against did not: the whole capture spins at the
-        // offset, which self-coherent downconversion cannot remove.
-        const double step = two_pi * imp.lo_offset_hz / cfg_.sample_rate_hz;
-        for (std::size_t i = 0; i < antenna.size(); ++i) {
-            const double phase = step * static_cast<double>(i);
-            antenna[i] *= cf64{std::cos(phase), std::sin(phase)};
-        }
-    }
+    imp.apply_at_antenna(antenna, channel_.round_trip_amplitude(), transmitter_.tx_power_w(),
+                         cfg_.symbol_rate_hz, cfg_.sample_rate_hz);
     result.rx = receiver_.receive(antenna, query.lo);
     clock_s_ += window_s;
 

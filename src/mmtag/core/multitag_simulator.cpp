@@ -138,10 +138,8 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
     const double window_s = static_cast<double>(capture) / fs;
     fault::impairment shared;
     if (faults_ != nullptr) shared = faults_->at(clock_s_, window_s);
-    if (shared.carrier_amplitude != 1.0) {
-        // Carrier dropout hits every tag at once; the receive LO keeps going.
-        for (auto& s : query.rf) s *= shared.carrier_amplitude;
-    }
+    // Carrier dropout hits every tag at once.
+    shared.apply_to_carrier(query.rf);
 
     // Environment: leakage + clutter from the first channel (shared room).
     const cvec quiet(1, cf64{});
@@ -153,18 +151,15 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
         // brownout silences its modulation for the burst.
         double burst_scale = 1.0;
         if (faults_ != nullptr) {
-            const auto imp = faults_->at(clock_s_ + bursts[b].start_s,
-                                         frames[b].duration_s);
             burst_scale =
-                imp.tag_powered ? imp.tag_amplitude * imp.tag_amplitude : 0.0;
+                faults_->at(clock_s_ + bursts[b].start_s, frames[b].duration_s).tag_scale();
         }
         // Per-tag faults compound with the shared channel's: both paths can
         // shadow the same burst (a blocked tag during a carrier brownout).
         if (!tag_faults_.empty() && tag_faults_[bursts[b].tag_index] != nullptr) {
-            const auto imp = tag_faults_[bursts[b].tag_index]->at(
-                clock_s_ + bursts[b].start_s, frames[b].duration_s);
-            burst_scale *=
-                imp.tag_powered ? imp.tag_amplitude * imp.tag_amplitude : 0.0;
+            burst_scale *= tag_faults_[bursts[b].tag_index]
+                               ->at(clock_s_ + bursts[b].start_s, frames[b].duration_s)
+                               .tag_scale();
         }
         cvec gamma(capture, cf64{});
         const std::size_t start = starts[b] + lead;
@@ -177,28 +172,13 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
         for (std::size_t i = 0; i < capture; ++i) antenna[i] += contribution[i];
     }
 
-    if (shared.interferer_active()) {
-        // CW burst referenced to the strongest tag's round-trip return.
-        double reference = 0.0;
-        for (const auto& chan : channels_) {
-            reference = std::max(reference, chan.round_trip_amplitude());
-        }
-        const double amplitude = reference * std::sqrt(transmitter_.tx_power_w()) *
-                                 std::pow(10.0, shared.interferer_rel_db / 20.0);
-        const double step =
-            two_pi * 0.35 * base_.symbol_rate_hz / base_.sample_rate_hz;
-        for (std::size_t i = 0; i < antenna.size(); ++i) {
-            const double phase = step * static_cast<double>(i);
-            antenna[i] += amplitude * cf64{std::cos(phase), std::sin(phase)};
-        }
+    // The interferer is referenced to the strongest tag's return.
+    double reference = 0.0;
+    for (const auto& chan : channels_) {
+        reference = std::max(reference, chan.round_trip_amplitude());
     }
-    if (shared.lo_offset_hz != 0.0) {
-        const double step = two_pi * shared.lo_offset_hz / base_.sample_rate_hz;
-        for (std::size_t i = 0; i < antenna.size(); ++i) {
-            const double phase = step * static_cast<double>(i);
-            antenna[i] *= cf64{std::cos(phase), std::sin(phase)};
-        }
-    }
+    shared.apply_at_antenna(antenna, reference, transmitter_.tx_power_w(),
+                            base_.symbol_rate_hz, base_.sample_rate_hz);
 
     // Receive each burst in its own window (slot receiver). The canceller
     // trains its background estimate on the leading fraction of whatever it

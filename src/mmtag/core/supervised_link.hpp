@@ -1,36 +1,53 @@
-// Glue between the AP link supervisor and the sample-accurate single-link
-// simulator: offers framed traffic through the supervisor's plan
-// (backoff, MCS fallback, watchdog reacquisition) while an attached fault
-// injector perturbs the RF. The baseline variant runs the same traffic with
-// supervision disabled — plain fixed-rate stop-and-wait ARQ — which is the
-// "supervisor off" arm of the R21 experiment.
+// Fault-recovery runs over the sample-accurate single-link simulator. An
+// arm offers framed traffic either through the AP link supervisor (outage
+// detection, backoff, MCS fallback, watchdog reacquisition) or through plain
+// stop-and-wait ARQ at the link's configured rate (mac::stop_and_wait: a
+// fixed number of tries, no wait, no fallback, no reacquisition), while an
+// optional fault schedule perturbs the RF. R21 and `mmtag_sim faults`
+// compare the two kinds of arm under the same faults.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "mmtag/ap/link_supervisor.hpp"
-#include "mmtag/core/link_simulator.hpp"
-#include "mmtag/fault/fault_injector.hpp"
+#include "mmtag/core/config.hpp"
+#include "mmtag/fault/fault_schedule.hpp"
+
+namespace mmtag::obs {
+class metrics_registry;
+}
+
+namespace mmtag::runtime {
+class thread_pool;
+}
 
 namespace mmtag::core {
 
-/// Runs `frames` supervised frame exchanges over `link`, with `faults`
-/// injected per frame window (nullptr = fault-free). Reacquisition advances
-/// the link clock by cfg.reacquisition_time_s and re-locks the LO (clearing
-/// pending LO-step faults). The link's configured (modulation, FEC) pair is
-/// the supervisor's nominal rate.
-[[nodiscard]] ap::supervised_report run_supervised_link(link_simulator& link,
-                                                        fault::fault_injector* faults,
-                                                        const ap::supervisor_config& cfg,
-                                                        std::size_t frames,
-                                                        std::size_t payload_bytes);
+struct recovery_arm {
+    /// Faults the arm's link sees; nullopt runs it fault-free, with no
+    /// injector attached.
+    std::optional<fault::fault_schedule> faults;
+    /// true: the AP link supervisor carries the traffic; false: plain
+    /// stop-and-wait ARQ.
+    bool supervised = true;
+};
 
-/// Supervisor-off baseline: the same traffic and fault exposure, but plain
-/// stop-and-wait ARQ (8 retries) at the fixed configured rate — no backoff,
-/// no MCS fallback, no watchdog, so a persistent fault is a goodput cliff.
-[[nodiscard]] ap::supervised_report run_baseline_link(link_simulator& link,
-                                                      fault::fault_injector* faults,
-                                                      std::size_t frames,
-                                                      std::size_t payload_bytes);
+/// Runs every arm as one task on `pool`, each on its own link_simulator
+/// (configured by `link`) and fault_injector, offering `frames` payloads of
+/// `payload_bytes`. The link's configured (modulation, FEC) pair is the
+/// supervisor's nominal rate and plain ARQ's only rate. A supervised arm's
+/// reacquisition advances the link clock and re-locks the LO (clearing
+/// pending LO-step faults).
+///
+/// Reports come back in arm order. With `metrics` set, each arm records its
+/// link, its injector and, on a supervised arm, its supervisor into a
+/// registry of its own, and those fold into `*metrics` in arm order, so
+/// reports and metrics are the same for any pool size.
+[[nodiscard]] std::vector<ap::supervised_report> run_recovery_arms(
+    const system_config& link, const std::vector<recovery_arm>& arms, std::size_t frames,
+    std::size_t payload_bytes, runtime::thread_pool& pool,
+    obs::metrics_registry* metrics = nullptr);
 
 } // namespace mmtag::core

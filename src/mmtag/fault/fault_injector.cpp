@@ -23,6 +23,33 @@ bool impairment::any() const
            interferer_active() || !tag_powered;
 }
 
+void impairment::apply_to_carrier(cvec& rf) const
+{
+    if (carrier_amplitude == 1.0) return;
+    for (auto& s : rf) s *= carrier_amplitude;
+}
+
+void impairment::apply_at_antenna(cvec& antenna, double tag_return, double tx_power_w,
+                                  double symbol_rate_hz, double sample_rate_hz) const
+{
+    if (interferer_active()) {
+        const double amplitude =
+            tag_return * std::sqrt(tx_power_w) * db_to_amplitude(interferer_rel_db);
+        const double step = two_pi * 0.35 * symbol_rate_hz / sample_rate_hz;
+        for (std::size_t i = 0; i < antenna.size(); ++i) {
+            const double phase = step * static_cast<double>(i);
+            antenna[i] += amplitude * cf64{std::cos(phase), std::sin(phase)};
+        }
+    }
+    if (lo_offset_hz != 0.0) {
+        const double step = two_pi * lo_offset_hz / sample_rate_hz;
+        for (std::size_t i = 0; i < antenna.size(); ++i) {
+            const double phase = step * static_cast<double>(i);
+            antenna[i] *= cf64{std::cos(phase), std::sin(phase)};
+        }
+    }
+}
+
 fault_injector::fault_injector(fault_schedule schedule)
     : schedule_(std::move(schedule))
 {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 
+#include "mmtag/common.hpp"
 #include "mmtag/fault/fault_schedule.hpp"
 
 namespace mmtag::obs {
@@ -21,6 +22,12 @@ namespace mmtag::fault {
 
 /// Aggregate impairment over one frame/burst window. Amplitude factors are
 /// field (voltage) scalings; the deepest overlapping event of each kind wins.
+///
+/// tag_scale, apply_to_carrier and apply_at_antenna are the one sample-level
+/// application of an impairment, shared by core::link_simulator and
+/// core::multitag_simulator.
+/// The scale DES applies the same faults at SINR level
+/// (scale/des_engine.cpp) and must agree with them.
 struct impairment {
     double tag_amplitude = 1.0;     ///< one-way tag-path factor (blockage)
     double carrier_amplitude = 1.0; ///< AP carrier factor (dropout)
@@ -32,6 +39,27 @@ struct impairment {
 
     [[nodiscard]] bool interferer_active() const { return interferer_rel_db > -300.0; }
     [[nodiscard]] bool any() const;
+
+    /// Field factor on the tag's reflection: blockage shadows the tag path
+    /// twice (AP->tag and tag->AP); a brownout stops the modulation, leaving
+    /// the absorptive idle state.
+    [[nodiscard]] double tag_scale() const
+    {
+        return tag_powered ? tag_amplitude * tag_amplitude : 0.0;
+    }
+
+    /// Carrier dropout: the PA output collapses by carrier_amplitude; the
+    /// receive LO keeps running.
+    void apply_to_carrier(cvec& rf) const;
+
+    /// At the AP antenna, in this order: adds the in-band CW interferer
+    /// burst, interferer_rel_db above `tag_return` x sqrt(tx_power_w) (the
+    /// round-trip return of a tag at unit |Gamma|), offset from the carrier
+    /// by 0.35 x the symbol rate so it lands inside the receive bandwidth;
+    /// then spins the whole capture at the LO offset, which self-coherent
+    /// downconversion cannot remove.
+    void apply_at_antenna(cvec& antenna, double tag_return, double tx_power_w,
+                          double symbol_rate_hz, double sample_rate_hz) const;
 };
 
 class fault_injector {

@@ -366,9 +366,11 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
                 ev.tag < faulted ? tag_injectors[ev.tag].at(ev.time_s, ev.duration_s)
                                  : fault::impairment{};
             const bool powered = shared_imp.tag_powered && tag_imp.tag_powered;
-            // Mirror the sample-accurate impairment application: blockage
-            // shadows the tag path both ways (power x a^4), a dropout scales
-            // the illuminating carrier once (power x c^2), the interferer is
+            // SINR-level form of the one sample-level application,
+            // fault::impairment (tag_scale, apply_to_carrier,
+            // apply_at_antenna), and must agree with it: blockage shadows
+            // the tag path both ways (power x a^4), a dropout scales the
+            // illuminating carrier once (power x c^2), the interferer is
             // referenced to the tag's nominal return.
             const double a = shared_imp.tag_amplitude * tag_imp.tag_amplitude;
             const double c = shared_imp.carrier_amplitude * tag_imp.carrier_amplitude;

@@ -1,207 +1,156 @@
-// Edge cases of the stop-and-wait ARQ: retry-cap exhaustion, backoff
-// growth and ceiling, retransmissions under ACK loss, and degenerate
-// configurations that must be rejected at construction.
+// Edge cases of both retransmission loops: plain stop-and-wait ARQ
+// (retry-cap exhaustion, the order of tries, the Bernoulli draw sequence)
+// and the supervised loop's outage backoff (growth, ceiling, and the link
+// time it adds on a dead link).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <random>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "mmtag/ap/link_supervisor.hpp"
 #include "mmtag/mac/arq.hpp"
 
 using namespace mmtag;
 
-namespace {
-
-mac::arq_config backoff_config()
-{
-    mac::arq_config cfg;
-    cfg.max_retries = 6;
-    cfg.frame_time_s = 100e-6;
-    cfg.ack_time_s = 10e-6;
-    cfg.initial_backoff_s = 50e-6;
-    cfg.backoff_factor = 2.0;
-    cfg.max_backoff_s = 300e-6;
-    return cfg;
-}
-
-} // namespace
-
 TEST(arq_edge_cases, dead_link_exhausts_retry_cap_exactly)
 {
-    mac::arq_config cfg;
-    cfg.max_retries = 5;
-    const mac::stop_and_wait_arq arq(cfg);
-    const auto stats = arq.run(20, 0.0, 7);
+    const auto stats = mac::stop_and_wait(20, 0.0, 7);
     EXPECT_EQ(stats.frames_offered, 20u);
     EXPECT_EQ(stats.frames_delivered, 0u);
-    EXPECT_EQ(stats.transmissions, 20u * 5u); // every frame burns the full cap
+    // Every frame burns the full cap.
+    EXPECT_EQ(stats.transmissions, 20u * mac::stop_and_wait_tries);
     EXPECT_DOUBLE_EQ(stats.delivery_ratio(), 0.0);
 }
 
 TEST(arq_edge_cases, perfect_link_never_retries)
 {
-    const mac::stop_and_wait_arq arq;
-    const auto stats = arq.run(50, 1.0, 7);
+    const auto stats = mac::stop_and_wait(50, 1.0, 7);
     EXPECT_EQ(stats.frames_delivered, 50u);
     EXPECT_EQ(stats.transmissions, 50u);
-    // The default config never backs off: airtime is attempts only.
-    const auto& cfg = arq.parameters();
-    EXPECT_NEAR(stats.airtime_s, 50.0 * (cfg.frame_time_s + cfg.ack_time_s), 1e-12);
+}
+
+TEST(arq_edge_cases, tries_reach_the_link_in_frame_order)
+{
+    // Frame 0 passes on its third try, frame 1 never passes, frame 2 on its
+    // first: the loop asks for (frame, try) pairs in order and stops a frame
+    // at its first delivery.
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    const auto stats = mac::stop_and_wait(3, [&](std::size_t frame, std::size_t attempt) {
+        calls.emplace_back(frame, attempt);
+        return (frame == 0 && attempt == 2) || frame == 2;
+    });
+    std::vector<std::pair<std::size_t, std::size_t>> expected{{0, 0}, {0, 1}, {0, 2}};
+    for (std::size_t k = 0; k < mac::stop_and_wait_tries; ++k) expected.emplace_back(1, k);
+    expected.emplace_back(2, 0);
+    EXPECT_EQ(calls, expected);
+    EXPECT_EQ(stats.frames_delivered, 2u);
+    EXPECT_EQ(stats.transmissions, expected.size());
 }
 
 TEST(arq_edge_cases, backoff_grows_exponentially_then_hits_ceiling)
 {
-    const mac::stop_and_wait_arq arq(backoff_config());
-    EXPECT_DOUBLE_EQ(arq.backoff_delay_s(0), 0.0); // first attempt is immediate
-    EXPECT_DOUBLE_EQ(arq.backoff_delay_s(1), 50e-6);
-    EXPECT_DOUBLE_EQ(arq.backoff_delay_s(2), 100e-6);
-    EXPECT_DOUBLE_EQ(arq.backoff_delay_s(3), 200e-6);
-    EXPECT_DOUBLE_EQ(arq.backoff_delay_s(4), 300e-6); // 400 us capped at 300 us
-    EXPECT_DOUBLE_EQ(arq.backoff_delay_s(60), 300e-6); // cap holds forever
-}
-
-TEST(arq_edge_cases, zero_initial_backoff_disables_all_waits)
-{
-    auto cfg = backoff_config();
-    cfg.initial_backoff_s = 0.0;
-    const mac::stop_and_wait_arq arq(cfg);
-    for (std::size_t attempt = 0; attempt < 10; ++attempt) {
-        EXPECT_DOUBLE_EQ(arq.backoff_delay_s(attempt), 0.0);
-    }
-    const auto stats = arq.run(10, 0.0, 3);
-    const double per_attempt = cfg.frame_time_s + cfg.ack_time_s;
-    EXPECT_NEAR(stats.airtime_s, 10.0 * 6.0 * per_attempt, 1e-12); // no waits
+    using sup = ap::link_supervisor;
+    EXPECT_DOUBLE_EQ(sup::backoff_delay_s(0), 0.0); // no wait before the outage
+    EXPECT_DOUBLE_EQ(sup::backoff_delay_s(1), 80e-6);
+    EXPECT_DOUBLE_EQ(sup::backoff_delay_s(2), 160e-6);
+    EXPECT_DOUBLE_EQ(sup::backoff_delay_s(3), 320e-6);
+    EXPECT_DOUBLE_EQ(sup::backoff_delay_s(4), 500e-6);  // 640 us capped at 500 us
+    EXPECT_DOUBLE_EQ(sup::backoff_delay_s(60), 500e-6); // cap holds forever
 }
 
 TEST(arq_edge_cases, dead_link_accumulates_the_full_backoff_ladder)
 {
-    const auto cfg = backoff_config();
-    const mac::stop_and_wait_arq arq(cfg);
-    // Per frame: attempts 0..5 wait 0 + 50 + 100 + 200 + 300 + 300 us.
-    const double per_frame = (0.0 + 50.0 + 100.0 + 200.0 + 300.0 + 300.0) * 1e-6;
-    const auto stats = arq.run(8, 0.0, 11);
-    // Waits are part of the airtime the link occupies.
-    const double per_attempt = cfg.frame_time_s + cfg.ack_time_s;
-    EXPECT_NEAR(stats.airtime_s, 8.0 * (per_frame + 6.0 * per_attempt), 1e-12);
-}
+    // One frame over a link that never answers: three data attempts declare
+    // the outage, the other nine are probes, each after its backoff wait,
+    // and the watchdog re-runs acquisition once its probe budget is spent.
+    // Every wait and reacquisition is link time the frame occupies.
+    constexpr double data_s = 120e-6;
+    constexpr double probe_s = 40e-6;
+    constexpr double reacquire_s = 0.5e-3;
+    double now_s = 0.0;
+    std::size_t reacquisitions = 0;
+    ap::link_driver driver;
+    driver.transmit = [&](const ap::rate_option&) {
+        now_s += data_s;
+        return ap::attempt_result{false, -100.0, data_s};
+    };
+    driver.probe = [&](const ap::rate_option&) {
+        now_s += probe_s;
+        return ap::attempt_result{false, -100.0, probe_s};
+    };
+    driver.wait = [&](double wait_s) { now_s += wait_s; };
+    driver.reacquire = [&] {
+        ++reacquisitions;
+        now_s += reacquire_s;
+    };
+    driver.now = [&] { return now_s; };
 
-TEST(arq_edge_cases, lost_acks_force_duplicates_the_receiver_discards)
-{
-    mac::arq_config cfg;
-    cfg.max_retries = 4;
-    cfg.ack_loss = 1.0; // every implicit ACK is lost
-    const mac::stop_and_wait_arq arq(cfg);
-    const auto stats = arq.run(10, 1.0, 5);
-    // The sender never sees an ACK, so it burns the whole retry cap; the
-    // receiver counts only the first copy of each frame.
-    EXPECT_EQ(stats.frames_delivered, 10u);
-    EXPECT_EQ(stats.transmissions, 10u * 4u);
-    EXPECT_DOUBLE_EQ(stats.delivery_ratio(), 1.0);
-}
-
-TEST(arq_edge_cases, partial_ack_loss_is_between_the_extremes)
-{
-    mac::arq_config cfg;
-    cfg.max_retries = 6;
-    cfg.ack_loss = 0.5;
-    const mac::stop_and_wait_arq arq(cfg);
-    const auto stats = arq.run(200, 1.0, 21);
-    // Every attempt succeeds, so each transmission beyond the first per
-    // frame repeats a frame after a lost ACK.
-    EXPECT_EQ(stats.frames_delivered, 200u);
-    EXPECT_GT(stats.transmissions, 200u);
-    EXPECT_LT(stats.transmissions, 200u * 6u);
+    const auto report = ap::run_supervised(ap::rate_table().back(), driver, 1, 192.0);
+    using sup = ap::link_supervisor;
+    const std::size_t probes = sup::max_tries - sup::outage_streak;
+    double waits = 0.0;
+    for (std::size_t k = 1; k <= probes; ++k) waits += sup::backoff_delay_s(k);
+    EXPECT_EQ(report.frames_delivered, 0u);
+    EXPECT_EQ(report.recovery.transmissions, sup::outage_streak);
+    EXPECT_EQ(report.recovery.probes, probes);
+    EXPECT_EQ(reacquisitions, 1u);
+    EXPECT_NEAR(report.elapsed_s,
+                static_cast<double>(sup::outage_streak) * data_s +
+                    static_cast<double>(probes) * probe_s + waits + reacquire_s,
+                1e-12);
 }
 
 TEST(arq_edge_cases, ack_loss_zero_preserves_the_classic_rng_sequence)
 {
-    // ack_loss == 0 must not consume an extra RNG draw per delivery, so the
-    // stats match a config that never heard of ACK loss.
-    mac::arq_config classic;
-    classic.max_retries = 8;
-    const auto a = mac::stop_and_wait_arq(classic).run(100, 0.7, 99);
-    mac::arq_config with_field = classic;
-    with_field.ack_loss = 0.0;
-    const auto b = mac::stop_and_wait_arq(with_field).run(100, 0.7, 99);
-    EXPECT_EQ(a.frames_delivered, b.frames_delivered);
-    EXPECT_EQ(a.transmissions, b.transmissions);
-    EXPECT_DOUBLE_EQ(a.airtime_s, b.airtime_s);
-}
-
-TEST(arq_edge_cases, degenerate_configs_throw)
-{
-    mac::arq_config cfg;
-    cfg.max_retries = 0;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.frame_time_s = 0.0;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.frame_time_s = -1e-6;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.ack_time_s = -1e-6;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.initial_backoff_s = -1e-6;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.max_backoff_s = -1e-6;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.backoff_factor = 0.5;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.ack_loss = 1.5;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
-
-    cfg = {};
-    cfg.ack_loss = -0.1;
-    EXPECT_THROW(mac::stop_and_wait_arq{cfg}, std::invalid_argument);
+    // The Bernoulli loop draws exactly one uniform per try and nothing else,
+    // so its stats match a hand-written loop over the same generator: the
+    // sequence R17 and R19 report.
+    std::mt19937_64 rng(99);
+    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    std::size_t delivered = 0;
+    std::size_t transmissions = 0;
+    for (std::size_t f = 0; f < 100; ++f) {
+        for (std::size_t k = 0; k < 8; ++k) {
+            ++transmissions;
+            if (uniform(rng) < 0.7) {
+                ++delivered;
+                break;
+            }
+        }
+    }
+    const auto stats = mac::stop_and_wait(100, 0.7, 99);
+    EXPECT_EQ(stats.frames_delivered, delivered);
+    EXPECT_EQ(stats.transmissions, transmissions);
 }
 
 TEST(arq_edge_cases, invalid_success_probability_throws)
 {
-    const mac::stop_and_wait_arq arq;
-    EXPECT_THROW((void)arq.run(10, -0.1, 1), std::invalid_argument);
-    EXPECT_THROW((void)arq.run(10, 1.1, 1), std::invalid_argument);
+    EXPECT_THROW((void)mac::stop_and_wait(10, -0.1, 1), std::invalid_argument);
+    EXPECT_THROW((void)mac::stop_and_wait(10, 1.1, 1), std::invalid_argument);
+    EXPECT_THROW((void)mac::stop_and_wait(10, std::numeric_limits<double>::quiet_NaN(), 1),
+                 std::invalid_argument);
 }
 
 TEST(arq_edge_cases, backoff_stays_finite_at_saturated_attempt_counts)
 {
-    // factor^(attempt-1) overflows double range long before attempt counters
+    // factor^(probe-1) overflows double range long before probe counters
     // wrap; the ladder must clamp to the cap instead of returning inf/NaN.
-    const mac::stop_and_wait_arq arq(backoff_config());
     const std::size_t huge[] = {1u << 20, std::numeric_limits<std::size_t>::max()};
-    for (const std::size_t attempt : huge) {
-        const double wait = arq.backoff_delay_s(attempt);
-        EXPECT_TRUE(std::isfinite(wait)) << "attempt " << attempt;
-        EXPECT_DOUBLE_EQ(wait, backoff_config().max_backoff_s);
+    for (const std::size_t probe : huge) {
+        const double wait = ap::link_supervisor::backoff_delay_s(probe);
+        EXPECT_TRUE(std::isfinite(wait)) << "probe " << probe;
+        EXPECT_DOUBLE_EQ(wait, ap::link_supervisor::max_backoff_s);
     }
-
-    // Same clamp when the inputs themselves are extreme but legal.
-    auto cfg = backoff_config();
-    cfg.backoff_factor = 1e300;
-    const mac::stop_and_wait_arq steep(cfg);
-    EXPECT_DOUBLE_EQ(steep.backoff_delay_s(2), cfg.max_backoff_s);
-    EXPECT_DOUBLE_EQ(steep.backoff_delay_s(1), cfg.initial_backoff_s)
-        << "attempt 1 is factor^0 and must not clamp";
 }
 
 TEST(arq_edge_cases, same_seed_same_stats)
 {
-    const mac::stop_and_wait_arq arq(backoff_config());
-    const auto a = arq.run(100, 0.6, 1234);
-    const auto b = arq.run(100, 0.6, 1234);
+    const auto a = mac::stop_and_wait(100, 0.6, 1234);
+    const auto b = mac::stop_and_wait(100, 0.6, 1234);
     EXPECT_EQ(a.frames_delivered, b.frames_delivered);
     EXPECT_EQ(a.transmissions, b.transmissions);
-    EXPECT_DOUBLE_EQ(a.airtime_s, b.airtime_s);
 }

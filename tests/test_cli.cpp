@@ -271,6 +271,31 @@ TEST(commands, sweep_without_metrics_keeps_v1_schema)
     fs::remove_all(dir);
 }
 
+TEST(commands, sweep_bare_metrics_prints_the_snapshot)
+{
+    // Like the other commands, a bare --metrics prints the snapshot that
+    // --metrics=FILE writes.
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() / "mmtag_cli_sweep_bare_metrics";
+    fs::create_directories(dir);
+    const std::string metrics_arg = "--metrics=" + (dir / "metrics.json").string();
+    const char* to_file[] = {"mmtag_sim", "sweep",  "--points", "2", "--trials",
+                             "1",         "--frames", "1",      metrics_arg.c_str()};
+    EXPECT_EQ(dispatch(9, to_file), 0);
+    const auto metrics_text = runtime::read_text_file((dir / "metrics.json").string());
+    ASSERT_TRUE(metrics_text.has_value());
+    EXPECT_NE(metrics_text->find("link/frames"), std::string::npos);
+
+    const char* to_stdout[] = {"mmtag_sim", "sweep",  "--points", "2", "--trials",
+                               "1",         "--frames", "1",      "--metrics"};
+    testing::internal::CaptureStdout();
+    const int code = dispatch(9, to_stdout);
+    const std::string printed = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(printed.find("metrics:\n" + *metrics_text), std::string::npos) << printed;
+    fs::remove_all(dir);
+}
+
 TEST(commands, faults_accepts_metrics_and_trace)
 {
     namespace fs = std::filesystem;

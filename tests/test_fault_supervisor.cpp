@@ -2,12 +2,15 @@
 // machine, exercised through synthetic drivers (no RF) so they run fast.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
 #include "mmtag/ap/link_supervisor.hpp"
+#include "mmtag/core/link_simulator.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/fault/fault_injector.hpp"
+#include "mmtag/mac/arq.hpp"
 #include "mmtag/phy/bitio.hpp"
 
 using namespace mmtag;
@@ -30,19 +33,6 @@ fault::fault_schedule::config busy_schedule()
     return cfg;
 }
 
-ap::supervisor_config fast_supervisor()
-{
-    ap::supervisor_config cfg;
-    cfg.outage_streak = 3;
-    cfg.arq.max_retries = 10;
-    cfg.arq.initial_backoff_s = 50e-6;
-    cfg.arq.backoff_factor = 2.0;
-    cfg.arq.max_backoff_s = 400e-6;
-    cfg.watchdog_probes = 4;
-    cfg.reacquisition_time_s = 0.5e-3;
-    return cfg;
-}
-
 /// Synthetic link: every attempt costs fixed airtime and fails while the
 /// clock is inside [outage_start, outage_end). A persistent lock loss at
 /// `lock_lost_at_s` (the scripted analogue of an LO step) keeps the link
@@ -54,6 +44,7 @@ struct scripted_link {
     double lock_lost_at_s = std::numeric_limits<double>::infinity();
     double data_airtime_s = 120e-6;
     double probe_airtime_s = 40e-6;
+    double reacquisition_s = 0.5e-3;
     std::size_t reacquisitions = 0;
 
     [[nodiscard]] bool up() const
@@ -62,7 +53,7 @@ struct scripted_link {
         return now_s < outage_start_s || now_s >= outage_end_s;
     }
 
-    ap::link_driver driver(const ap::supervisor_config& cfg)
+    ap::link_driver driver()
     {
         ap::link_driver d;
         d.transmit = [this](const ap::rate_option&) {
@@ -76,9 +67,9 @@ struct scripted_link {
             return ap::attempt_result{ok, ok ? 20.0 : -100.0, probe_airtime_s};
         };
         d.wait = [this](double wait_s) { now_s += wait_s; };
-        d.reacquire = [this, &cfg] {
+        d.reacquire = [this] {
             ++reacquisitions;
-            now_s += cfg.reacquisition_time_s;
+            now_s += reacquisition_s;
             lock_lost_at_s = std::numeric_limits<double>::infinity();
         };
         d.now = [this] { return now_s; };
@@ -281,10 +272,10 @@ TEST(fault_injector, lo_step_persists_until_cleared)
 
 TEST(link_supervisor, declares_outage_after_streak_and_recovers)
 {
-    const auto cfg = fast_supervisor();
-    ap::link_supervisor supervisor(cfg, ap::rate_table().back());
+    ap::link_supervisor supervisor(ap::rate_table().back());
     EXPECT_EQ(supervisor.state(), ap::supervisor_state::nominal);
 
+    ASSERT_EQ(ap::link_supervisor::outage_streak, 3u);
     supervisor.record(false, -100.0, 1e-3);
     EXPECT_EQ(supervisor.state(), ap::supervisor_state::alert);
     supervisor.record(false, -100.0, 2e-3);
@@ -302,7 +293,7 @@ TEST(link_supervisor, declares_outage_after_streak_and_recovers)
     const auto plan = supervisor.next_attempt();
     EXPECT_TRUE(plan.probe);
     EXPECT_EQ(plan.rate.scheme, ap::rate_table().front().scheme);
-    EXPECT_DOUBLE_EQ(plan.wait_s, cfg.arq.initial_backoff_s);
+    EXPECT_DOUBLE_EQ(plan.wait_s, ap::link_supervisor::initial_backoff_s);
 
     supervisor.record(true, 25.0, 4e-3, /*was_probe=*/true);
     EXPECT_EQ(supervisor.state(), ap::supervisor_state::nominal);
@@ -314,33 +305,31 @@ TEST(link_supervisor, declares_outage_after_streak_and_recovers)
 
 TEST(link_supervisor, backoff_ladder_counts_from_declaration)
 {
-    const auto cfg = fast_supervisor();
-    ap::link_supervisor supervisor(cfg, ap::rate_table().back());
+    ap::link_supervisor supervisor(ap::rate_table().back());
     double t = 0.0;
-    for (std::size_t i = 0; i < cfg.outage_streak; ++i) {
+    for (std::size_t i = 0; i < ap::link_supervisor::outage_streak; ++i) {
         supervisor.record(false, -100.0, t += 1e-4);
     }
     // First outage probe waits the initial backoff, then doubles up to the cap.
-    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 50e-6);
+    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 80e-6);
     supervisor.record(false, -100.0, t += 1e-4);
-    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 100e-6);
+    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 160e-6);
     supervisor.record(false, -100.0, t += 1e-4);
-    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 200e-6);
+    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 320e-6);
     supervisor.record(false, -100.0, t += 1e-4);
-    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 400e-6);
+    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 500e-6); // 640 us capped
     supervisor.record(false, -100.0, t += 1e-4);
-    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 400e-6); // capped
+    EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 500e-6);
 }
 
 TEST(link_supervisor, watchdog_requests_reacquisition_after_probe_budget)
 {
-    const auto cfg = fast_supervisor();
-    ap::link_supervisor supervisor(cfg, ap::rate_table().back());
+    ap::link_supervisor supervisor(ap::rate_table().back());
     double t = 0.0;
-    for (std::size_t i = 0; i < cfg.outage_streak; ++i) {
+    for (std::size_t i = 0; i < ap::link_supervisor::outage_streak; ++i) {
         supervisor.record(false, -100.0, t += 1e-4);
     }
-    for (std::size_t probe = 0; probe < cfg.watchdog_probes; ++probe) {
+    for (std::size_t probe = 0; probe < ap::link_supervisor::watchdog_probes; ++probe) {
         EXPECT_FALSE(supervisor.next_attempt().reacquire);
         supervisor.record(false, -100.0, t += 1e-4);
     }
@@ -350,28 +339,11 @@ TEST(link_supervisor, watchdog_requests_reacquisition_after_probe_budget)
     EXPECT_EQ(supervisor.metrics().reacquisitions, 1u);
 }
 
-TEST(link_supervisor, invalid_configs_throw)
-{
-    auto cfg = fast_supervisor();
-    cfg.outage_streak = 0;
-    EXPECT_THROW((ap::link_supervisor{cfg, ap::rate_table().back()}),
-                 std::invalid_argument);
-    cfg = fast_supervisor();
-    cfg.watchdog_probes = 0;
-    EXPECT_THROW((ap::link_supervisor{cfg, ap::rate_table().back()}),
-                 std::invalid_argument);
-    cfg = fast_supervisor();
-    cfg.reacquisition_time_s = -1e-3;
-    EXPECT_THROW((ap::link_supervisor{cfg, ap::rate_table().back()}),
-                 std::invalid_argument);
-}
-
 TEST(run_supervised, delivers_everything_on_a_clean_link)
 {
-    const auto cfg = fast_supervisor();
     scripted_link link; // no outage window
     const auto result =
-        ap::run_supervised(cfg, ap::rate_table().back(), link.driver(cfg), 40, 192.0);
+        ap::run_supervised(ap::rate_table().back(), link.driver(), 40, 192.0);
     EXPECT_EQ(result.frames_delivered, 40u);
     EXPECT_DOUBLE_EQ(result.delivery_ratio(), 1.0);
     EXPECT_EQ(result.recovery.outages, 0u);
@@ -381,13 +353,11 @@ TEST(run_supervised, delivers_everything_on_a_clean_link)
 
 TEST(run_supervised, rides_through_an_outage_and_reports_recovery_metrics)
 {
-    auto cfg = fast_supervisor();
-    cfg.arq.max_retries = 30; // generous cap: nothing may be dropped here
     scripted_link link;
     link.outage_start_s = 1e-3;
     link.outage_end_s = 4e-3;
     const auto result =
-        ap::run_supervised(cfg, ap::rate_table().back(), link.driver(cfg), 60, 192.0);
+        ap::run_supervised(ap::rate_table().back(), link.driver(), 60, 192.0);
     EXPECT_EQ(result.recovery.outages, 1u);
     EXPECT_EQ(result.recovery.recoveries, 1u);
     EXPECT_GT(result.recovery.probes, 0u);
@@ -401,28 +371,61 @@ TEST(run_supervised, beats_plain_arq_on_an_outage_prone_link)
     // Synthetic acceptance check mirroring the R21 cliff: the link loses
     // lock at 1 ms (the scripted LO step) and stays down until someone
     // re-runs acquisition. The supervisor's watchdog does; plain ARQ never
-    // does, so it retries blind forever and its goodput collapses.
-    const auto cfg = fast_supervisor();
+    // does, so it retries blind and its goodput collapses.
     scripted_link supervised;
     supervised.lock_lost_at_s = 1e-3;
-    const auto sup = ap::run_supervised(cfg, ap::rate_table().back(),
-                                        supervised.driver(cfg), 80, 192.0);
+    const auto sup =
+        ap::run_supervised(ap::rate_table().back(), supervised.driver(), 80, 192.0);
     EXPECT_GT(supervised.reacquisitions, 0u);
 
-    ap::supervisor_config off = cfg;
-    off.outage_streak = static_cast<std::size_t>(-1);
-    off.arq.max_retries = 8;
-    off.arq.initial_backoff_s = 0.0;
-    off.rate_fallback = false;
     scripted_link plain;
     plain.lock_lost_at_s = 1e-3;
-    const auto base =
-        ap::run_supervised(off, ap::rate_table().back(), plain.driver(off), 80, 192.0);
+    const auto transmit = plain.driver().transmit;
+    const auto base = mac::stop_and_wait(80, [&](std::size_t, std::size_t) {
+        return transmit(ap::rate_table().back()).delivered;
+    });
     EXPECT_EQ(plain.reacquisitions, 0u);
 
-    EXPECT_GT(sup.goodput_bps, base.goodput_bps);
+    const double base_goodput_bps =
+        static_cast<double>(base.frames_delivered) * 192.0 / plain.now_s;
+    EXPECT_GT(sup.goodput_bps, base_goodput_bps);
     EXPECT_GT(sup.frames_delivered, base.frames_delivered);
-    EXPECT_EQ(base.recovery.outages, 0u); // supervision really was off
+}
+
+TEST(supervised_report, merge_is_exact_in_any_grouping)
+{
+    // Delivered bits and elapsed time are the additive fields; goodput is
+    // derived from their sums. The elapsed times are dyadic, so their sums
+    // are exact and both groupings must agree bit for bit with the one
+    // division of the totals. (Rebuilding bits as goodput x elapsed loses
+    // the last bit for these reports.)
+    const auto report = [](std::size_t delivered, double elapsed_s) {
+        ap::supervised_report r;
+        r.frames_offered = delivered + 1;
+        r.frames_delivered = delivered;
+        r.delivered_bits = static_cast<double>(delivered) * 192.0;
+        r.elapsed_s = elapsed_s;
+        r.recompute();
+        return r;
+    };
+    const auto a = report(37, 0.125);
+    const auto b = report(52, 2.9375);
+    const auto c = report(41, 1.234375);
+
+    auto left = a;
+    left.merge(b);
+    left.merge(c);
+    auto bc = b;
+    bc.merge(c);
+    auto right = a;
+    right.merge(bc);
+
+    const double exact = (37.0 + 52.0 + 41.0) * 192.0 / (0.125 + 2.9375 + 1.234375);
+    EXPECT_EQ(left.goodput_bps, exact);
+    EXPECT_EQ(right.goodput_bps, exact);
+    EXPECT_EQ(left.delivered_bits, right.delivered_bits);
+    EXPECT_EQ(left.frames_offered, 133u);
+    EXPECT_EQ(left.frames_delivered, 130u);
 }
 
 TEST(multitag_faults, carrier_dropout_blanks_the_capture_and_replays_identically)
@@ -481,7 +484,130 @@ TEST(multitag_faults, carrier_dropout_blanks_the_capture_and_replays_identically
 TEST(run_supervised, missing_callbacks_throw)
 {
     ap::link_driver driver;
-    EXPECT_THROW((void)ap::run_supervised(fast_supervisor(), ap::rate_table().back(),
-                                          driver, 1, 192.0),
+    EXPECT_THROW((void)ap::run_supervised(ap::rate_table().back(), driver, 1, 192.0),
                  std::invalid_argument);
+}
+
+namespace {
+
+/// FNV-1a over the bytes of each value folded in: a pin that moves when any
+/// bit of a result moves.
+struct fnv1a {
+    std::uint64_t state = 1469598103934665603ULL;
+
+    void bytes(const void* data, std::size_t size)
+    {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            state = (state ^ p[i]) * 1099511628211ULL;
+        }
+    }
+    template <typename T>
+    void value(const T& v)
+    {
+        bytes(&v, sizeof v);
+    }
+};
+
+fault::fault_event pinned_event(fault::fault_kind kind, double start_s, double duration_s,
+                                double magnitude)
+{
+    fault::fault_event event;
+    event.kind = kind;
+    event.start_s = start_s;
+    event.duration_s = duration_s;
+    event.magnitude = magnitude;
+    return event;
+}
+
+} // namespace
+
+// Pins every sample-level fault application of the single-link simulator:
+// one frame window per fault kind (blockage, carrier dropout, interferer,
+// brownout), then a persistent LO step that an interferer burst overlaps.
+// The hash pins the received samples bit for bit, so any change to the
+// order of operations in fault::impairment shows here.
+TEST(fault_impairment, link_frames_under_every_fault_kind_are_pinned)
+{
+    auto cfg = core::fast_scenario();
+    cfg.distance_m = 3.0;
+    cfg.seed = 5;
+    const auto payload = phy::random_bytes(24, 77);
+    const double w = core::link_simulator(cfg).run_frame(payload).elapsed_s;
+
+    using fault::fault_kind;
+    const fault::fault_schedule schedule(
+        20.0 * w, {pinned_event(fault_kind::blockage, 1.2 * w, 0.5 * w, 9.0),
+                   pinned_event(fault_kind::carrier_dropout, 2.2 * w, 0.5 * w, 4.0),
+                   pinned_event(fault_kind::interferer, 3.2 * w, 0.5 * w, -8.0),
+                   pinned_event(fault_kind::brownout, 4.2 * w, 0.5 * w, 0.0),
+                   pinned_event(fault_kind::lo_step, 5.2 * w, 0.0, 100.0),
+                   pinned_event(fault_kind::interferer, 6.2 * w, 0.5 * w, -14.0)});
+    fault::fault_injector injector{schedule};
+    core::link_simulator link(cfg);
+    link.attach_fault_injector(&injector);
+
+    fnv1a hash;
+    std::size_t faulted = 0;
+    for (std::size_t f = 0; f < 8; ++f) {
+        const auto result = link.run_frame(payload);
+        faulted += result.fault_active ? 1 : 0;
+        hash.value(result.delivered);
+        hash.value(result.rx.frame_found);
+        hash.value(result.rx.snr_db);
+        hash.value(result.rx.evm_db);
+        hash.value(result.rx.suppression_db);
+        hash.value(result.bit_errors);
+        hash.value(result.tag_energy_j);
+        hash.value(result.elapsed_s);
+        hash.bytes(result.rx.payload.data(), result.rx.payload.size());
+        hash.bytes(result.rx.symbols.data(), result.rx.symbols.size() * sizeof(cf64));
+    }
+    EXPECT_EQ(faulted, 7u); // every frame after the clean frame 0
+    EXPECT_EQ(hash.state, 14868349466191704350ULL);
+}
+
+// The multi-tag capture's two fault paths: a shared injector (interferer,
+// then a blockage and an LO step in the second capture) and per-tag
+// injectors (tag 0 blocked throughout, tag 1 browned out in the first
+// capture, tag 2 healthy).
+TEST(fault_impairment, multitag_captures_under_shared_and_per_tag_faults_are_pinned)
+{
+    const std::vector<core::tag_descriptor> tags{{0, 2.0, 0.0}, {1, 2.5, 0.0}, {2, 3.0, 0.0}};
+    auto cfg = core::fast_scenario();
+    cfg.seed = 9;
+    const auto bursts_for = [](const core::multitag_simulator& sim, std::uint64_t round) {
+        const double slot = sim.burst_duration_s(24) + 20e-6;
+        std::vector<core::tag_burst> bursts;
+        for (std::size_t t = 0; t < 3; ++t) {
+            bursts.push_back({t, phy::random_bytes(24, 100 * round + t),
+                              static_cast<double>(t) * slot});
+        }
+        return bursts;
+    };
+    core::multitag_simulator sim(cfg, tags);
+    const double w = sim.capture_duration_s(bursts_for(sim, 0));
+
+    using fault::fault_kind;
+    fault::fault_injector shared{fault::fault_schedule(
+        4.0 * w, {pinned_event(fault_kind::interferer, 0.0, 3.0 * w, -25.0),
+                  pinned_event(fault_kind::blockage, 1.0 * w, 1.5 * w, 3.0),
+                  pinned_event(fault_kind::lo_step, 1.5 * w, 0.0, 100.0)})};
+    fault::fault_injector tag0{fault::fault_schedule(
+        4.0 * w, {pinned_event(fault_kind::blockage, 0.0, 3.0 * w, 6.0)})};
+    fault::fault_injector tag1{fault::fault_schedule(
+        4.0 * w, {pinned_event(fault_kind::brownout, 0.0, 0.9 * w, 0.0)})};
+    sim.attach_fault_injector(&shared);
+    sim.attach_tag_fault_injectors({&tag0, &tag1, nullptr});
+
+    fnv1a hash;
+    for (std::uint64_t round = 0; round < 2; ++round) {
+        for (const auto& outcome : sim.run(bursts_for(sim, round))) {
+            hash.value(outcome.frame_found);
+            hash.value(outcome.delivered);
+            hash.value(outcome.snr_db);
+            hash.bytes(outcome.payload.data(), outcome.payload.size());
+        }
+    }
+    EXPECT_EQ(hash.state, 15996241199800427014ULL);
 }

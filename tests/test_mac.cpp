@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "mmtag/mac/arq.hpp"
 #include "mmtag/mac/slotted_aloha.hpp"
 #include "mmtag/mac/tdma.hpp"
@@ -122,17 +125,15 @@ TEST(tdma, larger_payload_improves_utilization)
 
 TEST(arq, perfect_link_never_retransmits)
 {
-    stop_and_wait_arq arq{arq_config{}};
-    const auto stats = arq.run(100, 1.0, 3);
+    const auto stats = stop_and_wait(100, 1.0, 3);
     EXPECT_EQ(stats.frames_delivered, 100u);
     EXPECT_EQ(stats.transmissions, 100u);
 }
 
 TEST(arq, delivery_tracks_success_probability)
 {
-    stop_and_wait_arq arq{arq_config{}};
-    const auto stats = arq.run(2000, 0.7, 5);
-    // With 8 retries at p=0.7, delivery is essentially certain.
+    const auto stats = stop_and_wait(2000, 0.7, 5);
+    // With 8 tries at p=0.7, delivery is essentially certain.
     EXPECT_GT(stats.delivery_ratio(), 0.999);
     // Mean transmissions per frame ~ 1/0.7.
     const double mean_tx =
@@ -142,32 +143,16 @@ TEST(arq, delivery_tracks_success_probability)
 
 TEST(arq, gives_up_after_max_retries)
 {
-    arq_config cfg;
-    cfg.max_retries = 2;
-    stop_and_wait_arq arq(cfg);
-    const auto stats = arq.run(5000, 0.1, 7);
-    // Delivery probability = 1 - 0.9^2 = 0.19.
-    EXPECT_NEAR(stats.delivery_ratio(), 0.19, 0.02);
-}
-
-TEST(arq, goodput_accounts_airtime)
-{
-    arq_config cfg;
-    cfg.frame_time_s = 100e-6;
-    cfg.ack_time_s = 0.0;
-    stop_and_wait_arq arq(cfg);
-    const auto stats = arq.run(100, 1.0, 9);
-    // One 100 us frame per delivery and no ACK airtime: 100 frames, 10 ms.
-    EXPECT_EQ(stats.frames_delivered, 100u);
-    EXPECT_NEAR(stats.airtime_s, 100 * 100e-6, 1e-12);
+    const auto stats = stop_and_wait(5000, 0.2, 7);
+    // Delivery probability = 1 - 0.8^8 = 0.832.
+    ASSERT_EQ(stop_and_wait_tries, 8u);
+    EXPECT_NEAR(stats.delivery_ratio(), 1.0 - std::pow(0.8, 8.0), 0.02);
 }
 
 TEST(arq, validation)
 {
-    EXPECT_THROW((void)stop_and_wait_arq(arq_config{}).run(10, 1.5, 1), std::invalid_argument);
-    arq_config cfg;
-    cfg.max_retries = 0;
-    EXPECT_THROW(stop_and_wait_arq{cfg}, std::invalid_argument);
+    EXPECT_THROW((void)stop_and_wait(10, 1.5, 1), std::invalid_argument);
+    EXPECT_THROW((void)stop_and_wait(10, -0.5, 1), std::invalid_argument);
 }
 
 } // namespace

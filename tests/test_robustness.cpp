@@ -14,6 +14,7 @@
 #include "mmtag/phy/frame.hpp"
 #include "mmtag/phy/line_code.hpp"
 #include "mmtag/phy/preamble.hpp"
+#include "mmtag/runtime/thread_pool.hpp"
 
 namespace mmtag {
 namespace {
@@ -147,13 +148,14 @@ TEST(determinism, fault_replay_reproduces_supervisor_recovery_metrics)
         auto cfg = core::fast_scenario();
         cfg.distance_m = 4.0;
         cfg.seed = 11;
-        core::link_simulator link(cfg);
         fault::fault_schedule::config sched;
         sched.horizon_s = 20e-3;
         sched.event_rate_hz = 300.0;
         sched.mean_duration_s = 1e-3;
-        fault::fault_injector faults{fault::fault_schedule(sched, 424242)};
-        return core::run_supervised_link(link, &faults, {}, 40, 24);
+        runtime::thread_pool pool(1);
+        return core::run_recovery_arms(cfg, {{fault::fault_schedule(sched, 424242), true}},
+                                       40, 24, pool)
+            .front();
     };
     const auto a = run_once();
     const auto b = run_once();

@@ -358,27 +358,26 @@ TEST(determinism, link_sweep_json_is_byte_identical_across_jobs)
 
 TEST(determinism, faulted_trials_replay_on_parallel_path)
 {
-    // The faults CLI path: (trial x arm) tasks over the pool, each with its
-    // own simulator and counter-derived fault schedule. Running the grid
-    // under 1 and 4 jobs must produce identical reports slot for slot.
+    // The faults CLI path: a (supervised, plain) pair of arms per trial over
+    // the pool, each arm with its own simulator and counter-derived fault
+    // schedule. Running the arms under 1 and 4 jobs must produce identical
+    // reports slot for slot.
     const auto run_grid = [](std::size_t jobs) {
         constexpr std::size_t trials = 3;
         fault::fault_schedule::config sched_cfg;
         sched_cfg.horizon_s = 0.03;
         sched_cfg.event_rate_hz = 200.0;
         sched_cfg.mean_duration_s = 1e-3;
-        std::vector<ap::supervised_report> reports(trials);
+        std::vector<core::recovery_arm> arms;
+        for (std::size_t t = 0; t < trials; ++t) {
+            arms.push_back({fault::fault_schedule(sched_cfg, 42 + t), true});
+            arms.push_back({fault::fault_schedule(sched_cfg, 42 + t), false});
+        }
+        auto cfg = core::fast_scenario();
+        cfg.distance_m = 4.0;
+        cfg.seed = 11;
         thread_pool pool(jobs);
-        pool.parallel_for(trials, [&](std::size_t t) {
-            auto cfg = core::fast_scenario();
-            cfg.distance_m = 4.0;
-            cfg.seed = 11;
-            core::link_simulator link(cfg);
-            fault::fault_injector faults{
-                fault::fault_schedule(sched_cfg, 42 + t)};
-            reports[t] = core::run_supervised_link(link, &faults, {}, 30, 16);
-        });
-        return reports;
+        return core::run_recovery_arms(cfg, arms, 30, 16, pool);
     };
     const auto serial = run_grid(1);
     const auto parallel = run_grid(4);
