@@ -15,6 +15,7 @@
 #include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/frame.hpp"
+#include "mmtag/rf/gaussian_source.hpp"
 #include "mmtag/scale/des_engine.hpp"
 #include "mmtag/scale/phy_table.hpp"
 #include "mmtag/scale/topology.hpp"
@@ -37,15 +38,16 @@ void bm_fft(benchmark::State& state)
 }
 BENCHMARK(bm_fft)->Arg(1024)->Arg(4096)->Arg(16384);
 
-/// Decoded information bits per call, reported as `per_bit`: time per
-/// information bit (the console prints it with an SI prefix, n = ns).
-void set_viterbi_counters(benchmark::State& state, std::size_t info_bits)
+/// `per_call` items per iteration, reported as counter `name`: time per
+/// item (the console prints it with an SI prefix, n = ns). The Viterbi
+/// benches count decoded information bits as `per_bit`.
+void set_per_item_counters(benchmark::State& state, std::size_t per_call, const char* name)
 {
-    const auto bits = static_cast<std::int64_t>(state.iterations()) *
-                      static_cast<std::int64_t>(info_bits);
-    state.SetItemsProcessed(bits);
-    state.counters["per_bit"] = benchmark::Counter(
-        static_cast<double>(bits), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    const auto items = static_cast<std::int64_t>(state.iterations()) *
+                       static_cast<std::int64_t>(per_call);
+    state.SetItemsProcessed(items);
+    state.counters[name] = benchmark::Counter(
+        static_cast<double>(items), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 void bm_viterbi(benchmark::State& state)
@@ -56,7 +58,7 @@ void bm_viterbi(benchmark::State& state)
         auto decoded = fec::viterbi_decode(coded, fec::code_rate::half);
         benchmark::DoNotOptimize(decoded.data());
     }
-    set_viterbi_counters(state, bits.size());
+    set_per_item_counters(state, bits.size(), "per_bit");
 }
 BENCHMARK(bm_viterbi)->Arg(512)->Arg(4096);
 
@@ -75,10 +77,41 @@ void bm_viterbi_soft(benchmark::State& state, fec::code_rate rate)
         auto decoded = fec::viterbi_decode_soft(soft, rate);
         benchmark::DoNotOptimize(decoded.data());
     }
-    set_viterbi_counters(state, bits.size());
+    set_per_item_counters(state, bits.size(), "per_bit");
 }
 BENCHMARK_CAPTURE(bm_viterbi_soft, half, fec::code_rate::half)->Arg(4128);
 BENCHMARK_CAPTURE(bm_viterbi_soft, three_quarters, fec::code_rate::three_quarters)->Arg(4128);
+
+/// The N(0,1) draws one RF stage makes per link_long frame: 51,696 samples,
+/// an I/Q pair each. Reported as `per_draw`.
+constexpr std::size_t link_long_stage_draws = 103'392;
+
+void bm_gaussian_fill(benchmark::State& state)
+{
+    rf::gaussian_source source(1);
+    std::vector<double> draws(link_long_stage_draws);
+    for (auto _ : state) {
+        source.fill(draws);
+        benchmark::DoNotOptimize(draws.data());
+    }
+    set_per_item_counters(state, draws.size(), "per_draw");
+}
+BENCHMARK(bm_gaussian_fill);
+
+/// The same draws, bit for bit, one std::normal_distribution call each: the
+/// RF chain's cost before rf::gaussian_source.
+void bm_gaussian_std_loop(benchmark::State& state)
+{
+    std::mt19937_64 engine(1);
+    std::normal_distribution<double> gaussian{0.0, 1.0};
+    std::vector<double> draws(link_long_stage_draws);
+    for (auto _ : state) {
+        for (double& x : draws) x = gaussian(engine);
+        benchmark::DoNotOptimize(draws.data());
+    }
+    set_per_item_counters(state, draws.size(), "per_draw");
+}
+BENCHMARK(bm_gaussian_std_loop);
 
 void bm_frame_build(benchmark::State& state)
 {

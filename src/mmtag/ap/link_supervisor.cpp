@@ -152,14 +152,14 @@ void link_supervisor::record(bool delivered, double snr_db, double now_s, bool w
     }
 }
 
-void link_supervisor::note_reacquisition()
+void link_supervisor::note_reacquisition(double now_s)
 {
     ++metrics_.reacquisitions;
     probes_since_reacquire_ = 0;
     if (registry_ != nullptr) {
         registry_->get_counter("supervisor/reacquisitions").add();
     }
-    trace_transition("supervisor.reacquire", 0.0);
+    trace_transition("supervisor.reacquire", now_s);
 }
 
 double supervised_report::delivery_ratio() const
@@ -207,7 +207,7 @@ supervised_report run_supervised(const rate_option& nominal_rate, const link_dri
             const auto plan = supervisor.next_attempt();
             if (plan.reacquire && driver.reacquire) {
                 driver.reacquire();
-                supervisor.note_reacquisition();
+                supervisor.note_reacquisition(driver.now());
             }
             if (plan.wait_s > 0.0 && driver.wait) driver.wait(plan.wait_s);
             const bool probing = plan.probe && static_cast<bool>(driver.probe);

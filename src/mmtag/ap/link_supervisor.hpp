@@ -89,8 +89,9 @@ public:
     /// metrics; the state machine treats both outcomes identically.
     void record(bool delivered, double snr_db, double now_s, bool was_probe = false);
 
-    /// The driver performed the reacquisition the plan asked for.
-    void note_reacquisition();
+    /// The driver performed the reacquisition the plan asked for; it ended
+    /// at link time `now_s`.
+    void note_reacquisition(double now_s);
 
     [[nodiscard]] supervisor_state state() const { return state_; }
     [[nodiscard]] const rate_option& current_rate() const { return rate_; }

@@ -36,9 +36,11 @@ cvec ap_receiver::front_end(std::span<const cf64> antenna, std::span<const cf64>
     if (antenna.size() != lo.size()) {
         throw std::invalid_argument("ap_receiver: antenna/lo length mismatch");
     }
-    // Antenna-plane thermal noise, then the LNA (gain + excess noise).
-    cvec rf = antenna_noise_.apply(antenna);
-    rf = lna_.process(rf);
+    // Antenna-plane thermal noise, then the LNA (gain + excess noise), both
+    // on one buffer.
+    cvec rf(antenna.begin(), antenna.end());
+    antenna_noise_.add_to(rf);
+    lna_.process_in_place(rf);
 
     // Downconversion: the transmitter's LO (self-coherent) or a separate
     // synthesizer with its own CFO/phase noise (ablation mode).

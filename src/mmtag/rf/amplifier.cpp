@@ -1,5 +1,7 @@
 #include "mmtag/rf/amplifier.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "mmtag/rf/noise.hpp"
@@ -9,7 +11,7 @@ namespace mmtag::rf {
 // Signals are complex baseband voltages across a 1-ohm reference, so
 // instantaneous power is |x|^2 watts.
 
-lna::lna(const config& cfg, std::uint64_t seed) : cfg_(cfg), rng_(seed)
+lna::lna(const config& cfg, std::uint64_t seed) : cfg_(cfg), gaussian_(seed)
 {
     if (cfg.bandwidth_hz <= 0.0) throw std::invalid_argument("lna: bandwidth <= 0");
     if (cfg.noise_figure_db < 0.0) throw std::invalid_argument("lna: noise figure < 0");
@@ -23,17 +25,25 @@ double lna::input_referred_noise_power() const
     return (noise_factor - 1.0) * thermal_noise_power(cfg_.bandwidth_hz);
 }
 
-cf64 lna::process(cf64 input)
+void lna::process_in_place(std::span<cf64> buffer)
 {
-    const cf64 noise{noise_sigma_ * gaussian_(rng_), noise_sigma_ * gaussian_(rng_)};
-    return voltage_gain_ * (input + noise);
+    constexpr std::size_t chunk = gaussian_source::chunk_draws / 2; // samples per fill
+    std::array<double, 2 * chunk> draws;
+    for (std::size_t start = 0; start < buffer.size(); start += chunk) {
+        const std::size_t count = std::min(chunk, buffer.size() - start);
+        gaussian_.fill(std::span(draws).first(2 * count));
+        // I takes the first draw of each pair, Q the second.
+        for (std::size_t i = 0; i < count; ++i) {
+            const cf64 noise{noise_sigma_ * draws[2 * i], noise_sigma_ * draws[2 * i + 1]};
+            buffer[start + i] = voltage_gain_ * (buffer[start + i] + noise);
+        }
+    }
 }
 
 cvec lna::process(std::span<const cf64> input)
 {
-    cvec out;
-    out.reserve(input.size());
-    for (cf64 x : input) out.push_back(process(x));
+    cvec out(input.begin(), input.end());
+    process_in_place(out);
     return out;
 }
 

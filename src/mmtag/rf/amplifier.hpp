@@ -2,10 +2,10 @@
 // and Rapp soft-saturation nonlinearity (PA).
 #pragma once
 
-#include <random>
 #include <span>
 
 #include "mmtag/common.hpp"
+#include "mmtag/rf/gaussian_source.hpp"
 
 namespace mmtag::rf {
 
@@ -27,15 +27,17 @@ public:
     /// Added-noise power at the *input* reference plane [W], at t0_kelvin.
     [[nodiscard]] double input_referred_noise_power() const;
 
-    [[nodiscard]] cf64 process(cf64 input);
+    /// Adds the input-referred noise and applies the gain, in place.
+    void process_in_place(std::span<cf64> buffer);
+
+    /// Returns an amplified copy.
     [[nodiscard]] cvec process(std::span<const cf64> input);
 
 private:
     config cfg_;
     double voltage_gain_;
     double noise_sigma_;
-    std::mt19937_64 rng_;
-    std::normal_distribution<double> gaussian_{0.0, 1.0};
+    gaussian_source gaussian_;
 };
 
 /// Power amplifier with the Rapp AM/AM model:

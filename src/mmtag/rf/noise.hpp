@@ -1,10 +1,10 @@
 // Thermal noise power and generation.
 #pragma once
 
-#include <random>
 #include <span>
 
 #include "mmtag/common.hpp"
+#include "mmtag/rf/gaussian_source.hpp"
 
 namespace mmtag::rf {
 
@@ -19,8 +19,6 @@ public:
 
     [[nodiscard]] double power() const { return power_; }
 
-    [[nodiscard]] cf64 sample();
-
     /// Adds noise in place to a buffer.
     void add_to(std::span<cf64> buffer);
 
@@ -29,8 +27,7 @@ public:
 
 private:
     double power_;
-    std::mt19937_64 rng_;
-    std::normal_distribution<double> gaussian_{0.0, 1.0};
+    gaussian_source gaussian_;
 };
 
 } // namespace mmtag::rf

@@ -4,10 +4,8 @@
 // shared and an independent mode so that cancellation can be demonstrated.
 #pragma once
 
-#include <random>
-#include <span>
-
 #include "mmtag/common.hpp"
+#include "mmtag/rf/gaussian_source.hpp"
 
 namespace mmtag::rf {
 
@@ -25,9 +23,8 @@ public:
 
     oscillator(const config& cfg, std::uint64_t seed);
 
-    /// Returns exp(j(2 pi f_off t + phi_n(t))) and advances one sample.
-    [[nodiscard]] cf64 step();
-
+    /// Returns the next `count` samples of exp(j(2 pi f_off t + phi_n(t)))
+    /// and advances that many.
     [[nodiscard]] cvec generate(std::size_t count);
 
     /// Current accumulated phase [rad].
@@ -37,8 +34,7 @@ private:
     double phase_ = 0.0;
     double increment_;
     double phase_noise_sigma_;
-    std::mt19937_64 rng_;
-    std::normal_distribution<double> gaussian_{0.0, 1.0};
+    gaussian_source gaussian_;
 };
 
 } // namespace mmtag::rf

@@ -334,7 +334,7 @@ TEST(link_supervisor, watchdog_requests_reacquisition_after_probe_budget)
         supervisor.record(false, -100.0, t += 1e-4);
     }
     EXPECT_TRUE(supervisor.next_attempt().reacquire);
-    supervisor.note_reacquisition();
+    supervisor.note_reacquisition(t);
     EXPECT_FALSE(supervisor.next_attempt().reacquire); // budget reset
     EXPECT_EQ(supervisor.metrics().reacquisitions, 1u);
 }

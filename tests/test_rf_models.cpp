@@ -58,8 +58,7 @@ TEST(noise, awgn_is_circular)
     double q_power = 0.0;
     double cross = 0.0;
     constexpr int n = 100000;
-    for (int k = 0; k < n; ++k) {
-        const cf64 s = source.sample();
+    for (const cf64 s : source.apply(cvec(n, cf64{}))) {
         i_power += s.real() * s.real();
         q_power += s.imag() * s.imag();
         cross += s.real() * s.imag();
@@ -76,10 +75,8 @@ TEST(oscillator, cfo_rotation_rate)
     cfg.frequency_offset_hz = 1000.0;
     oscillator lo(cfg, 7);
     // After 250 samples (250 us) the phase should advance 2 pi * 0.25.
-    cf64 first = lo.step();
-    cf64 last{};
-    for (int i = 0; i < 250; ++i) last = lo.step();
-    const double advance = std::arg(last * std::conj(first));
+    const cvec samples = lo.generate(251);
+    const double advance = std::arg(samples.back() * std::conj(samples.front()));
     EXPECT_NEAR(advance, two_pi * 1000.0 * 250e-6, 1e-6);
 }
 
@@ -93,7 +90,7 @@ TEST(oscillator, phase_noise_grows_with_linewidth)
         dsp::running_stats drift;
         for (int trial = 0; trial < 200; ++trial) {
             const double start = lo.phase();
-            for (int i = 0; i < 1000; ++i) (void)lo.step();
+            (void)lo.generate(1000);
             drift.add(wrap_phase(lo.phase() - start));
         }
         return drift.variance();
@@ -107,8 +104,8 @@ TEST(oscillator, zero_linewidth_is_deterministic)
     cfg.sample_rate_hz = 1e6;
     cfg.frequency_offset_hz = 0.0;
     oscillator lo(cfg, 13);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_NEAR(std::abs(lo.step() - cf64{1.0, 0.0}), 0.0, 1e-12);
+    for (const cf64 sample : lo.generate(100)) {
+        EXPECT_NEAR(std::abs(sample - cf64{1.0, 0.0}), 0.0, 1e-12);
     }
 }
 
@@ -119,8 +116,8 @@ TEST(lna, small_signal_gain)
     cfg.noise_figure_db = 0.01; // effectively noiseless
     cfg.bandwidth_hz = 1e6;
     lna amplifier(cfg, 17);
-    const cf64 out = amplifier.process(cf64{1e-3, 0.0});
-    EXPECT_NEAR(std::abs(out), 1e-2, 1e-4);
+    const cvec out = amplifier.process(cvec{cf64{1e-3, 0.0}});
+    EXPECT_NEAR(std::abs(out[0]), 1e-2, 1e-4);
 }
 
 TEST(lna, output_noise_matches_noise_figure)

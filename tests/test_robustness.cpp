@@ -10,6 +10,7 @@
 #include "mmtag/fault/fault_injector.hpp"
 #include "mmtag/fec/convolutional.hpp"
 #include "mmtag/fec/hamming.hpp"
+#include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/frame.hpp"
 #include "mmtag/phy/line_code.hpp"
@@ -170,6 +171,36 @@ TEST(determinism, fault_replay_reproduces_supervisor_recovery_metrics)
     EXPECT_DOUBLE_EQ(a.recovery.recover_total_s, b.recovery.recover_total_s);
     EXPECT_DOUBLE_EQ(a.elapsed_s, b.elapsed_s);
     EXPECT_DOUBLE_EQ(a.goodput_bps, b.goodput_bps);
+}
+
+TEST(supervised_trace, reacquire_instant_carries_the_relock_link_time)
+{
+    // A supervised reacquisition re-locks the LO at the link time it ends,
+    // and the supervisor.reacquire instant must report that same time as
+    // the fault.lo_relock instant the relock emits.
+    auto cfg = core::fast_scenario();
+    cfg.distance_m = 4.0;
+    cfg.seed = 11;
+    const fault::fault_schedule faults(
+        20e-3, {{fault::fault_kind::lo_step, 1e-3, 0.0, 200e3}});
+    runtime::thread_pool pool(1);
+    obs::tracer::start();
+    const auto report = core::run_recovery_arms(cfg, {{faults, true}}, 40, 24, pool).front();
+    obs::tracer::stop();
+    ASSERT_GT(report.recovery.reacquisitions, 0u);
+
+    // Args are {"link_s": T} and {"time_s": T}, both printed %.6f.
+    const auto value = [](const std::string& args) {
+        return args.substr(args.find(':') + 1);
+    };
+    std::vector<std::string> reacquired_at;
+    std::vector<std::string> relocked_at;
+    for (const auto& event : obs::tracer::events()) {
+        if (event.name == "supervisor.reacquire") reacquired_at.push_back(value(event.args));
+        if (event.name == "fault.lo_relock") relocked_at.push_back(value(event.args));
+    }
+    EXPECT_EQ(reacquired_at.size(), report.recovery.reacquisitions);
+    EXPECT_EQ(reacquired_at, relocked_at);
 }
 
 TEST(determinism, different_seeds_differ)
