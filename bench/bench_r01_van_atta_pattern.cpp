@@ -12,7 +12,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r01_van_atta_pattern(const bench::bench_options& opts)
+cli::outcome bench::r01_van_atta_pattern(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -29,7 +29,7 @@ void ascii_scatter(const cvec& symbols)
 
 } // namespace
 
-bench::measured bench::r02_constellation(const bench::bench_options& opts)
+cli::outcome bench::r02_constellation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

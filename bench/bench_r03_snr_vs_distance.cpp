@@ -9,7 +9,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r03_snr_vs_distance(const bench::bench_options& opts)
+cli::outcome bench::r03_snr_vs_distance(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -34,7 +34,7 @@ constexpr std::size_t kPayloadBytes = 48;
 
 } // namespace
 
-bench::measured bench::r04_ber_vs_distance(const bench::bench_options& opts)
+cli::outcome bench::r04_ber_vs_distance(const bench::bench_options& opts)
 {
     const std::size_t rate_count = std::size(kRates);
     const std::size_t point_count = std::size(kDistances) * rate_count;
@@ -76,6 +76,5 @@ bench::measured bench::r04_ber_vs_distance(const bench::bench_options& opts)
                           runtime::result_writer::metrics(report));
     }
     out.print();
-    return {.results = std::move(results), .points = point_count, .tasks = outcome.trials,
-            .jobs = outcome.jobs};
+    return {.document = results.to_json(), .tasks = outcome.trials, .jobs = outcome.jobs};
 }

@@ -53,7 +53,7 @@ core::error_counter simulate_chunk(const sweep_cell& cell, std::size_t bits,
 
 } // namespace
 
-bench::measured bench::r05_ber_vs_snr(const bench::bench_options& opts)
+cli::outcome bench::r05_ber_vs_snr(const bench::bench_options& opts)
 {
     constexpr std::size_t kChunks = 8; // trials per sweep point
     std::vector<sweep_cell> cells;
@@ -96,6 +96,5 @@ bench::measured bench::r05_ber_vs_snr(const bench::bench_options& opts)
         results.add_point(std::move(axis), kChunks, std::move(metrics));
     }
     out.print();
-    return {.results = std::move(results), .points = cells.size(), .tasks = outcome.trials,
-            .jobs = outcome.jobs};
+    return {.document = results.to_json(), .tasks = outcome.trials, .jobs = outcome.jobs};
 }

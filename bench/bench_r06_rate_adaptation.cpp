@@ -23,7 +23,7 @@ core::link_report run_at(core::system_config cfg, phy::modulation scheme, phy::f
 
 } // namespace
 
-bench::measured bench::r06_rate_adaptation(const bench::bench_options& opts)
+cli::outcome bench::r06_rate_adaptation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

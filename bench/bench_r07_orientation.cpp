@@ -8,7 +8,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r07_orientation(const bench::bench_options& opts)
+cli::outcome bench::r07_orientation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -24,7 +24,7 @@ const char* mode_name(ap::cancellation_mode mode)
 
 } // namespace
 
-bench::measured bench::r08_cancellation(const bench::bench_options& opts)
+cli::outcome bench::r08_cancellation(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -7,7 +7,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r09_inventory(const bench::bench_options& opts)
+cli::outcome bench::r09_inventory(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -167,7 +167,7 @@ throughput_aggregate sampled_trial(std::size_t tag_count, std::uint64_t seed)
 
 } // namespace
 
-bench::measured bench::r10_multitag_throughput(const bench::bench_options& opts)
+cli::outcome bench::r10_multitag_throughput(const bench::bench_options& opts)
 {
     runtime::result_writer results(opts.id, opts.title, {"section", "tags"}, opts.seed);
 
@@ -248,8 +248,6 @@ bench::measured bench::r10_multitag_throughput(const bench::bench_options& opts)
         results.add_point(std::move(axis), kSampledTrials, std::move(metrics));
     }
     sampled_table.print();
-    return {.results = std::move(results),
-            .points = std::size(kAnalyticPopulations) + std::size(kSampledPopulations),
-            .tasks = analytic_out.trials + sampled_out.trials,
+    return {.document = results.to_json(), .tasks = analytic_out.trials + sampled_out.trials,
             .jobs = sampled_out.jobs};
 }

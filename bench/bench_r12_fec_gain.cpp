@@ -63,7 +63,7 @@ double coded_ber(phy::fec_mode mode, double ebn0_db, std::size_t info_bits,
 
 } // namespace
 
-bench::measured bench::r12_fec_gain(const bench::bench_options& opts)
+cli::outcome bench::r12_fec_gain(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -10,7 +10,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r13_switch_speed(const bench::bench_options& opts)
+cli::outcome bench::r13_switch_speed(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -10,7 +10,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r15_line_codes(const bench::bench_options& opts)
+cli::outcome bench::r15_line_codes(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -24,7 +24,7 @@ struct lo_case {
 
 } // namespace
 
-bench::measured bench::r16_lo_architecture(const bench::bench_options& opts)
+cli::outcome bench::r16_lo_architecture(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -12,7 +12,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r17_fading(const bench::bench_options& opts)
+cli::outcome bench::r17_fading(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -45,7 +45,7 @@ bool run_frame(const core::system_config& cfg, channel::backscatter_channel& cha
 
 } // namespace
 
-bench::measured bench::r19_blockage(const bench::bench_options& opts)
+cli::outcome bench::r19_blockage(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

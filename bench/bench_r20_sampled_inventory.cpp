@@ -10,7 +10,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r20_sampled_inventory(const bench::bench_options& opts)
+cli::outcome bench::r20_sampled_inventory(const bench::bench_options& opts)
 {
     const bool csv = opts.csv;
 

@@ -51,7 +51,7 @@ constexpr fault_cell kCells[] = {{0.0, 2e-3}, {150.0, 1e-3}, {150.0, 3e-3},
 
 } // namespace
 
-bench::measured bench::r21_fault_recovery(const bench::bench_options& opts)
+cli::outcome bench::r21_fault_recovery(const bench::bench_options& opts)
 {
     constexpr std::size_t frames = 500;
     constexpr std::size_t payload_bytes = 24;
@@ -122,6 +122,5 @@ bench::measured bench::r21_fault_recovery(const bench::bench_options& opts)
         results.add_point(std::move(axis), 1, std::move(metrics));
     }
     out.print();
-    return {.results = std::move(results), .points = cell_count, .tasks = arms.size(),
-            .jobs = pool.jobs()};
+    return {.document = results.to_json(), .tasks = arms.size(), .jobs = pool.jobs()};
 }

@@ -22,7 +22,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r22_network_soak(const bench::bench_options& opts)
+cli::outcome bench::r22_network_soak(const bench::bench_options& opts)
 {
     constexpr std::size_t tag_count = 6;
     constexpr std::size_t max_faulted = 3;
@@ -100,7 +100,6 @@ bench::measured bench::r22_network_soak(const bench::bench_options& opts)
     out.print();
     // The soak is a resilience gate, not just a report: a tripped invariant
     // is a bench failure.
-    return {.results = std::move(results), .points = max_faulted + 1,
-            .tasks = 2 * trials * (max_faulted + 1), .jobs = pool.jobs(),
-            .status = all_passed ? 0 : 1};
+    return {.status = all_passed ? 0 : 1, .document = results.to_json(),
+            .tasks = 2 * trials * (max_faulted + 1), .jobs = pool.jobs()};
 }

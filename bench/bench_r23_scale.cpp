@@ -19,7 +19,7 @@
 
 using namespace mmtag;
 
-bench::measured bench::r23_scale(const bench::bench_options& opts)
+cli::outcome bench::r23_scale(const bench::bench_options& opts)
 {
     const std::vector<std::size_t> tag_counts{100, 300, 1000, 3000, 10000};
     const std::size_t aps = opts.flags.get_uint("aps", 4);
@@ -77,16 +77,17 @@ bench::measured bench::r23_scale(const bench::bench_options& opts)
         metrics.set("readmit_latency_max_rounds",
                     runtime::json_value::unsigned_integer(r.readmit_latency_max_rounds));
         metrics.set("sim_time_s", runtime::json_value::number(r.sim_time_s));
-        char hash_hex[17];
-        std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                      static_cast<unsigned long long>(r.event_log_hash));
-        metrics.set("event_log_hash", runtime::json_value::string(hash_hex));
+        metrics.set("event_log_hash", runtime::json_value::string(r.event_log_hash_hex()));
         results.add_point(std::move(axis), trials, std::move(metrics));
     }
     out.print();
 
     std::uint64_t total_events = 0;
-    for (const auto& r : results_per_point) total_events += r.events;
-    return {.results = std::move(results), .points = tag_counts.size(),
-            .tasks = trials * tag_counts.size(), .jobs = jobs_used, .events = total_events};
+    double setup_s = 0.0;
+    for (const auto& r : results_per_point) {
+        total_events += r.events;
+        setup_s += r.setup_s;
+    }
+    return {.document = results.to_json(), .tasks = trials * tag_counts.size(),
+            .jobs = jobs_used, .events = total_events, .setup_s = setup_s};
 }

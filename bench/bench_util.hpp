@@ -1,13 +1,11 @@
 // mmtag_bench's side of the cli driver: the row each experiment gets in the
-// table, and the one place for the banner, wall timing, the BENCH_<id>.json
-// result file and the summary line. Plus the aligned-table/CSV printing the
+// table (the driver times it, prints the runtime line and writes the
+// BENCH_<id>.json result file), plus the aligned-table/CSV printing the
 // experiments share.
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,7 +23,6 @@ struct bench_options {
     const char* id = "";     ///< the experiment's id, for its result_writer
     const char* title = "";  ///< the experiment's title, likewise
     bool csv = false;        ///< machine-readable table on stdout
-    std::string json_path;   ///< --json PATH; empty = bench/out/BENCH_<id>.json
     std::size_t jobs = 0;    ///< --jobs N parallel executors; 0 = auto
     std::uint64_t seed = 1;  ///< --seed S: base of the per-trial seeding scheme
     cli::option_set flags;   ///< the whole command line, experiment-only flags included
@@ -99,60 +96,32 @@ inline std::string fmt(const char* format, double value)
     return buffer;
 }
 
-/// What an experiment hands back to the driver. An experiment that writes a
-/// result file returns its result_writer with the point, task and job counts
-/// the summary line reports; the others return only their exit status.
-struct measured {
-    std::optional<runtime::result_writer> results{};
-    std::size_t points = 0;
-    std::size_t tasks = 0;
-    std::size_t jobs = 1;
-    std::uint64_t events = 0;  ///< > 0 adds an events/s figure to the summary
-    int status = 0;            ///< the process exit status
-};
-
 /// One row of mmtag_bench's table: `flags` are the flags the experiment
-/// reads besides `--csv`, which every experiment takes. The row reads the
-/// common flags, prints the banner, times `body`, writes the result file and
-/// prints the summary line.
+/// reads besides `--csv`, which every experiment takes. The row prints the
+/// banner and runs `body`; an experiment that writes a result file returns
+/// its document with the task and job counts the runtime line reports.
 inline cli::command experiment(const char* id, const char* title,
-                               measured (*body)(const bench_options&),
+                               cli::outcome (*body)(const bench_options&),
                                std::vector<std::string> flags = {})
 {
     flags.insert(flags.begin(), "csv");
-    return {id, title, std::move(flags), [=](const cli::option_set& options) {
-        const bench_options opts{id, title, options.get_flag("csv"),
-                                 options.get_string("json", ""), options.get_uint("jobs", 0),
+    return {id, title, std::move(flags), [=](const cli::option_set& options,
+                                             const cli::context& ctx) {
+        const bench_options opts{id, title, options.get_flag("csv"), ctx.jobs,
                                  options.get_uint("seed", 1), options};
         if (!opts.csv) std::printf("\n=== %s: %s ===\n\n", id, title);
-
-        const auto start = std::chrono::steady_clock::now();
-        measured out = body(opts);
-        const double wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        if (!out.results) return out.status;
-
-        const auto written = out.results->write(opts.json_path, wall_s, out.jobs,
-                                                runtime::per_second(out.tasks, wall_s));
-        if (!opts.csv) {
-            std::string summary = runtime::summary_line(out.points, out.tasks, wall_s, out.jobs);
-            if (out.events > 0) {
-                summary += fmt(", %.0f events/s", runtime::per_second(out.events, wall_s));
-            }
-            std::printf("\n%s\n", summary.c_str());
-            if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-        }
-        return out.status;
+        return body(opts);
     }};
 }
 
 /// mmtag_bench's front end: the cli driver over `experiments`. Bad input
-/// exits 2; no argument lists the table like `help`.
+/// exits 2; no argument lists the table like `help`. Without --json a result
+/// file goes to bench/out/BENCH_<id>.json.
 inline int run(int argc, const char* const* argv, std::span<const cli::command> experiments)
 {
     return cli::run(argc, argv, experiments,
                     {.program = "mmtag_bench", .noun = "experiment", .bad_input_status = 2,
-                     .no_argument_status = 0});
+                     .no_argument_status = 0, .default_json_prefix = "bench/out/BENCH_"});
 }
 
 } // namespace mmtag::bench

@@ -1,10 +1,6 @@
 #include "mmtag/cli/commands.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -17,11 +13,9 @@
 #include "mmtag/core/network.hpp"
 #include "mmtag/core/supervised_link.hpp"
 #include "mmtag/fault/fault_schedule.hpp"
-#include "mmtag/io.hpp"
 #include "mmtag/mac/slotted_aloha.hpp"
 #include "mmtag/net/soak_harness.hpp"
 #include "mmtag/obs/metrics_registry.hpp"
-#include "mmtag/obs/trace.hpp"
 #include "mmtag/runtime/result_writer.hpp"
 #include "mmtag/scale/des_engine.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
@@ -30,73 +24,6 @@
 namespace mmtag::cli {
 
 namespace {
-
-/// --jobs N, --json PATH, --metrics[=FILE] and --trace FILE: the flags the
-/// Monte-Carlo commands share. A flag the command's row does not list is
-/// never given, so it reads as its default.
-struct run_options {
-    std::size_t jobs = 0;     ///< 0: all cores
-    std::string json_path;    ///< empty: no result document
-    bool metrics = false;
-    std::string metrics_path; ///< empty: embed/print only, no standalone file
-    std::string trace_path;   ///< empty: tracing off
-};
-
-run_options parse_run_options(const option_set& options, std::uint64_t default_jobs)
-{
-    run_options out;
-    out.jobs = static_cast<std::size_t>(options.get_uint("jobs", default_jobs));
-    out.json_path = options.get_string("json", "");
-    // A bare `--metrics` collects and embeds/prints, but writes no file.
-    if (const auto path = options.get_flag_or_string("metrics")) {
-        out.metrics = true;
-        out.metrics_path = *path;
-    }
-    out.trace_path = options.get_string("trace", "");
-    return out;
-}
-
-/// Starts a trace session scoped to the command when a path was given;
-/// stops and writes on destruction.
-class trace_session {
-public:
-    explicit trace_session(std::string path) : path_(std::move(path))
-    {
-        if (!path_.empty()) obs::tracer::start();
-    }
-    ~trace_session()
-    {
-        if (path_.empty()) return;
-        obs::tracer::stop();
-        if (obs::tracer::write(path_)) std::printf("wrote %s\n", path_.c_str());
-    }
-
-    trace_session(const trace_session&) = delete;
-    trace_session& operator=(const trace_session&) = delete;
-
-private:
-    std::string path_;
-};
-
-void write_text_file(const std::string& path, const std::string& text)
-{
-    if (!io::write_text_file(path, text)) return;
-    std::printf("wrote %s\n", path.c_str());
-}
-
-/// --metrics: prints the deterministic snapshot after the report, or writes
-/// it to FILE for --metrics=FILE. Does nothing without --metrics.
-void emit_metrics(const run_options& obs_opts, const obs::metrics_registry& registry)
-{
-    if (!obs_opts.metrics) return;
-    const std::string snapshot =
-        registry.to_json_string(obs::metric_view::deterministic, 2);
-    if (obs_opts.metrics_path.empty()) {
-        std::printf("metrics:\n%s\n", snapshot.c_str());
-    } else {
-        write_text_file(obs_opts.metrics_path, snapshot);
-    }
-}
 
 /// Reads --key through `parse`, naming the flag in the error a bad value
 /// raises: "--scheme: unknown modulation 'x' (...)".
@@ -125,7 +52,7 @@ void apply_frame_options(const option_set& options, core::system_config& cfg)
 }
 
 /// Exit 2: no frame got through.
-int run_link(const option_set& options)
+outcome run_link(const option_set& options, const context&)
 {
     const std::string preset = options.get_string("preset", "default");
     core::system_config cfg;
@@ -161,10 +88,10 @@ int run_link(const option_set& options)
     std::printf("  per      %.3f\n", report.per);
     std::printf("  goodput  %.3f Mb/s\n", report.goodput_bps / 1e6);
     std::printf("  energy   %.2f nJ/bit\n", report.tag_energy_per_bit_j * 1e9);
-    return report.per < 1.0 ? 0 : 2;
+    return {.status = report.per < 1.0 ? 0 : 2};
 }
 
-int run_budget(const option_set& options)
+outcome run_budget(const option_set& options, const context&)
 {
     auto cfg = core::fast_scenario();
     cfg.transmitter.tx_power_dbm = options.get_double("tx-power", 27.0);
@@ -187,11 +114,11 @@ int run_budget(const option_set& options)
                     phy::fec_mode_name(option.fec),
                     budget.max_range_m(option.required_snr_db + 2.0));
     }
-    return 0;
+    return {};
 }
 
 /// Exit 2: the inventory left a tag unidentified.
-int run_network(const option_set& options)
+outcome run_network(const option_set& options, const context&)
 {
     const auto tag_count = static_cast<std::size_t>(options.get_uint("tags", 20));
     const double max_range = options.get_double("max-range", 8.0);
@@ -210,11 +137,11 @@ int run_network(const option_set& options)
     std::printf("  snr range  %.1f .. %.1f dB\n", report.min_snr_db, report.max_snr_db);
     std::printf("  tdma       %.3f ms cycle, %.2f Mb/s aggregate\n",
                 report.tdma.cycle_time_s * 1e3, report.aggregate_goodput_bps / 1e6);
-    return report.inventory.complete() ? 0 : 2;
+    return {.status = report.inventory.complete() ? 0 : 2};
 }
 
 /// Exit 2: a seed's inventory did not complete.
-int run_inventory(const option_set& options)
+outcome run_inventory(const option_set& options, const context&)
 {
     const auto tag_count = static_cast<std::size_t>(options.get_uint("tags", 50));
     const auto seeds = static_cast<std::size_t>(options.get_uint("seeds", 10));
@@ -241,12 +168,12 @@ int run_inventory(const option_set& options)
                 efficiency / static_cast<double>(seeds),
                 mac::aloha_inventory::theoretical_peak_efficiency(tag_count));
     std::printf("  incomplete runs  %zu\n", incomplete);
-    return incomplete == 0 ? 0 : 2;
+    return {.status = incomplete == 0 ? 0 : 2};
 }
 
 /// Exit 2 when the supervised arm loses the goodput comparison, 3 when
 /// outages occurred but no recovery completed.
-int run_faults(const option_set& options)
+outcome run_faults(const option_set& options, const context& ctx)
 {
     const double fault_rate = options.get_double("fault-rate", 150.0);
     const double mean_duration_ms = options.get_double("mean-duration", 2.0);
@@ -256,7 +183,6 @@ int run_faults(const option_set& options)
     const std::uint64_t seed = options.get_uint("seed", 11);
     const std::uint64_t fault_seed = options.get_uint("fault-seed", 42);
     const auto trials = static_cast<std::size_t>(options.get_uint("trials", 1));
-    const run_options obs_opts = parse_run_options(options, 1);
     if (fault_rate < 0.0) throw std::invalid_argument("--fault-rate must be >= 0");
     if (mean_duration_ms <= 0.0) {
         throw std::invalid_argument("--mean-duration must be > 0");
@@ -299,14 +225,9 @@ int run_faults(const option_set& options)
         arms.push_back({trial_faults, true});
         arms.push_back({std::move(trial_faults), false});
     }
-    obs::metrics_registry merged;
-    const trace_session trace(obs_opts.trace_path);
-    const auto start = std::chrono::steady_clock::now();
-    runtime::thread_pool pool(obs_opts.jobs);
-    const auto reports = core::run_recovery_arms(cfg, arms, frames, payload, pool,
-                                                 obs_opts.metrics ? &merged : nullptr);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    runtime::thread_pool pool(ctx.jobs);
+    const auto reports =
+        core::run_recovery_arms(cfg, arms, frames, payload, pool, ctx.metrics);
 
     ap::supervised_report sup = reports[0];
     ap::supervised_report base = reports[1];
@@ -330,19 +251,17 @@ int run_faults(const option_set& options)
                 "mean / %.2f ms max\n",
                 sup.recovery.mean_detect_s() * 1e3, sup.recovery.detect_max_s * 1e3,
                 sup.recovery.mean_recover_s() * 1e3, sup.recovery.recover_max_s * 1e3);
-    std::printf("  runtime: %zu tasks in %.2f s wall (%zu jobs)\n", arms.size(),
-                wall_s, pool.jobs());
 
-    emit_metrics(obs_opts, merged);
     // Exit 3: the supervisor saw outages but never completed a recovery —
     // the resilience machinery itself failed, which is worse than merely
     // losing the goodput comparison (exit 2).
-    if (sup.recovery.outages > 0 && sup.recovery.recoveries == 0) return 3;
-    return sup.goodput_bps >= base.goodput_bps ? 0 : 2;
+    int status = sup.goodput_bps >= base.goodput_bps ? 0 : 2;
+    if (sup.recovery.outages > 0 && sup.recovery.recoveries == 0) status = 3;
+    return {.status = status, .tasks = arms.size(), .jobs = pool.jobs()};
 }
 
 /// Exit 3 when any invariant fails.
-int run_soak(const option_set& options)
+outcome run_soak(const option_set& options, const context& ctx)
 {
     net::soak_config cfg;
     cfg.tag_count = static_cast<std::size_t>(options.get_uint("tags", 6));
@@ -354,7 +273,6 @@ int run_soak(const option_set& options)
     cfg.fault_seed = options.get_uint("fault-seed", 42);
     cfg.min_range_m = options.get_double("min-range", cfg.min_range_m);
     cfg.max_range_m = options.get_double("max-range", cfg.max_range_m);
-    const run_options obs_opts = parse_run_options(options, 0);
 
     std::printf("soak: %zu tags (%zu faulted), %zu rounds x %zu trials, "
                 "seed %llu, fault seed %llu\n",
@@ -362,14 +280,8 @@ int run_soak(const option_set& options)
                 static_cast<unsigned long long>(cfg.seed),
                 static_cast<unsigned long long>(cfg.fault_seed));
 
-    obs::metrics_registry metrics;
-    const trace_session trace(obs_opts.trace_path);
-    const auto start = std::chrono::steady_clock::now();
-    runtime::thread_pool pool(obs_opts.jobs);
-    const net::soak_report report =
-        net::run_soak(cfg, pool, obs_opts.metrics ? &metrics : nullptr);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    runtime::thread_pool pool(ctx.jobs);
+    const net::soak_report report = net::run_soak(cfg, pool, ctx.metrics);
 
     std::printf("  %-10s %12s %12s\n", "tag", "faulted", "reference");
     for (std::size_t i = 0; i < report.delivered_per_tag.size(); ++i) {
@@ -390,17 +302,11 @@ int run_soak(const option_set& options)
                     inv.passed ? "pass" : "FAIL", inv.passed ? "" : ": ",
                     inv.detail.c_str());
     }
-    std::printf("  runtime: %zu tasks in %.2f s wall (%zu jobs)\n", 2 * cfg.trials,
-                wall_s, pool.jobs());
-
-    if (!obs_opts.json_path.empty()) {
-        write_text_file(obs_opts.json_path, report.to_json().dump(2));
-    }
-    emit_metrics(obs_opts, metrics);
-    return report.all_passed() ? 0 : 3;
+    return {.status = report.all_passed() ? 0 : 3, .document = report.to_json(),
+            .tasks = 2 * cfg.trials, .jobs = pool.jobs()};
 }
 
-int run_scale(const option_set& options)
+outcome run_scale(const option_set& options, const context& ctx)
 {
     scale::scale_config cfg;
     cfg.topology.tag_count = static_cast<std::size_t>(options.get_uint("tags", 1000));
@@ -415,7 +321,6 @@ int run_scale(const option_set& options)
     cfg.fault_seed = options.get_uint("fault-seed", 42);
     cfg.trials = static_cast<std::size_t>(options.get_uint("trials", 1));
     cfg.scenario = core::fast_scenario();
-    const run_options obs_opts = parse_run_options(options, 0);
 
     std::printf("scale: %zu tags, %zu APs (%s layout), %zu rounds x %zu trials, "
                 "seed %llu, fault seed %llu (%zu tags faulted)\n",
@@ -424,10 +329,7 @@ int run_scale(const option_set& options)
                 static_cast<unsigned long long>(cfg.seed),
                 static_cast<unsigned long long>(cfg.fault_seed), cfg.faulted);
 
-    obs::metrics_registry metrics;
-    const trace_session trace(obs_opts.trace_path);
-    const scale::scale_result result =
-        scale::run_scale(cfg, obs_opts.jobs, obs_opts.metrics ? &metrics : nullptr);
+    const scale::scale_result result = scale::run_scale(cfg, ctx.jobs, ctx.metrics);
 
     std::printf("  phy table: %s (%s)\n", result.phy_table_path.c_str(),
                 result.cache_hit ? "cache hit" : "regenerated");
@@ -447,16 +349,8 @@ int run_scale(const option_set& options)
                 static_cast<unsigned long long>(result.readmissions),
                 result.readmit_latency_mean_rounds,
                 static_cast<unsigned long long>(result.readmit_latency_max_rounds));
-    std::printf("  runtime: set-up %.3f s, %zu trials in %.3f s wall (%zu jobs, "
-                "%.0f events/s)\n",
-                result.setup_s, cfg.trials, result.trials_s, result.jobs,
-                runtime::per_second(result.events, result.trials_s));
-
-    if (!obs_opts.json_path.empty()) {
-        write_text_file(obs_opts.json_path, result.to_json().dump(2));
-    }
-    emit_metrics(obs_opts, metrics);
-    return 0;
+    return {.document = result.to_json(), .tasks = cfg.trials, .jobs = result.jobs,
+            .events = result.events, .setup_s = result.setup_s};
 }
 
 /// Sweep aggregate pairing the link report with the trial's observability
@@ -473,7 +367,7 @@ struct observed_report {
     }
 };
 
-int run_sweep(const option_set& options)
+outcome run_sweep(const option_set& options, const context& ctx)
 {
     const double start_m = options.get_double("start", 1.0);
     const double stop_m = options.get_double("stop", 6.0);
@@ -482,7 +376,6 @@ int run_sweep(const option_set& options)
     const auto frames = static_cast<std::size_t>(options.get_uint("frames", 6));
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 32));
     const std::uint64_t seed = options.get_uint("seed", 1);
-    const run_options obs_opts = parse_run_options(options, 0);
 
     auto cfg = core::fast_scenario();
     apply_frame_options(options, cfg);
@@ -505,12 +398,11 @@ int run_sweep(const option_set& options)
                 phy::fec_mode_name(cfg.modulator.frame.fec));
 
     runtime::sweep_options sweep;
-    sweep.jobs = obs_opts.jobs;
+    sweep.jobs = ctx.jobs;
     sweep.base_seed = seed;
     sweep.trials_per_point = trials;
     sweep.progress = runtime::stderr_progress();
-    const bool want_metrics = obs_opts.metrics;
-    const trace_session trace(obs_opts.trace_path);
+    const bool want_metrics = ctx.metrics != nullptr;
     const auto out = runtime::run_sweep<observed_report>(
         sweep, points, [&](std::size_t point, std::size_t, std::uint64_t trial_seed) {
             auto trial_cfg = cfg;
@@ -527,10 +419,9 @@ int run_sweep(const option_set& options)
                 "ber_ci95", "per", "goodput_Mbps");
     runtime::result_writer results("SWEEP", "BER/goodput vs distance (CLI sweep)",
                                    {"distance_m"}, seed);
-    obs::metrics_registry sweep_metrics;
     for (std::size_t point = 0; point < points; ++point) {
         const auto& report = out.points[point].aggregate.report;
-        if (want_metrics) sweep_metrics.merge(out.points[point].aggregate.metrics);
+        if (want_metrics) ctx.metrics->merge(out.points[point].aggregate.metrics);
         std::printf("%-10.2f %-10.1f %-12.2e %-10.2e %-8.3f %-12.3f\n",
                     distance_at(point), report.mean_snr_db, report.ber,
                     report.ber_confidence(), report.per, report.goodput_bps / 1e6);
@@ -541,20 +432,10 @@ int run_sweep(const option_set& options)
     }
     if (want_metrics) {
         // Deterministic view into the result document (schema /2); the
-        // wall-clock timer histograms go to the run section instead.
-        results.set_metrics(sweep_metrics.to_json(obs::metric_view::deterministic));
-        results.set_run_profile(sweep_metrics.to_json(obs::metric_view::timing));
+        // driver puts the wall-clock timer histograms in the run section.
+        results.set_metrics(ctx.metrics->to_json(obs::metric_view::deterministic));
     }
-
-    std::printf("%s\n",
-                runtime::summary_line(points, out.trials, out.wall_s, out.jobs).c_str());
-    emit_metrics(obs_opts, sweep_metrics);
-    if (!obs_opts.json_path.empty()) {
-        const auto written =
-            results.write(obs_opts.json_path, out.wall_s, out.jobs, out.trials_per_s());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
-    return 0;
+    return {.document = results.to_json(), .tasks = out.trials, .jobs = out.jobs};
 }
 
 } // namespace

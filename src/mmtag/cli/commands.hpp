@@ -9,7 +9,8 @@
 namespace mmtag::cli {
 
 /// mmtag_sim's table: link, budget, network, inventory, faults, soak, scale
-/// and sweep. Each command prints to stdout and returns its exit status.
+/// and sweep. Each command prints to stdout and returns its outcome: the exit
+/// status and, for the Monte-Carlo ones, what the driver reports and writes.
 [[nodiscard]] std::span<const command> commands();
 
 /// mmtag_sim's front end: the driver over commands(). Bad input, and a run

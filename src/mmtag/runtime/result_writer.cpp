@@ -290,76 +290,24 @@ void result_writer::set_metrics(json_value metrics)
     metrics_ = std::move(metrics);
 }
 
-void result_writer::set_run_profile(json_value profile)
-{
-    if (!profile.is_object()) {
-        throw std::invalid_argument("result_writer: run profile not an object");
-    }
-    has_profile_ = true;
-    profile_ = std::move(profile);
-}
-
-namespace {
-
-json_value aggregates_value(const std::string& id, const std::string& title,
-                            const std::vector<std::string>& axes,
-                            std::uint64_t base_seed,
-                            const std::vector<json_value>& points,
-                            const json_value* metrics)
+json_value result_writer::to_json() const
 {
     auto doc = json_value::object();
     // Schema /2 only when an observability snapshot rides along, so existing
     // consumers of /1 output see byte-identical files when metrics are off.
-    doc.set("schema", json_value::string(metrics != nullptr ? "mmtag.bench.result/2"
-                                                            : "mmtag.bench.result/1"));
-    doc.set("id", json_value::string(id));
-    doc.set("title", json_value::string(title));
-    doc.set("base_seed", json_value::unsigned_integer(base_seed));
+    doc.set("schema", json_value::string(has_metrics_ ? "mmtag.bench.result/2"
+                                                      : "mmtag.bench.result/1"));
+    doc.set("id", json_value::string(id_));
+    doc.set("title", json_value::string(title_));
+    doc.set("base_seed", json_value::unsigned_integer(base_seed_));
     auto axis_list = json_value::array();
-    for (const auto& axis : axes) axis_list.push(json_value::string(axis));
+    for (const auto& axis : axes_) axis_list.push(json_value::string(axis));
     doc.set("axes", std::move(axis_list));
     auto point_list = json_value::array();
-    for (const auto& point : points) point_list.push(point);
+    for (const auto& point : points_) point_list.push(point);
     doc.set("points", std::move(point_list));
-    if (metrics != nullptr) doc.set("metrics", *metrics);
+    if (has_metrics_) doc.set("metrics", metrics_);
     return doc;
-}
-
-} // namespace
-
-std::string result_writer::aggregates_json() const
-{
-    return aggregates_value(id_, title_, axes_, base_seed_, points_,
-                            has_metrics_ ? &metrics_ : nullptr)
-        .dump(2);
-}
-
-std::string result_writer::document(double wall_s, std::size_t jobs,
-                                    double trials_per_s) const
-{
-    auto doc = aggregates_value(id_, title_, axes_, base_seed_, points_,
-                                has_metrics_ ? &metrics_ : nullptr);
-    auto run = json_value::object();
-    run.set("jobs", json_value::unsigned_integer(jobs));
-    run.set("wall_s", json_value::number(wall_s));
-    run.set("trials_per_s", json_value::number(trials_per_s));
-    run.set("git", json_value::string(git_describe()));
-    if (has_profile_) run.set("profile", profile_);
-    doc.set("run", std::move(run));
-    return doc.dump(2);
-}
-
-std::string result_writer::write(const std::string& path, double wall_s, std::size_t jobs,
-                                 double trials_per_s) const
-{
-    const std::string target = path.empty() ? default_output_path(id_) : path;
-    if (!io::write_text_file(target, document(wall_s, jobs, trials_per_s))) return {};
-    return target;
-}
-
-std::string default_output_path(const std::string& id)
-{
-    return "bench/out/BENCH_" + id + ".json";
 }
 
 const std::string& git_describe()

@@ -1,5 +1,6 @@
 // Machine-readable bench output: a minimal ordered JSON document model and
-// the BENCH_<id>.json emitter the perf trajectory reads.
+// the builder of the deterministic half of a mmtag.bench.result document
+// (the cli driver appends "run" and writes the file).
 //
 // Schema "mmtag.bench.result/1":
 //   {
@@ -15,17 +16,17 @@
 //             "git": "<git describe>"}
 //   }
 // Everything outside "run" is a pure function of (bench, base_seed) — the
-// deterministic half the jobs-invariance regression test compares
-// byte-for-byte (aggregates_json()). "run" carries the timing/provenance
-// that legitimately varies between machines and runs.
+// deterministic half result_writer::to_json() builds and the jobs-invariance
+// regression tests compare byte-for-byte. "run" carries the
+// timing/provenance that legitimately varies between machines and runs.
 //
 // Schema "mmtag.bench.result/2" is /1 plus observability, and is emitted
 // only when set_metrics() was called (v1 output is byte-unchanged when
 // metrics are off):
 //   * a top-level "metrics" section after "points" — the sweep-wide merged
 //     obs::metrics_registry snapshot (deterministic view, --jobs-invariant);
-//   * optionally "run.profile" — wall-time histograms from scoped timers
-//     (set_run_profile), which live in "run" because they legitimately vary.
+//   * "run.profile" (under --metrics) — wall-time histograms from scoped
+//     timers, which live in "run" because they legitimately vary.
 // Ratio metrics with zero observations (BER with no bits, PER with no
 // frames, mean SNR with no found frames, ...) serialize as null, never as
 // bare nan/inf.
@@ -108,7 +109,8 @@ private:
     std::vector<std::pair<std::string, json_value>> members_;
 };
 
-/// Collects one bench's sweep results and writes BENCH_<id>.json.
+/// Collects one bench's sweep results: the deterministic half of its result
+/// document.
 class result_writer {
 public:
     result_writer(std::string id, std::string title, std::vector<std::string> axes,
@@ -126,25 +128,12 @@ public:
     /// Attaches a sweep-wide observability snapshot (an
     /// obs::metrics_registry::to_json(deterministic) object). Switches the
     /// document to schema mmtag.bench.result/2; the snapshot is part of the
-    /// deterministic half (aggregates_json()).
+    /// deterministic half.
     void set_metrics(json_value metrics);
 
-    /// Attaches wall-time profiling data to the "run" section (schema /2
-    /// only; ignored by aggregates_json()).
-    void set_run_profile(json_value profile);
-
-    /// The deterministic half of the document (schema/id/title/axes/points).
-    [[nodiscard]] std::string aggregates_json() const;
-
-    /// The full document including the "run" section.
-    [[nodiscard]] std::string document(double wall_s, std::size_t jobs,
-                                       double trials_per_s) const;
-
-    /// Writes document() to `path` (empty = default_output_path(id)),
-    /// creating parent directories. Returns the path written, or an empty
-    /// string if the filesystem refused (benches warn but keep going).
-    std::string write(const std::string& path, double wall_s, std::size_t jobs,
-                      double trials_per_s) const;
+    /// The deterministic half of the document
+    /// (schema/id/title/base_seed/axes/points[/metrics]).
+    [[nodiscard]] json_value to_json() const;
 
 private:
     std::string id_;
@@ -154,12 +143,7 @@ private:
     std::vector<json_value> points_;
     bool has_metrics_ = false;
     json_value metrics_;
-    bool has_profile_ = false;
-    json_value profile_;
 };
-
-/// bench/out/BENCH_<id>.json relative to the current working directory.
-[[nodiscard]] std::string default_output_path(const std::string& id);
 
 /// `git describe --always --dirty --tags` of the working tree, cached after
 /// the first call; "unknown" when git or the repository is unavailable.

@@ -13,16 +13,6 @@
 
 namespace mmtag::runtime {
 
-std::string summary_line(std::size_t points, std::size_t trials, double wall_s,
-                         std::size_t jobs)
-{
-    char buffer[160];
-    std::snprintf(buffer, sizeof buffer,
-                  "sweep: %zu points, %zu trials in %.2f s wall (%zu jobs, %.0f trials/s)",
-                  points, trials, wall_s, jobs, per_second(trials, wall_s));
-    return buffer;
-}
-
 std::function<void(std::size_t, std::size_t)> progress_printer(std::FILE* stream,
                                                                bool tty)
 {

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -40,14 +39,6 @@ struct sweep_options {
     std::function<void(std::size_t, std::size_t)> progress;
 };
 
-/// Wall-clock throughput: `count` per second of `wall_s`, or 0 when no time
-/// elapsed. The trials/s, tasks/s and events/s that the runtime, the benches
-/// and the CLI report are all computed here.
-[[nodiscard]] inline double per_second(std::uint64_t count, double wall_s)
-{
-    return wall_s > 0.0 ? static_cast<double>(count) / wall_s : 0.0;
-}
-
 template <typename Aggregate>
 struct sweep_point_outcome {
     Aggregate aggregate{};   ///< ordered fold of the point's trials
@@ -56,16 +47,9 @@ struct sweep_point_outcome {
 template <typename Aggregate>
 struct sweep_outcome {
     std::vector<sweep_point_outcome<Aggregate>> points;
-    double wall_s = 0.0;     ///< end-to-end sweep wall-clock
     std::size_t jobs = 1;    ///< executors actually used
     std::size_t trials = 0;  ///< points x trials_per_point
-
-    [[nodiscard]] double trials_per_s() const { return per_second(trials, wall_s); }
 };
-
-/// One-line human summary of a finished sweep: wall time, jobs, trial rate.
-[[nodiscard]] std::string summary_line(std::size_t points, std::size_t trials,
-                                       double wall_s, std::size_t jobs);
 
 /// A ready-made thread-safe progress callback writing to `stream`. In tty
 /// mode it rewrites one line ("sweep: 42/96 trials") and terminates it with
@@ -88,8 +72,6 @@ sweep_outcome<Aggregate> run_sweep(const sweep_options& options, std::size_t poi
     if (options.trials_per_point == 0) {
         throw std::invalid_argument("run_sweep: trials_per_point must be >= 1");
     }
-    const auto sweep_start = std::chrono::steady_clock::now();
-
     thread_pool pool(options.jobs);
     const std::size_t trials = options.trials_per_point;
     const std::size_t total = point_count * trials;
@@ -128,9 +110,6 @@ sweep_outcome<Aggregate> run_sweep(const sweep_options& options, std::size_t poi
         slot.aggregate = std::move(slots[point * trials]);
         for (std::size_t t = 1; t < trials; ++t) merge(slot.aggregate, slots[point * trials + t]);
     }
-    outcome.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
-            .count();
     return outcome;
 }
 

@@ -472,6 +472,13 @@ double scale_result::fairness_index() const
     return sum * sum / (static_cast<double>(delivered_per_tag.size()) * sum_sq);
 }
 
+std::string scale_result::event_log_hash_hex() const
+{
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(event_log_hash));
+    return hex;
+}
+
 runtime::json_value scale_result::to_json() const
 {
     using runtime::json_value;
@@ -503,10 +510,7 @@ runtime::json_value scale_result::to_json() const
             runtime::ratio_or_null(readmit_latency_mean_rounds, readmit_latency_count));
     doc.set("readmit_latency_max_rounds",
             json_value::unsigned_integer(readmit_latency_max_rounds));
-    char hash_hex[20];
-    std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
-                  static_cast<unsigned long long>(event_log_hash));
-    doc.set("event_log_hash", json_value::string(hash_hex));
+    doc.set("event_log_hash", json_value::string(event_log_hash_hex()));
     auto delivered_list = json_value::array();
     for (const std::uint64_t d : delivered_per_tag) {
         delivered_list.push(json_value::unsigned_integer(d));
@@ -537,12 +541,10 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                 metrics != nullptr ? &registries[trial] : nullptr;
             return run_scale_trial(cfg, topo, cache.table, trial, registry);
         });
-    const auto trials_end = std::chrono::steady_clock::now();
 
     scale_result result;
     result.config = cfg;
     result.setup_s = std::chrono::duration<double>(trials_start - setup_start).count();
-    result.trials_s = std::chrono::duration<double>(trials_end - trials_start).count();
     result.jobs = pool.jobs();
     result.cache_hit = cache.cache_hit;
     result.phy_table_path = cache.path;

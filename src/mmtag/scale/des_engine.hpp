@@ -189,14 +189,15 @@ struct scale_result {
     bool cache_hit = false;              ///< phy_table came from disk
     std::string phy_table_path;
     /// Wall time of the set-up (topology build, phy_table load or
-    /// calibration) and of the trials. Run facts, so not in to_json().
+    /// calibration). A run fact, so not in to_json().
     double setup_s = 0.0;
-    double trials_s = 0.0;
 
     /// Delivered payload bits per second of simulated time.
     [[nodiscard]] double goodput_bps() const;
     /// Jain's fairness index over delivered_per_tag (1 = perfectly fair).
     [[nodiscard]] double fairness_index() const;
+    /// event_log_hash as 16 lower-case hex digits, as result files carry it.
+    [[nodiscard]] std::string event_log_hash_hex() const;
     /// Schema "mmtag.scale.result/1"; deterministic for any --jobs.
     [[nodiscard]] runtime::json_value to_json() const;
 };

@@ -5,11 +5,13 @@
 // fake table; the real tables are checked in test_cli.cpp.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../bench/bench_util.hpp"
@@ -22,7 +24,7 @@ namespace {
 /// --csv) and has `body` as its function. `args` starts with the experiment
 /// id. Returns the exit status.
 int run_table(const std::vector<std::string>& reads, std::vector<std::string> args,
-              measured (*body)(const bench_options&))
+              cli::outcome (*body)(const bench_options&))
 {
     const cli::command table[] = {experiment("FAKE", "a fake experiment", body, reads)};
     args.insert(args.begin(), "mmtag_bench");
@@ -36,7 +38,8 @@ int run_table(const std::vector<std::string>& reads, std::vector<std::string> ar
 int parse_flags(const std::vector<std::string>& reads, std::vector<std::string> flags)
 {
     flags.insert(flags.begin(), "FAKE");
-    return run_table(reads, std::move(flags), [](const bench_options&) { return measured{}; });
+    return run_table(reads, std::move(flags),
+                     [](const bench_options&) { return cli::outcome{}; });
 }
 
 TEST(bench_options, parses_well_formed_flags)
@@ -49,12 +52,11 @@ TEST(bench_options, parses_well_formed_flags)
             EXPECT_TRUE(opts.csv);
             EXPECT_EQ(opts.jobs, 4u);
             EXPECT_EQ(opts.seed, 99u);
-            EXPECT_EQ(opts.json_path, "out.json");
             EXPECT_EQ(opts.flags.get_uint("trials", 1), 250u);
             EXPECT_DOUBLE_EQ(opts.flags.get_double("snr-db", 0.0), -2.5);
             EXPECT_TRUE(opts.flags.get_flag("verbose"));
             EXPECT_EQ(opts.flags.get_uint("absent", 7), 7u);
-            return measured{};
+            return cli::outcome{};
         });
     EXPECT_EQ(status, 0);
 }
@@ -77,7 +79,7 @@ TEST(bench_options_death, trailing_junk_in_extra_u64_exits)
     // parse error into the error line and exit 2.
     EXPECT_EXIT(std::exit(run_table({"trials"}, {"FAKE", "--trials", "12x"},
                                     [](const bench_options& opts) {
-                                        return measured{.status = static_cast<int>(
+                                        return cli::outcome{.status = static_cast<int>(
                                                             opts.flags.get_uint("trials", 1))};
                                     })),
                 testing::ExitedWithCode(2), "--trials expects a non-negative integer");
@@ -101,7 +103,7 @@ TEST(bench_options, named_extras_need_not_be_read_at_parse)
     EXPECT_EQ(run_table({"trials"}, {"FAKE", "--trials", "3", "--csv"},
                         [](const bench_options& opts) {
                             EXPECT_TRUE(opts.csv);
-                            return measured{.status = static_cast<int>(
+                            return cli::outcome{.status = static_cast<int>(
                                                 opts.flags.get_uint("trials", 1))};
                         }),
               3);
@@ -129,14 +131,14 @@ TEST(bench_options_death, unexpected_positional_exits)
 
 /// Runs the driver over a one-experiment table: `FAKE` reads `--trials` and
 /// has `body` as its function. `args` starts with the experiment id.
-int run_flags(std::vector<std::string> args, measured (*body)(const bench_options&))
+int run_flags(std::vector<std::string> args, cli::outcome (*body)(const bench_options&))
 {
     return run_table({"trials"}, std::move(args), body);
 }
 
 /// An experiment body that leaves a mark on stderr, so a death test can
 /// tell whether it ran.
-measured marks_stderr(const bench_options&)
+cli::outcome marks_stderr(const bench_options&)
 {
     std::fprintf(stderr, "experiment ran\n");
     return {};
@@ -147,7 +149,7 @@ TEST(bench_options_death, library_rejection_in_the_bench_body_exits_with_code_2)
     // A well-formed flag whose value the library rejects, e.g.
     // mmtag_bench R22 --rounds 0: one error line, then exit 2.
     EXPECT_EXIT(std::exit(run_flags({"FAKE", "--trials", "0"},
-                                    [](const bench_options&) -> measured {
+                                    [](const bench_options&) -> cli::outcome {
                                         throw std::invalid_argument(
                                             "run_soak: rounds must be >= 1");
                                     })),
@@ -160,7 +162,7 @@ TEST(bench_options_death, partial_double_in_extra_exits)
     // the driver turns the parse error into one error line and exit 2.
     EXPECT_EXIT(std::exit(run_flags({"FAKE", "--trials", "3.x"},
                                     [](const bench_options& opts) {
-                                        return measured{.status = static_cast<int>(
+                                        return cli::outcome{.status = static_cast<int>(
                                                             opts.flags.get_double("trials", 1.0))};
                                     })),
                 testing::ExitedWithCode(2), "^error: --trials expects a number, got '3.x'\n$");
@@ -170,12 +172,12 @@ TEST(bench_options, run_returns_the_experiment_status_and_lets_other_errors_esca
 {
     EXPECT_EQ(run_flags({"FAKE", "--csv", "--trials", "3"},
                         [](const bench_options& opts) {
-                            return measured{
+                            return cli::outcome{
                                 .status = static_cast<int>(opts.flags.get_uint("trials", 1))};
                         }),
               3);
     EXPECT_THROW(run_flags({"FAKE", "--csv"},
-                           [](const bench_options&) -> measured {
+                           [](const bench_options&) -> cli::outcome {
                                throw std::runtime_error("disk on fire");
                            }),
                  std::runtime_error);
@@ -217,9 +219,9 @@ TEST(bench_driver, writes_the_result_file_and_the_summary_line)
             auto axis = runtime::json_value::object();
             axis.set("x", runtime::json_value::number(1.0));
             results.add_point(std::move(axis), 2, runtime::json_value::object());
-            return measured{.results = std::move(results), .points = 1, .tasks = 2,
-                            .jobs = 1, .events = 10};
-        }, {"json"})};
+            return cli::outcome{.document = results.to_json(), .tasks = 2, .jobs = 1,
+                                .events = 10};
+        }, {"jobs", "json"})};
     std::string json = path.string();
     std::string args[] = {"mmtag_bench", "R0", "--json", json};
     char* argv[] = {args[0].data(), args[1].data(), args[2].data(), args[3].data()};
@@ -227,10 +229,10 @@ TEST(bench_driver, writes_the_result_file_and_the_summary_line)
     testing::internal::CaptureStdout();
     EXPECT_EQ(run(4, argv, table), 0);
     const std::string out = testing::internal::GetCapturedStdout();
-    EXPECT_EQ(out.rfind("\n=== R0: a fake JSON experiment ===\n\n\nsweep: 1 points, 2 trials", 0),
-              0u)
+    EXPECT_EQ(out.rfind("\n=== R0: a fake JSON experiment ===\n\n  runtime: 2 tasks in ", 0), 0u)
         << out;
-    EXPECT_NE(out.find(" events/s\nwrote " + json + "\n"), std::string::npos) << out;
+    EXPECT_NE(out.find(" s wall (1 jobs, "), std::string::npos) << out;
+    EXPECT_NE(out.find(" events/s)\nwrote " + json + "\n"), std::string::npos) << out;
 
     const auto text = runtime::read_text_file(json);
     ASSERT_TRUE(text.has_value());
@@ -239,7 +241,45 @@ TEST(bench_driver, writes_the_result_file_and_the_summary_line)
     EXPECT_EQ(doc->find("id")->as_string(), "R0");
     EXPECT_EQ(doc->find("title")->as_string(), "a fake JSON experiment");
     EXPECT_EQ(doc->find("points")->size(), 1u);
+    const auto* run_section = doc->find("run");
+    ASSERT_NE(run_section, nullptr);
+    EXPECT_EQ(run_section->find("jobs")->as_uint(), 1u);
+    EXPECT_NE(run_section->find("git"), nullptr);
     std::filesystem::remove(path);
+}
+
+/// Reads the number printed just before `unit` in `line`.
+double number_before(const std::string& line, const std::string& unit)
+{
+    const auto end = line.find(unit);
+    EXPECT_NE(end, std::string::npos) << unit << " in " << line;
+    const auto start = line.rfind(' ', end - 1);
+    return std::stod(line.substr(start + 1, end - start - 1));
+}
+
+TEST(bench_driver, events_per_second_leave_out_the_set_up_time)
+{
+    // A row that spends ~0.3 s, ~0.1 s of it in set-up, over 1,000 events:
+    // events/s is 1,000 over the time after set-up (~5,000/s), not over the
+    // whole wall (~3,300/s).
+    const cli::command table[] = {
+        experiment("R0", "a fake timed experiment", [](const bench_options&) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            return cli::outcome{.tasks = 4, .jobs = 2, .events = 1000, .setup_s = 0.1};
+        }, {"jobs"})};
+    const char* argv[] = {"mmtag_bench", "R0"};
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(run(2, argv, table), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    const auto line_start = out.find("  runtime: set-up 0.100 s, 4 tasks in ");
+    ASSERT_NE(line_start, std::string::npos) << out;
+    const std::string line = out.substr(line_start, out.find('\n', line_start) - line_start);
+    EXPECT_NE(line.find(" s wall (2 jobs, "), std::string::npos) << line;
+    const double wall_s = number_before(line, " s wall");
+    const double events_per_s = number_before(line, " events/s");
+    ASSERT_GT(wall_s, 0.2) << line;
+    EXPECT_NEAR(events_per_s, 1000.0 / (wall_s - 0.1), 0.05 * events_per_s) << line;
+    EXPECT_NEAR(number_before(line, " tasks/s"), 4.0 / wall_s, 0.05 * 4.0 / wall_s) << line;
 }
 
 } // namespace

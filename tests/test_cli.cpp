@@ -532,10 +532,34 @@ TEST(commands, unwritable_trace_path_warns_once)
     fs::remove(blocker);
 }
 
+/// A result file without the "run" section the driver appends last.
+std::string without_run(const std::string& text)
+{
+    const auto run = text.rfind(",\n  \"run\": {");
+    EXPECT_NE(run, std::string::npos) << text;
+    return text.substr(0, run) + "\n}\n";
+}
+
+/// Checks that `text` parses and that its "run" section holds exactly the
+/// driver's keys, with `jobs` executors.
+void expect_run_section(const std::string& text, std::uint64_t jobs)
+{
+    const auto doc = runtime::parse_json(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    const auto* run = doc->find("run");
+    ASSERT_NE(run, nullptr) << text;
+    EXPECT_EQ(run->size(), 4u) << text;
+    for (const char* key : {"wall_s", "trials_per_s", "git"}) {
+        EXPECT_NE(run->find(key), nullptr) << key << " in " << text;
+    }
+    ASSERT_NE(run->find("jobs"), nullptr) << text;
+    EXPECT_EQ(run->find("jobs")->as_uint(), jobs) << text;
+}
+
 TEST(commands, scale_times_setup_and_trials_apart_from_the_result)
 {
     // events/s is over trial time only, so a cold phy_table calibration
-    // cannot drag it down; the timings stay out of the result document.
+    // cannot drag it down; the timings stay out of the deterministic half.
     namespace fs = std::filesystem;
     const auto dir = fs::temp_directory_path() / "mmtag_cli_scale_timing_test";
     fs::create_directories(dir);
@@ -550,15 +574,52 @@ TEST(commands, scale_times_setup_and_trials_apart_from_the_result)
         EXPECT_EQ(code, 0);
         const auto runtime_line = printed.find("  runtime: set-up ");
         ASSERT_NE(runtime_line, std::string::npos) << printed;
-        EXPECT_NE(printed.find(" s, 2 trials in ", runtime_line), std::string::npos) << printed;
+        EXPECT_NE(printed.find(" s, 2 tasks in ", runtime_line), std::string::npos) << printed;
         EXPECT_NE(printed.find(" events/s)", runtime_line), std::string::npos) << printed;
         const auto text = runtime::read_text_file((dir / name).string());
         ASSERT_TRUE(text.has_value());
-        EXPECT_EQ(text->find("setup"), std::string::npos);
-        EXPECT_EQ(text->find("trials_s"), std::string::npos);
-        results.push_back(*text);
+        const std::string deterministic = without_run(*text);
+        EXPECT_EQ(deterministic.find("setup"), std::string::npos);
+        EXPECT_EQ(deterministic.find("trials_s"), std::string::npos);
+        results.push_back(deterministic);
     }
     EXPECT_EQ(results[0], results[1]);
+    fs::remove_all(dir);
+}
+
+TEST(commands, result_documents_are_jobs_invariant_outside_run)
+{
+    // Each Monte-Carlo command that writes a result file: the document less
+    // its "run" section is byte-equal at --jobs 1 and 4, and "run" holds
+    // exactly the driver's keys.
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() / "mmtag_cli_jobs_invariance_test";
+    fs::create_directories(dir);
+    const std::vector<std::vector<std::string>> rows = {
+        {"sweep", "--points", "2", "--trials", "3", "--frames", "1"},
+        {"soak", "--tags", "4", "--faulted", "1", "--rounds", "36", "--trials", "2"},
+        {"scale", "--tags", "200", "--aps", "2", "--frames", "10", "--trials", "3"},
+    };
+    for (const auto& row : rows) {
+        std::vector<std::string> documents;
+        for (const std::uint64_t jobs : {1u, 4u}) {
+            const std::string path = (dir / (row[0] + std::to_string(jobs) + ".json")).string();
+            std::vector<std::string> args{"mmtag_sim"};
+            args.insert(args.end(), row.begin(), row.end());
+            args.insert(args.end(), {"--jobs", std::to_string(jobs), "--json", path});
+            std::vector<const char*> argv;
+            for (const auto& arg : args) argv.push_back(arg.c_str());
+            testing::internal::CaptureStdout();
+            const int code = dispatch(static_cast<int>(argv.size()), argv.data());
+            (void)testing::internal::GetCapturedStdout();
+            EXPECT_TRUE(code == 0 || (row[0] == "soak" && code == 3)) << row[0] << ": " << code;
+            const auto text = runtime::read_text_file(path);
+            ASSERT_TRUE(text.has_value()) << path;
+            expect_run_section(*text, jobs);
+            documents.push_back(without_run(*text));
+        }
+        EXPECT_EQ(documents[0], documents[1]) << row[0];
+    }
     fs::remove_all(dir);
 }
 

@@ -206,7 +206,6 @@ TEST(sweep_runner, shapes_and_counts)
     EXPECT_EQ(out.trials, 12u);
     EXPECT_EQ(out.jobs, 2u);
     EXPECT_EQ(progress_calls.load(), 12u);
-    EXPECT_GE(out.wall_s, 0.0);
     for (const auto& point : out.points) {
         EXPECT_EQ(point.aggregate.bits() % 8, 0u); // 3 trials x 8 blocks
     }
@@ -344,7 +343,7 @@ std::string link_sweep_aggregates(std::size_t jobs)
         results.add_point(std::move(axis), options.trials_per_point,
                           result_writer::metrics(out.points[point].aggregate));
     }
-    return results.aggregates_json();
+    return results.to_json().dump(2);
 }
 
 TEST(determinism, link_sweep_json_is_byte_identical_across_jobs)
@@ -461,23 +460,15 @@ TEST(result_writer, documents_are_schema_valid)
     axis.set("x", json_value::number(1.0));
     results.add_point(std::move(axis), 2, result_writer::metrics(counter));
 
-    const auto aggregates = results.aggregates_json();
+    const auto aggregates = results.to_json().dump(2);
     EXPECT_TRUE(json_checker(aggregates).valid()) << aggregates;
     EXPECT_NE(aggregates.find("\"schema\": \"mmtag.bench.result/1\""),
               std::string::npos);
     EXPECT_NE(aggregates.find("\"id\": \"R99\""), std::string::npos);
     EXPECT_NE(aggregates.find("\"axes\""), std::string::npos);
     EXPECT_NE(aggregates.find("\"trials\": 2"), std::string::npos);
-    // The run section only appears in the full document.
+    // The cli driver appends the run section when it writes the file.
     EXPECT_EQ(aggregates.find("\"run\""), std::string::npos);
-
-    const auto document = results.document(1.5, 4, 8.0);
-    EXPECT_TRUE(json_checker(document).valid()) << document;
-    EXPECT_NE(document.find("\"run\""), std::string::npos);
-    EXPECT_NE(document.find("\"jobs\": 4"), std::string::npos);
-    EXPECT_NE(document.find("\"git\":"), std::string::npos);
-
-    EXPECT_EQ(default_output_path("R99"), "bench/out/BENCH_R99.json");
 }
 
 TEST(result_writer, zero_observation_ratios_serialize_as_null)
@@ -494,7 +485,7 @@ TEST(result_writer, zero_observation_ratios_serialize_as_null)
     axis2.set("x", json_value::number(1.0));
     results.add_point(std::move(axis2), 1, result_writer::metrics(core::link_report{}));
 
-    const auto document = results.document(0.1, 1, 10.0);
+    const auto document = results.to_json().dump(2);
     EXPECT_TRUE(json_checker(document).valid()) << document;
     EXPECT_NE(document.find("\"ber\": null"), std::string::npos) << document;
     EXPECT_NE(document.find("\"per\": null"), std::string::npos) << document;
@@ -521,35 +512,24 @@ TEST(result_writer, metrics_snapshot_switches_schema_to_v2)
     results.add_point(std::move(axis), 1, result_writer::metrics(counter));
 
     // Without a metrics snapshot the document stays on schema /1, with no
-    // sweep-wide "metrics" or "profile" members — byte-compatible with old
-    // consumers. (Per-point "metrics" objects exist in both schemas, so the
-    // registry snapshot is detected by its "counters" section.)
-    const auto v1 = results.document(0.1, 1, 10.0);
+    // sweep-wide "metrics" member — byte-compatible with old consumers.
+    // (Per-point "metrics" objects exist in both schemas, so the registry
+    // snapshot is detected by its "counters" section.)
+    const auto v1 = results.to_json().dump(2);
     EXPECT_NE(v1.find("\"schema\": \"mmtag.bench.result/1\""), std::string::npos);
     EXPECT_EQ(v1.find("\"counters\""), std::string::npos);
-    EXPECT_EQ(v1.find("\"profile\""), std::string::npos);
 
     auto snapshot = json_value::object();
     auto counters = json_value::object();
     counters.set("link/frames", json_value::unsigned_integer(8));
     snapshot.set("counters", std::move(counters));
     results.set_metrics(std::move(snapshot));
-    auto profile = json_value::object();
-    profile.set("histograms", json_value::object());
-    results.set_run_profile(std::move(profile));
 
-    const auto v2 = results.document(0.1, 1, 10.0);
+    // The sweep-wide snapshot is part of the deterministic half.
+    const auto v2 = results.to_json().dump(2);
     EXPECT_TRUE(json_checker(v2).valid()) << v2;
     EXPECT_NE(v2.find("\"schema\": \"mmtag.bench.result/2\""), std::string::npos);
     EXPECT_NE(v2.find("\"link/frames\": 8"), std::string::npos);
-    EXPECT_NE(v2.find("\"profile\""), std::string::npos);
-    // The sweep-wide snapshot is part of the deterministic half; the
-    // profile (wall-clock) is not.
-    const auto aggregates = results.aggregates_json();
-    EXPECT_NE(aggregates.find("\"schema\": \"mmtag.bench.result/2\""),
-              std::string::npos);
-    EXPECT_NE(aggregates.find("\"link/frames\": 8"), std::string::npos);
-    EXPECT_EQ(aggregates.find("\"profile\""), std::string::npos);
 
     EXPECT_THROW(results.set_metrics(json_value::array()), std::invalid_argument);
 }
